@@ -1,0 +1,253 @@
+"""The classifier core: one domain description and one shared analysis per matrix.
+
+The paper defines PR and NI systems by a domain of analyticity and a sign
+condition on its boundary; continuous and discrete time differ only in that
+domain, the open right half-plane or the outside of the unit disc.  A
+``Domain`` holds everything the choice decides.  An ``Analysis`` computes the
+ingredients of the conditions (poles, the Hermitian part and the defect,
+boundary grid scans, determinant zeros, residues) lazily and at most once per
+matrix and ``Config``, so that classifiers run on one matrix share their
+work, and builds the conditions the classifiers of both domains share.
+
+A sign form is "pr" or "ni".  The "pr" form is the Hermitian part
+F(x) + F(mirror(x))^T, whose boundary values must be PSD; the "ni" form is the
+defect G(x) - G(mirror(x))^T, which times i must be PSD on the upper boundary.
+The mirror map is s -> -s in continuous and z -> 1/z in discrete time.
+"""
+
+from __future__ import annotations
+
+import weakref
+from dataclasses import dataclass
+from typing import Callable
+
+import numpy as np
+
+from . import boundary
+from .boundary import is_psd
+from .config import DEFAULT, Config
+from .errors import ImproperInput
+from .ratmat import CT, DT, RationalMatrix, rm_infinity_expansion, rm_is_symmetric, rm_poles, rm_residues_at
+from .report import Condition
+
+PREMUL = {"pr": 1.0, "ni": 1j}          # the boundary form is herm(PREMUL * R(point))
+SIGN_ID = {"pr": "boundary-psd", "ni": "boundary-sign"}
+
+
+@dataclass(frozen=True)
+class Domain:
+    """Everything that separates continuous from discrete time.
+
+    The dict fields are keyed by sign form.  The builders and grids look the
+    ``boundary`` functions up when they run, so that a wrapper put on one of
+    those module attributes sees every call.
+    """
+
+    param: str                # witness key of a boundary parameter
+    point: Callable           # boundary parameters -> boundary points
+    on_boundary: Callable     # (pole, tol) -> the pole lies on the boundary
+    outside: Callable         # pole off the boundary -> it lies in the unstable region
+    inside: Callable          # (pole, margin) -> it lies in the stable region, margin away
+    matrix: dict              # form -> builder of the boundary matrix from G
+    grid: dict                # form -> builder of the boundary parameter grid from a Config
+    det_region: dict          # form -> (z, tol) -> the determinant zero z lies on the form's boundary
+    unstable_id: dict         # form -> id of the no-unstable-poles condition
+    stable_id: str            # id of the strictly-stable-poles condition
+
+
+CT_DOMAIN = Domain(
+    param="omega",
+    point=lambda t: 1j * t,
+    on_boundary=lambda p, tol: abs(p.real) <= tol * (1.0 + abs(p)),
+    outside=lambda p: p.real > 0,
+    inside=lambda p, margin: p.real < -margin * (1.0 + abs(p)),
+    matrix={"pr": lambda F: boundary.ppart_ct(F), "ni": lambda G: boundary.defect_ct(G)},
+    grid={"pr": lambda cfg: np.concatenate([[0.0], boundary.ct_grid(cfg)]),
+          "ni": lambda cfg: boundary.ct_grid(cfg)},
+    # "pr": s = i w for every real w; "ni": w > 0
+    det_region={"pr": lambda z, tol: abs(z.real) <= tol * (1.0 + abs(z)),
+                "ni": lambda z, tol: abs(z.real) <= tol * (1.0 + abs(z)) and z.imag > tol},
+    unstable_id={"pr": "no-rhp-poles", "ni": "no-rhp-poles"},
+    stable_id="hurwitz-poles",
+)
+
+DT_DOMAIN = Domain(
+    param="theta",
+    point=lambda t: np.exp(1j * t),
+    on_boundary=lambda p, tol: abs(abs(p) - 1.0) <= tol * 2.0,
+    outside=lambda p: abs(p) > 1.0,
+    inside=lambda p, margin: abs(p) < 1.0 - margin,
+    matrix={"pr": lambda F: boundary.ppart_dt(F), "ni": lambda G: boundary.defect_dt(G)},
+    grid={"pr": lambda cfg: boundary.dt_grid_full(cfg), "ni": lambda cfg: boundary.dt_grid_half(cfg)},
+    # "pr": the whole circle; "ni": z = e^{it}, t in (0, pi)
+    det_region={"pr": lambda z, tol: abs(abs(z) - 1.0) <= tol,
+                "ni": lambda z, tol: abs(abs(z) - 1.0) <= tol and tol < np.angle(z) < np.pi - tol},
+    unstable_id={"pr": "analytic-outside-disc", "ni": "no-outside-poles"},
+    stable_id="schur-poles",
+)
+
+DOMAINS = {CT: CT_DOMAIN, DT: DT_DOMAIN}
+
+
+def hermitian_enough(M, rel=1e-7):
+    M = np.asarray(M)
+    return np.linalg.norm(M - M.conj().T, 2) <= rel * (1.0 + np.linalg.norm(M, 2))
+
+
+def hermitian_psd(M, cfg: Config):
+    return hermitian_enough(M) and is_psd(M, cfg.psd_rel)
+
+
+def near(p, points, cfg: Config):
+    """The first of the points within 2 * root_cluster of p, or None."""
+    for z0 in points:
+        if abs(p - z0) <= cfg.root_cluster * 2.0:
+            return z0
+    return None
+
+
+class Analysis:
+    """One matrix under one Config: each ingredient computed once, and the conditions built from them."""
+
+    def __init__(self, G: RationalMatrix, cfg: Config):
+        self._G = weakref.ref(G)  # the cache holding this analysis must not keep G alive
+        self.cfg = cfg
+        self.domain = DOMAINS[G.domain]
+        self._memo = {}
+
+    @property
+    def G(self) -> RationalMatrix:
+        return self._G()
+
+    def _once(self, key, compute):
+        if key not in self._memo:
+            self._memo[key] = compute()
+        return self._memo[key]
+
+    # -- ingredients ---------------------------------------------------------
+    def poles(self):
+        return self._once("poles", lambda: rm_poles(self.G, self.cfg))
+
+    def infinity(self):
+        return self._once("infinity", lambda: rm_infinity_expansion(self.G, self.cfg))
+
+    def residue(self, p):
+        return self._once(("residue", complex(p)), lambda: rm_residues_at(self.G, p, self.cfg))
+
+    def matrix(self, form):
+        """The Hermitian part ("pr") or the defect ("ni") as a rational matrix."""
+        return self._once(("matrix", form), lambda: self.domain.matrix[form](self.G))
+
+    def scan(self, form):
+        """grid_psd_scan of the form on its boundary grid: (worst margin, its parameter, points)."""
+        d = self.domain
+        return self._once(("scan", form), lambda: boundary.grid_psd_scan(
+            self.matrix(form), d.grid[form](self.cfg), d.point, PREMUL[form], self.cfg))
+
+    def det_zeros(self, form):
+        """boundary_det_zeros of the form on its region: (zeros, identically zero)."""
+        return self._once(("det", form), lambda: boundary.boundary_det_zeros(
+            self.matrix(form), self.domain.det_region[form], self.cfg))
+
+    def pole_split(self):
+        """(unstable poles, boundary poles in the closed upper half-plane) as (pole, multiplicity) lists."""
+        def split():
+            tol = self.cfg.root_cluster
+            unstable, upper = [], []
+            for p, mult in self.poles():
+                if self.domain.on_boundary(p, tol):
+                    if p.imag >= -tol * (1.0 + abs(p)):
+                        upper.append((p, mult))
+                elif self.domain.outside(p):
+                    unstable.append((p, mult))
+            return unstable, upper
+        return self._once("split", split)
+
+    def strictly_stable(self, margin):
+        return all(self.domain.inside(p, margin) for p, _ in self.poles())
+
+    # -- conditions ----------------------------------------------------------
+    def require_proper(self, class_id):
+        if not self.G.is_proper():
+            raise ImproperInput(f"{class_id} classification requires a proper matrix")
+
+    def symmetry(self):
+        """The symmetry condition of the NI classes, as a list: empty when the config waives it."""
+        if not self.cfg.require_symmetry:
+            return []
+        ok = self._once("symmetric", lambda: rm_is_symmetric(self.G, self.cfg.coeff_rel))
+        return [Condition("symmetry", ok, {} if ok else {"note": "G != G^T as rational identity"})]
+
+    def no_unstable_poles(self, form):
+        unstable, _ = self.pole_split()
+        return Condition(self.domain.unstable_id[form], not unstable, {"poles": unstable} if unstable else {})
+
+    def boundary_sign(self, form):
+        """The form is PSD on the boundary grid, within psd_rel."""
+        worst, tworst, _n = self.scan(form)
+        return Condition(SIGN_ID[form], worst >= 0.0, {"worst_margin": worst, self.domain.param: tworst})
+
+    def simple_pole_witness(self, p, mult, pole_data, residue=lambda pd, p: pd.normalized_K0, key="K0"):
+        """None when the boundary pole p is simple with a Hermitian PSD residue(datum, p), else a witness."""
+        if mult > 1:
+            return {"pole": p, "multiplicity": mult}
+        pd = self.residue(p)
+        pole_data.append(pd)
+        K = residue(pd, p)
+        return None if hermitian_psd(K, self.cfg) else {"pole": p, key: K}
+
+    def pr_boundary_poles(self, cid, residue, key, pole_data):
+        """PR boundary poles: simple with a Hermitian PSD residue(datum, p); stops at the first failure."""
+        for p, mult in self.pole_split()[1]:
+            wit = self.simple_pole_witness(p, mult, pole_data, residue, key)
+            if wit:
+                return Condition(cid, False, wit)
+        return Condition(cid, True, {})
+
+    def strict_conditions(self, form, class_id):
+        """The weakly strict class: proper, symmetric for NI, strictly stable, strict boundary sign.
+
+        The sign is strict when the grid scan passes and the determinant of
+        the boundary matrix has no zero on the boundary and is not
+        identically zero.
+        """
+        self.require_proper(class_id)
+        conds = self.symmetry() if form == "ni" else []
+        stable = self.strictly_stable(self.cfg.root_cluster)
+        conds.append(Condition(self.domain.stable_id, stable, {} if stable else {"poles": self.poles()}))
+        worst, tworst, _n = self.scan(form)
+        zeros, ident_zero = self.det_zeros(form)
+        wit = {"worst_margin": worst, self.domain.param: tworst, "det_zeros": zeros,
+               "identically_zero": ident_zero}
+        conds.append(Condition("strict-boundary-sign", worst >= 0.0 and not zeros and not ident_zero, wit))
+        return conds
+
+    def full_normal_rank(self, form):
+        """det of the boundary matrix is not identically zero."""
+        _zeros, ident_zero = self.det_zeros(form)
+        return Condition("full-normal-rank", not ident_zero, {"identically_zero": ident_zero})
+
+
+_ANALYSES = weakref.WeakKeyDictionary()
+
+
+def analysis_of(G: RationalMatrix, cfg: Config = DEFAULT) -> Analysis:
+    """The shared analysis of G under cfg, made on first use.
+
+    Analyses are kept per matrix object, never per matrix content, and die
+    with it: a freshly built or parsed matrix always starts cold.  Reports of
+    one matrix share the analysis's values (pole lists, residue data), which
+    callers must not mutate.
+    """
+    per_cfg = _ANALYSES.setdefault(G, {})
+    if cfg not in per_cfg:
+        per_cfg[cfg] = Analysis(G, cfg)
+    return per_cfg[cfg]
+
+
+def pole_at(G: RationalMatrix, points, cfg: Config = DEFAULT):
+    """The first pole of G within 2 * root_cluster of one of the points, or None."""
+    for p, _ in analysis_of(G, cfg).poles():
+        if near(p, points, cfg) is not None:
+            return p
+    return None

@@ -1,67 +1,36 @@
-"""Continuous-time classifiers: C-PR / C-SSPR / C-WSPR and C-NI / C-SSNI / C-WSNI."""
+"""Continuous-time classifiers: C-PR / C-SSPR / C-WSPR and C-NI / C-SSNI / C-WSNI.
+
+Each classifier lists its conditions over the shared analysis of the matrix
+(``analysis.analysis_of``).  What only continuous time has is the pole at
+infinity, the decay at infinity and the slope at the origin.
+"""
 
 from __future__ import annotations
 
 import numpy as np
 
-from .boundary import (
-    boundary_det_zeros,
-    ct_grid,
-    defect_ct,
-    grid_psd_scan,
-    herm,
-    is_nsd,
-    is_pd,
-    is_psd,
-    ppart_ct,
-)
+from .analysis import analysis_of, hermitian_enough, hermitian_psd
+from .boundary import herm, is_nsd, is_pd
 from .config import DEFAULT, Config
-from .errors import ImproperInput, MultiplicityTooHigh
 from .poly import RationalScalar, cluster_roots, degree, roots
-from .ratmat import RationalMatrix, rm_infinity_expansion, rm_is_symmetric, rm_poles, rm_residues_at
+from .ratmat import RationalMatrix
 from .report import Condition, StrictnessLimits, finish_report
 from .series import decay_condition, matrix_laurent_inf, matrix_taylor
 
 
-def _is_boundary(p, tol):
-    return abs(p.real) <= tol * (1.0 + abs(p))
+def _decay_at_infinity(R, shift, order):
+    """herm(i**shift R(i w)) vanishes no faster than w**-order, in every eigenvalue direction positively.
 
-
-def _split_poles(R, cfg):
-    """Poles split into (open RHP, imaginary axis, open LHP)."""
-    tol = cfg.root_cluster
-    rhp, axis, lhp = [], [], []
-    for p, mult in rm_poles(R, cfg):
-        if _is_boundary(p, tol):
-            axis.append((p, mult))
-        elif p.real > 0:
-            rhp.append((p, mult))
-        else:
-            lhp.append((p, mult))
-    return rhp, axis, lhp
-
-
-def _hermitian_enough(M, rel=1e-7):
-    M = np.asarray(M)
-    return np.linalg.norm(M - M.conj().T, 2) <= rel * (1.0 + np.linalg.norm(M, 2))
-
-
-def _symmetry_condition(G, cfg):
-    ok = rm_is_symmetric(G)
-    return Condition("symmetry", ok, {} if ok else {"note": "G != G^T as rational identity"})
-
-
-def _ni_inf_coeffs(G, nterms=8):
-    """Coefficients N_k with i[G(iw)-G(iw)*] = sum N_k w^-k for large w."""
-    W = defect_ct(G)
-    cw = matrix_laurent_inf(W, nterms)
-    return [np.real(herm((1j) ** (1 - k) * cw[k].astype(complex))) for k in range(nterms)], W
-
-
-def _pr_inf_coeffs(F, nterms=8):
-    H = ppart_ct(F)
-    ch = matrix_laurent_inf(H, nterms)
-    return [np.real(herm((1j) ** (-k) * ch[k].astype(complex))) for k in range(nterms)], H
+    Returns the condition and its sigma0 margin.
+    """
+    laurent = matrix_laurent_inf(R, 8)
+    coeffs = [np.real(herm((1j) ** (shift - k) * c.astype(complex))) for k, c in enumerate(laurent)]
+    scale = 1.0 + max(np.linalg.norm(c, 2) for c in coeffs)
+    ok, margin, worst_order = decay_condition(coeffs, order, 1e-11 * scale)
+    wit = {"sigma0_margin": margin, "worst_order": worst_order}
+    if order == 2 and not ok and worst_order > 2:
+        wit["omega2_limit"] = 0.0
+    return Condition("decay-at-infinity", ok, wit), margin
 
 
 # ---------------------------------------------------------------------------
@@ -75,74 +44,28 @@ def classify_cpr(F: RationalMatrix, cfg: Config = DEFAULT):
     imaginary-axis poles simple with Hermitian PSD residue; pole at infinity
     at most simple with PSD coefficient.
     """
-    conds = []
+    a = analysis_of(F, cfg)
     pole_data = []
-    rhp, axis, _ = _split_poles(F, cfg)
-    conds.append(Condition("no-rhp-poles", not rhp, {"poles": rhp} if rhp else {}))
-
-    H = ppart_ct(F)
-    params = np.concatenate([[0.0], ct_grid(cfg)])
-    worst, tworst, _n = grid_psd_scan(H, params, lambda t: 1j * t, 1.0, cfg)
-    conds.append(Condition("boundary-psd", worst >= 0.0, {"worst_margin": worst, "omega": tworst}))
-
-    axis_ok, axis_wit = True, {}
-    for p, mult in axis:
-        if p.imag < 0:
-            continue
-        if mult > 1:
-            axis_ok, axis_wit = False, {"pole": p, "multiplicity": mult}
-            break
-        pd = rm_residues_at(F, p, cfg)
-        pole_data.append(pd)
-        K = pd.residue_A1
-        if not (_hermitian_enough(K) and is_psd(K, cfg.psd_rel)):
-            axis_ok, axis_wit = False, {"pole": p, "residue": K}
-            break
-    conds.append(Condition("imaginary-axis-poles", axis_ok, axis_wit))
-
-    ix = rm_infinity_expansion(F, cfg)
+    conds = [
+        a.no_unstable_poles("pr"),
+        a.boundary_sign("pr"),
+        a.pr_boundary_poles("imaginary-axis-poles", lambda pd, p: pd.residue_A1, "residue", pole_data),
+    ]
+    ix = a.infinity()
     K_inf = None
     if ix.polynomial_degree == 0:
         conds.append(Condition("pole-at-infinity", True, {}))
     elif ix.polynomial_degree == 1:
         K_inf = ix.poly_coeffs[0]
-        ok = _hermitian_enough(K_inf) and is_psd(K_inf, cfg.psd_rel)
-        conds.append(Condition("pole-at-infinity", ok, {"K_inf": K_inf}))
+        conds.append(Condition("pole-at-infinity", hermitian_psd(K_inf, cfg), {"K_inf": K_inf}))
     else:
         conds.append(Condition("pole-at-infinity", False, {"degree": ix.polynomial_degree}))
-
-    limits = StrictnessLimits(K_inf=K_inf)
-    return finish_report("cpr", conds, cfg, limits=limits, pole_data=pole_data)
-
-
-def _strict_boundary_pr(F, cfg):
-    """Conditions 1-2 shared by C-WSPR and C-SSPR."""
-    if not F.is_proper():
-        raise ImproperInput("strict PR classification requires a proper matrix")
-    conds = []
-    poles = rm_poles(F, cfg)
-    hurwitz = all(p.real < -cfg.root_cluster * (1.0 + abs(p)) for p, _ in poles)
-    conds.append(Condition("hurwitz-poles", hurwitz, {} if hurwitz else {"poles": poles}))
-
-    H = ppart_ct(F)
-    params = np.concatenate([[0.0], ct_grid(cfg)])
-    worst, tworst, _n = grid_psd_scan(H, params, lambda t: 1j * t, 1.0, cfg)
-    zeros, ident_zero = boundary_det_zeros(H, "ct_real_axis", cfg)
-    ok = worst >= 0.0 and not zeros and not ident_zero
-    conds.append(
-        Condition(
-            "strict-boundary-sign",
-            ok,
-            {"worst_margin": worst, "omega": tworst, "det_zeros": zeros, "identically_zero": ident_zero},
-        )
-    )
-    return conds, H
+    return finish_report("cpr", conds, cfg, limits=StrictnessLimits(K_inf=K_inf), pole_data=pole_data)
 
 
 def classify_cwspr(F: RationalMatrix, cfg: Config = DEFAULT):
     """Weak strict positive realness: Hurwitz poles and strict boundary sign."""
-    conds, _H = _strict_boundary_pr(F, cfg)
-    return finish_report("cwspr", conds, cfg)
+    return finish_report("cwspr", analysis_of(F, cfg).strict_conditions("pr", "cwspr"), cfg)
 
 
 def classify_csspr(F: RationalMatrix, cfg: Config = DEFAULT):
@@ -152,19 +75,11 @@ def classify_csspr(F: RationalMatrix, cfg: Config = DEFAULT):
     faster than w**-2, all eigenvalue directions positive) and full normal
     rank of F(s) + F(-s)^T.
     """
-    conds, H = _strict_boundary_pr(F, cfg)
-    coeffs, _ = _pr_inf_coeffs(F)
-    ok, margin, worst_order = decay_condition(coeffs, 2, 1e-11 * (1.0 + max(np.linalg.norm(c, 2) for c in coeffs)))
-    wit = {"sigma0_margin": margin, "worst_order": worst_order}
-    if not ok and worst_order > 2:
-        wit["omega2_limit"] = 0.0
-    conds.append(Condition("decay-at-infinity", ok, wit))
-
-    zeros, ident_zero = boundary_det_zeros(H, "ct_real_axis", cfg)
-    conds.append(Condition("full-normal-rank", not ident_zero, {"identically_zero": ident_zero}))
-    _ = zeros
-    limits = StrictnessLimits(sigma0_margin=margin)
-    return finish_report("csspr", conds, cfg, limits=limits)
+    a = analysis_of(F, cfg)
+    conds = a.strict_conditions("pr", "csspr")
+    decay, margin = _decay_at_infinity(a.matrix("pr"), 0, 2)
+    conds += [decay, a.full_normal_rank("pr")]
+    return finish_report("csspr", conds, cfg, limits=StrictnessLimits(sigma0_margin=margin))
 
 
 # ---------------------------------------------------------------------------
@@ -173,86 +88,37 @@ def classify_csspr(F: RationalMatrix, cfg: Config = DEFAULT):
 
 def classify_cni(G: RationalMatrix, cfg: Config = DEFAULT):
     """Negative imaginary classification via the five boundary conditions."""
-    conds = []
+    a = analysis_of(G, cfg)
     pole_data = []
-    if cfg.require_symmetry:
-        conds.append(_symmetry_condition(G, cfg))
-    rhp, axis, _ = _split_poles(G, cfg)
-    conds.append(Condition("no-rhp-poles", not rhp, {"poles": rhp} if rhp else {}))
-
-    W = defect_ct(G)
-    worst, tworst, _n = grid_psd_scan(W, ct_grid(cfg), lambda t: 1j * t, 1j, cfg)
-    conds.append(Condition("boundary-sign", worst >= 0.0, {"worst_margin": worst, "omega": tworst}))
-
-    tol = cfg.root_cluster
-    axis_ok, axis_wit = True, {}
-    origin_ok, origin_wit = True, {}
-    for p, mult in axis:
-        if p.imag < -tol * (1.0 + abs(p)):
-            continue
-        at_origin = abs(p) <= tol
-        if at_origin:
-            if mult > 2:
-                origin_ok, origin_wit = False, {"multiplicity": mult}
-                continue
-            pd = rm_residues_at(G, 0.0, cfg)
+    conds = a.symmetry() + [a.no_unstable_poles("ni"), a.boundary_sign("ni")]
+    axis_wit, origin_wit = None, None
+    for p, mult in a.pole_split()[1]:
+        if abs(p) > cfg.root_cluster:
+            axis_wit = a.simple_pole_witness(p, mult, pole_data) or axis_wit
+        elif mult > 2:
+            origin_wit = {"multiplicity": mult}
+        else:
+            pd = a.residue(0.0)
             pole_data.append(pd)
-            A1, A2 = pd.residue_A1, pd.quad_residue_A2
-            if not (_hermitian_enough(A1) and is_psd(A1, cfg.psd_rel)
-                    and _hermitian_enough(A2) and is_psd(A2, cfg.psd_rel)):
-                origin_ok, origin_wit = False, {"A1": A1, "A2": A2}
-            continue
-        if mult > 1:
-            axis_ok, axis_wit = False, {"pole": p, "multiplicity": mult}
-            continue
-        pd = rm_residues_at(G, p, cfg)
-        pole_data.append(pd)
-        K0 = pd.normalized_K0
-        if not (_hermitian_enough(K0) and is_psd(K0, cfg.psd_rel)):
-            axis_ok, axis_wit = False, {"pole": p, "K0": K0}
-    conds.append(Condition("imaginary-axis-poles", axis_ok, axis_wit))
-    conds.append(Condition("pole-at-origin", origin_ok, origin_wit))
+            if not (hermitian_psd(pd.residue_A1, cfg) and hermitian_psd(pd.quad_residue_A2, cfg)):
+                origin_wit = {"A1": pd.residue_A1, "A2": pd.quad_residue_A2}
+    conds.append(Condition("imaginary-axis-poles", axis_wit is None, axis_wit or {}))
+    conds.append(Condition("pole-at-origin", origin_wit is None, origin_wit or {}))
 
-    ix = rm_infinity_expansion(G, cfg)
+    ix = a.infinity()
     if ix.polynomial_degree == 0:
         conds.append(Condition("pole-at-infinity", True, {}))
     elif ix.polynomial_degree <= 2:
-        ok = all(_hermitian_enough(A) and is_nsd(A, cfg.psd_rel) for A in ix.poly_coeffs)
+        ok = all(hermitian_enough(A) and is_nsd(A, cfg.psd_rel) for A in ix.poly_coeffs)
         conds.append(Condition("pole-at-infinity", ok, {"coeffs": ix.poly_coeffs}))
     else:
         conds.append(Condition("pole-at-infinity", False, {"degree": ix.polynomial_degree}))
     return finish_report("cni", conds, cfg, pole_data=pole_data)
 
 
-def _strict_boundary_ni(G, cfg):
-    """Conditions (i)-(ii) shared by C-WSNI and C-SSNI."""
-    if not G.is_proper():
-        raise ImproperInput("strict NI classification requires a proper matrix")
-    conds = []
-    if cfg.require_symmetry:
-        conds.append(_symmetry_condition(G, cfg))
-    poles = rm_poles(G, cfg)
-    hurwitz = all(p.real < -cfg.root_cluster * (1.0 + abs(p)) for p, _ in poles)
-    conds.append(Condition("hurwitz-poles", hurwitz, {} if hurwitz else {"poles": poles}))
-
-    W = defect_ct(G)
-    worst, tworst, _n = grid_psd_scan(W, ct_grid(cfg), lambda t: 1j * t, 1j, cfg)
-    zeros, ident_zero = boundary_det_zeros(W, "ct_open_upper", cfg)
-    ok = worst >= 0.0 and not zeros and not ident_zero
-    conds.append(
-        Condition(
-            "strict-boundary-sign",
-            ok,
-            {"worst_margin": worst, "omega": tworst, "det_zeros": zeros, "identically_zero": ident_zero},
-        )
-    )
-    return conds, W
-
-
 def classify_cwsni(G: RationalMatrix, cfg: Config = DEFAULT):
     """Weak strict negative imaginary: Hurwitz poles, strict defect on (0, inf)."""
-    conds, _W = _strict_boundary_ni(G, cfg)
-    return finish_report("cwsni", conds, cfg)
+    return finish_report("cwsni", analysis_of(G, cfg).strict_conditions("ni", "cwsni"), cfg)
 
 
 def classify_cssni(G: RationalMatrix, cfg: Config = DEFAULT):
@@ -262,28 +128,22 @@ def classify_cssni(G: RationalMatrix, cfg: Config = DEFAULT):
     the exact asymptotic expansion); Q = lim (1/w) i[G - G*] positive definite
     at the origin; full normal rank of the defect.
     """
-    conds, W = _strict_boundary_ni(G, cfg)
-    coeffs, _ = _ni_inf_coeffs(G)
-    scale = 1.0 + max(np.linalg.norm(c, 2) for c in coeffs)
-    ok, margin, worst_order = decay_condition(coeffs, 3, 1e-11 * scale)
-    conds.append(Condition("decay-at-infinity", ok, {"sigma0_margin": margin, "worst_order": worst_order}))
-
-    hurwitz = all(p.real < 0 for p, _ in rm_poles(G, cfg))
+    a = analysis_of(G, cfg)
+    conds = a.strict_conditions("ni", "cssni")
+    W = a.matrix("ni")
+    decay, margin = _decay_at_infinity(W, 1, 3)
+    conds.append(decay)
     Q = None
-    if hurwitz:
+    if a.strictly_stable(0.0):
         T = matrix_taylor(W, 0.0, 2)
         Q = -np.real(herm(T[1]))
         # the limit (1/w) i[G - G*] only exists when the defect vanishes at 0
         vanishes = np.linalg.norm(T[0], 2) <= 1e-7 * (1.0 + np.linalg.norm(Q, 2))
-        ok_q = vanishes and is_pd(Q, cfg.strict_rel)
-        conds.append(Condition("slope-at-origin", ok_q, {"Q": Q}))
+        conds.append(Condition("slope-at-origin", vanishes and is_pd(Q, cfg.strict_rel), {"Q": Q}))
     else:
         conds.append(Condition("slope-at-origin", False, {"note": "boundary pole prevents the limit"}))
-
-    _zeros, ident_zero = boundary_det_zeros(W, "ct_open_upper", cfg)
-    conds.append(Condition("full-normal-rank", not ident_zero, {"identically_zero": ident_zero}))
-    limits = StrictnessLimits(Q=Q, sigma0_margin=margin)
-    return finish_report("cssni", conds, cfg, limits=limits)
+    conds.append(a.full_normal_rank("ni"))
+    return finish_report("cssni", conds, cfg, limits=StrictnessLimits(Q=Q, sigma0_margin=margin))
 
 
 # ---------------------------------------------------------------------------

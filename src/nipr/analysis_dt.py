@@ -1,53 +1,22 @@
-"""Discrete-time classifiers: D-PR / D-SSPR and D-NI / D-SSNI / D-WSNI."""
+"""Discrete-time classifiers: D-PR / D-SSPR and D-NI / D-SSNI / D-WSNI.
+
+Each classifier lists its conditions over the shared analysis of the matrix
+(``analysis.analysis_of``).  What only discrete time has is the pair of
+endpoints z = 1 and z = -1 of the upper arc: the poles there and the slopes
+of the defect there (``circle_limits``).
+"""
 
 from __future__ import annotations
 
 import numpy as np
 
-from .boundary import (
-    boundary_det_zeros,
-    defect_dt,
-    dt_grid_full,
-    dt_grid_half,
-    grid_psd_scan,
-    herm,
-    is_nsd,
-    is_pd,
-    is_psd,
-    ppart_dt,
-)
+from .analysis import analysis_of, hermitian_enough, near, pole_at
+from .boundary import herm, is_pd, is_psd
 from .config import DEFAULT, Config
-from .errors import ImproperInput, PoleAtPlusMinusOne
-from .ratmat import RationalMatrix, rm_eval, rm_is_symmetric, rm_poles, rm_residues_at
+from .errors import PoleAtPlusMinusOne
+from .ratmat import RationalMatrix, rm_eval
 from .report import CircleLimits, Condition, finish_report
 from .series import matrix_taylor
-
-
-def _on_circle(p, tol):
-    return abs(abs(p) - 1.0) <= tol * 2.0
-
-
-def _split_poles_dt(R, cfg):
-    tol = cfg.root_cluster
-    outside, circle, inside = [], [], []
-    for p, mult in rm_poles(R, cfg):
-        if _on_circle(p, tol):
-            circle.append((p, mult))
-        elif abs(p) > 1.0:
-            outside.append((p, mult))
-        else:
-            inside.append((p, mult))
-    return outside, circle, inside
-
-
-def _hermitian_enough(M, rel=1e-7):
-    M = np.asarray(M)
-    return np.linalg.norm(M - M.conj().T, 2) <= rel * (1.0 + np.linalg.norm(M, 2))
-
-
-def _symmetry_condition(G):
-    ok = rm_is_symmetric(G)
-    return Condition("symmetry", ok, {} if ok else {"note": "G != G^T as rational identity"})
 
 
 # ---------------------------------------------------------------------------
@@ -61,31 +30,14 @@ def classify_dpr(F: RationalMatrix, cfg: Config = DEFAULT):
     unit-circle poles simple with Hermitian PSD normalized residue
     K0 = (1/z0) lim (z - z0) F(z).
     """
-    if not F.is_proper():
-        raise ImproperInput("discrete PR classification requires a proper matrix")
-    conds = []
+    a = analysis_of(F, cfg)
+    a.require_proper("dpr")
     pole_data = []
-    outside, circle, _ = _split_poles_dt(F, cfg)
-    conds.append(Condition("analytic-outside-disc", not outside, {"poles": outside} if outside else {}))
-
-    H = ppart_dt(F)
-    worst, tworst, _n = grid_psd_scan(H, dt_grid_full(cfg), lambda t: np.exp(1j * t), 1.0, cfg)
-    conds.append(Condition("boundary-psd", worst >= 0.0, {"worst_margin": worst, "theta": tworst}))
-
-    ok, wit = True, {}
-    for p, mult in circle:
-        if p.imag < -cfg.root_cluster * (1.0 + abs(p)):
-            continue
-        if mult > 1:
-            ok, wit = False, {"pole": p, "multiplicity": mult}
-            break
-        pd = rm_residues_at(F, p, cfg)
-        pole_data.append(pd)
-        K0 = pd.residue_A1 / p
-        if not (_hermitian_enough(K0) and is_psd(K0, cfg.psd_rel)):
-            ok, wit = False, {"pole": p, "K0": K0}
-            break
-    conds.append(Condition("circle-poles", ok, wit))
+    conds = [
+        a.no_unstable_poles("pr"),
+        a.boundary_sign("pr"),
+        a.pr_boundary_poles("circle-poles", lambda pd, p: pd.residue_A1 / p, "K0", pole_data),
+    ]
     return finish_report("dpr", conds, cfg, pole_data=pole_data)
 
 
@@ -96,30 +48,27 @@ def classify_dsspr(F: RationalMatrix, cfg: Config = DEFAULT):
     circle, and full normal rank of F(z) + F(1/z)^T.  The closed curve makes
     strict positivity equivalent to coercivity; the grid margin is reported.
     """
-    if not F.is_proper():
-        raise ImproperInput("discrete PR classification requires a proper matrix")
-    conds = []
-    poles = rm_poles(F, cfg)
-    schur = all(abs(p) < 1.0 - cfg.root_cluster for p, _ in poles)
-    conds.append(Condition("schur-poles", schur, {} if schur else {"poles": poles}))
-
-    H = ppart_dt(F)
-    worst, tworst, _n = grid_psd_scan(H, dt_grid_full(cfg), lambda t: np.exp(1j * t), 1.0, cfg)
-    zeros, ident_zero = boundary_det_zeros(H, "dt_full_circle", cfg)
-    ok = worst >= 0.0 and not zeros and not ident_zero
-    conds.append(
-        Condition(
-            "strict-boundary-sign",
-            ok,
-            {"worst_margin": worst, "theta": tworst, "det_zeros": zeros, "identically_zero": ident_zero},
-        )
-    )
-    conds.append(Condition("full-normal-rank", not ident_zero, {"identically_zero": ident_zero}))
-    return finish_report("dsspr", conds, cfg)
+    a = analysis_of(F, cfg)
+    return finish_report("dsspr", a.strict_conditions("pr", "dsspr") + [a.full_normal_rank("pr")], cfg)
 
 
 # ---------------------------------------------------------------------------
 # negative imaginary
+
+
+def _endpoint_pole_witness(a, z0, mult, pole_data):
+    """None when the pole at z0 = 1 or -1 is at most double with z0 A2 >= 0 and A1 >= z0 A2, else a witness."""
+    if mult > 2:
+        return {"multiplicity": mult}
+    pd = a.residue(z0)
+    pole_data.append(pd)
+    A1 = np.real(pd.residue_A1)
+    A2 = np.real(pd.quad_residue_A2)
+    rel = a.cfg.psd_rel
+    if (hermitian_enough(pd.residue_A1) and hermitian_enough(pd.quad_residue_A2)
+            and is_psd(z0 * A2, rel) and is_psd(A1 - z0 * A2, rel)):
+        return None
+    return {"A1": A1, "A2": A2}
 
 
 def classify_dni(G: RationalMatrix, cfg: Config = DEFAULT):
@@ -130,92 +79,26 @@ def classify_dni(G: RationalMatrix, cfg: Config = DEFAULT):
     at z = 1 at most double with A2 >= 0 and A1 >= A2; a pole at z = -1 at
     most double with A2 <= 0 and A1 >= -A2.
     """
-    if not G.is_proper():
-        raise ImproperInput("discrete NI classification requires a proper matrix")
-    conds = []
+    a = analysis_of(G, cfg)
+    a.require_proper("dni")
     pole_data = []
-    if cfg.require_symmetry:
-        conds.append(_symmetry_condition(G))
-    outside, circle, _ = _split_poles_dt(G, cfg)
-    conds.append(Condition("no-outside-poles", not outside, {"poles": outside} if outside else {}))
-
-    V = defect_dt(G)
-    worst, tworst, _n = grid_psd_scan(V, dt_grid_half(cfg), lambda t: np.exp(1j * t), 1j, cfg)
-    conds.append(Condition("boundary-sign", worst >= 0.0, {"worst_margin": worst, "theta": tworst}))
-
-    tol = cfg.root_cluster
-    arc_ok, arc_wit = True, {}
-    one_ok, one_wit = True, {}
-    neg_ok, neg_wit = True, {}
-    for p, mult in circle:
-        if p.imag < -tol * (1.0 + abs(p)):
-            continue
-        at_one = abs(p - 1.0) <= tol * 2.0
-        at_minus_one = abs(p + 1.0) <= tol * 2.0
-        if at_one or at_minus_one:
-            if mult > 2:
-                if at_one:
-                    one_ok, one_wit = False, {"multiplicity": mult}
-                else:
-                    neg_ok, neg_wit = False, {"multiplicity": mult}
-                continue
-            pd = rm_residues_at(G, 1.0 if at_one else -1.0, cfg)
-            pole_data.append(pd)
-            A1 = np.real(pd.residue_A1)
-            A2 = np.real(pd.quad_residue_A2)
-            if at_one:
-                good = (_hermitian_enough(pd.residue_A1) and _hermitian_enough(pd.quad_residue_A2)
-                        and is_psd(A2, cfg.psd_rel) and is_psd(A1 - A2, cfg.psd_rel))
-                if not good:
-                    one_ok, one_wit = False, {"A1": A1, "A2": A2}
-            else:
-                good = (_hermitian_enough(pd.residue_A1) and _hermitian_enough(pd.quad_residue_A2)
-                        and is_nsd(A2, cfg.psd_rel) and is_psd(A1 + A2, cfg.psd_rel))
-                if not good:
-                    neg_ok, neg_wit = False, {"A1": A1, "A2": A2}
-            continue
-        if mult > 1:
-            arc_ok, arc_wit = False, {"pole": p, "multiplicity": mult}
-            continue
-        pd = rm_residues_at(G, p, cfg)
-        pole_data.append(pd)
-        K0 = pd.normalized_K0
-        if not (_hermitian_enough(K0) and is_psd(K0, cfg.psd_rel)):
-            arc_ok, arc_wit = False, {"pole": p, "K0": K0}
-    conds.append(Condition("arc-poles", arc_ok, arc_wit))
-    conds.append(Condition("pole-at-plus-one", one_ok, one_wit))
-    conds.append(Condition("pole-at-minus-one", neg_ok, neg_wit))
+    conds = a.symmetry() + [a.no_unstable_poles("ni"), a.boundary_sign("ni")]
+    arc_wit, end_wit = None, {1.0: None, -1.0: None}
+    for p, mult in a.pole_split()[1]:
+        z0 = near(p, (1.0, -1.0), cfg)
+        if z0 is None:
+            arc_wit = a.simple_pole_witness(p, mult, pole_data) or arc_wit
+        else:
+            end_wit[z0] = _endpoint_pole_witness(a, z0, mult, pole_data) or end_wit[z0]
+    conds.append(Condition("arc-poles", arc_wit is None, arc_wit or {}))
+    conds.append(Condition("pole-at-plus-one", end_wit[1.0] is None, end_wit[1.0] or {}))
+    conds.append(Condition("pole-at-minus-one", end_wit[-1.0] is None, end_wit[-1.0] or {}))
     return finish_report("dni", conds, cfg, pole_data=pole_data)
-
-
-def _strict_boundary_dni(G, cfg):
-    if not G.is_proper():
-        raise ImproperInput("discrete NI classification requires a proper matrix")
-    conds = []
-    if cfg.require_symmetry:
-        conds.append(_symmetry_condition(G))
-    poles = rm_poles(G, cfg)
-    schur = all(abs(p) < 1.0 - cfg.root_cluster for p, _ in poles)
-    conds.append(Condition("schur-poles", schur, {} if schur else {"poles": poles}))
-
-    V = defect_dt(G)
-    worst, tworst, _n = grid_psd_scan(V, dt_grid_half(cfg), lambda t: np.exp(1j * t), 1j, cfg)
-    zeros, ident_zero = boundary_det_zeros(V, "dt_open_upper", cfg)
-    ok = worst >= 0.0 and not zeros and not ident_zero
-    conds.append(
-        Condition(
-            "strict-boundary-sign",
-            ok,
-            {"worst_margin": worst, "theta": tworst, "det_zeros": zeros, "identically_zero": ident_zero},
-        )
-    )
-    return conds, V
 
 
 def classify_dwsni(G: RationalMatrix, cfg: Config = DEFAULT):
     """Weak strict discrete NI: Schur poles, strict defect on (0, pi)."""
-    conds, _V = _strict_boundary_dni(G, cfg)
-    return finish_report("dwsni", conds, cfg)
+    return finish_report("dwsni", analysis_of(G, cfg).strict_conditions("ni", "dwsni"), cfg)
 
 
 def circle_limits(G: RationalMatrix, cfg: Config = DEFAULT) -> CircleLimits:
@@ -224,7 +107,7 @@ def circle_limits(G: RationalMatrix, cfg: Config = DEFAULT) -> CircleLimits:
     Both equal -(G'(z0) + G'(z0)^T) at z0 = 1, -1; computed from the Taylor
     expansion of the symbolic defect, never by dividing by sin(theta).
     """
-    V = defect_dt(G)
+    V = analysis_of(G, cfg).matrix("ni")
     T1 = matrix_taylor(V, 1.0, 2)
     Tm = matrix_taylor(V, -1.0, 2)
     Q0 = -np.real(herm(T1[1]))
@@ -238,18 +121,17 @@ def classify_dssni(G: RationalMatrix, cfg: Config = DEFAULT):
     Adds Q0 > 0 and Qpi > 0 (endpoint slopes of the defect) and full normal
     rank of G(z) - G(1/z)^T.
     """
-    conds, V = _strict_boundary_dni(G, cfg)
-    schur = all(abs(p) < 1.0 for p, _ in rm_poles(G, cfg))
+    a = analysis_of(G, cfg)
+    conds = a.strict_conditions("ni", "dssni")
     lim = None
-    if schur:
+    if a.strictly_stable(0.0):
         lim = circle_limits(G, cfg)
         conds.append(Condition("slope-at-one", is_pd(lim.Q0, cfg.strict_rel), {"Q0": lim.Q0}))
         conds.append(Condition("slope-at-minus-one", is_pd(lim.Qpi, cfg.strict_rel), {"Qpi": lim.Qpi}))
     else:
         conds.append(Condition("slope-at-one", False, {"note": "boundary pole prevents the limit"}))
         conds.append(Condition("slope-at-minus-one", False, {"note": "boundary pole prevents the limit"}))
-    _zeros, ident_zero = boundary_det_zeros(V, "dt_open_upper", cfg)
-    conds.append(Condition("full-normal-rank", not ident_zero, {"identically_zero": ident_zero}))
+    conds.append(a.full_normal_rank("ni"))
     return finish_report("dssni", conds, cfg, limits=lim)
 
 
@@ -264,8 +146,8 @@ def gain_order_check(G: RationalMatrix, cfg: Config = DEFAULT):
     high-frequency gain; the difference is PSD for D-NI systems and PD for
     D-WSNI systems.
     """
-    for p, _ in rm_poles(G, cfg):
-        if abs(p - 1.0) <= cfg.root_cluster * 2 or abs(p + 1.0) <= cfg.root_cluster * 2:
-            raise PoleAtPlusMinusOne(f"pole at {p} blocks the gain comparison")
+    p = pole_at(G, (1.0, -1.0), cfg)
+    if p is not None:
+        raise PoleAtPlusMinusOne(f"pole at {p} blocks the gain comparison")
     M = np.real(rm_eval(G, 1.0, cfg) - rm_eval(G, -1.0, cfg))
     return M, is_psd(M, cfg.psd_rel), is_pd(M, cfg.strict_rel)

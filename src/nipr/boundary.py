@@ -110,11 +110,8 @@ def grid_psd_scan(R: RationalMatrix, params, to_points, premul, cfg: Config):
         vals, ok = rm_eval_many(R, to_points(ts), cfg)
         out = np.full(ts.size, np.inf)
         for k in range(ts.size):
-            if not ok[k]:
-                continue
-            H = herm(premul * vals[k])
-            lam = np.linalg.eigvalsh(H)
-            out[k] = lam[0] + cfg.psd_rel * (1.0 + np.linalg.norm(H, 2))
+            if ok[k]:
+                out[k] = psd_margin(premul * vals[k], cfg.psd_rel)
         return out
 
     marg = margins(params)
@@ -147,10 +144,8 @@ def grid_psd_scan(R: RationalMatrix, params, to_points, premul, cfg: Config):
 def boundary_det_zeros(R: RationalMatrix, region, cfg: Config = DEFAULT):
     """Zeros of det R lying on the boundary region, excluding poles of R.
 
-    region: 'ct_open_upper'  -> s = i w, w in (0, inf)
-            'ct_real_axis'   -> s = i w, w in (-inf, inf) (w = 0 included)
-            'dt_open_upper'  -> z = e^{it}, t in (0, pi)
-            'dt_full_circle' -> z on the unit circle
+    region(z, tol) says whether the zero z lies on the region, within tol
+    (the regions of each domain are in ``analysis.Domain.det_region``).
     Returns (zeros, identically_zero_flag).
     """
     det = _det_rational(R)
@@ -164,16 +159,6 @@ def boundary_det_zeros(R: RationalMatrix, region, cfg: Config = DEFAULT):
     for z0 in zeros:
         if any(abs(z0 - p) <= 1e-6 * (1.0 + abs(p)) for p in pole_list):
             continue
-        if region == "ct_open_upper":
-            hit = abs(z0.real) <= tol * (1.0 + abs(z0)) and z0.imag > tol
-        elif region == "ct_real_axis":
-            hit = abs(z0.real) <= tol * (1.0 + abs(z0))
-        elif region == "dt_open_upper":
-            hit = abs(abs(z0) - 1.0) <= tol and tol < np.angle(z0) < np.pi - tol
-        elif region == "dt_full_circle":
-            hit = abs(abs(z0) - 1.0) <= tol
-        else:
-            raise ValueError(f"unknown region {region!r}")
-        if hit:
+        if region(z0, tol):
             out.append(complex(z0))
     return out, False

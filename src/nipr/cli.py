@@ -9,6 +9,7 @@ import sys
 
 import numpy as np
 
+from .analysis import DOMAINS, PREMUL
 from .analysis_ct import (
     classify_cni,
     classify_cpr,
@@ -18,13 +19,13 @@ from .analysis_ct import (
     classify_cwspr,
 )
 from .analysis_dt import classify_dni, classify_dpr, classify_dssni, classify_dsspr, classify_dwsni
-from .boundary import ct_grid, defect_ct, defect_dt, dt_grid_full, dt_grid_half, herm, ppart_ct, ppart_dt
+from .boundary import ct_grid, herm
 from .config import DEFAULT
 from .docio import document_of, jsonable, load_document, parse_document, save_document
 from .errors import NiprError
 from .interconnect import PartitionedSystem, internal_stability, ni_stability_test, redheffer_star
 from .nilemma import FEASIBLE, dni_lemma_check, dpr_lemma_check, dual_dni_lemma_check
-from .ratmat import RationalMatrix, rm_cayley, rm_eval, rm_eval_many
+from .ratmat import rm_cayley, rm_eval_many
 from .realization import StateSpace, minimal_realization, tf_of
 from .transforms import (
     csspr_to_cssni,
@@ -63,11 +64,21 @@ def _config_from_args(args):
     return cfg.with_overrides(**overrides) if overrides else cfg
 
 
-def _load_rational(path, cfg):
-    obj = parse_document(load_document(path))
-    if isinstance(obj, StateSpace):
-        return tf_of(obj)
-    return obj
+def _rational(obj):
+    return tf_of(obj) if isinstance(obj, StateSpace) else obj
+
+
+def _state_space(obj, cfg):
+    return obj if isinstance(obj, StateSpace) else minimal_realization(obj, cfg)
+
+
+def _load_rational(path):
+    return _rational(parse_document(load_document(path)))
+
+
+def _emit(payload):
+    json.dump(jsonable(payload), sys.stdout, indent=2)
+    sys.stdout.write("\n")
 
 
 def _report_dict(rep):
@@ -77,7 +88,6 @@ def _report_dict(rep):
         "conditions": [
             {"id": c.cid, "passed": c.passed, "witness": jsonable(c.witness)} for c in rep.conditions
         ],
-        "notes": rep.notes,
         "config": rep.config,
     }
 
@@ -95,7 +105,7 @@ def _print_report(rep, out):
 
 def cmd_classify(args):
     cfg = _config_from_args(args)
-    R = _load_rational(args.file, cfg)
+    R = _load_rational(args.file)
     names = list(CLASSIFIERS) if args.class_name == "all" else [args.class_name]
     reports = []
     for name in names:
@@ -121,34 +131,27 @@ def cmd_classify(args):
 
 def cmd_sweep(args):
     cfg = _config_from_args(args)
-    R = _load_rational(args.file, cfg)
+    R = _load_rational(args.file)
     mode = args.mode
+    dom = DOMAINS[R.domain]
     if R.domain == "ct":
-        params = ct_grid(cfg)
-        points = 1j * params
-        M = defect_ct(R) if mode == "ni" else ppart_ct(R)
-        premul = 1j if mode == "ni" else 1.0
+        params = ct_grid(cfg)  # without the classifier's w = 0 in PR mode
         scale = params  # (1/w) normalization column
-        label = "omega"
     else:
-        params = dt_grid_half(cfg) if mode == "ni" else dt_grid_full(cfg)
-        points = np.exp(1j * params)
-        M = defect_dt(R) if mode == "ni" else ppart_dt(R)
-        premul = 1j if mode == "ni" else 1.0
+        params = dom.grid[mode](cfg)
         scale = np.sin(params)
-        label = "theta"
-    vals, ok = rm_eval_many(M, points, cfg)
+    vals, ok = rm_eval_many(dom.matrix[mode](R), dom.point(params), cfg)
     rows = []
     for k in range(params.size):
         if not ok[k]:
             continue
-        H = herm(premul * vals[k])
+        H = herm(PREMUL[mode] * vals[k])
         lam = np.linalg.eigvalsh(H)
         row = [params[k], lam[0], lam[-1]]
         if mode == "ni":
             row.append(lam[0] / scale[k] if scale[k] != 0 else float("nan"))
         rows.append(row)
-    header = [label, "min_eig", "max_eig"] + (["min_eig_scaled"] if mode == "ni" else [])
+    header = [dom.param, "min_eig", "max_eig"] + (["min_eig_scaled"] if mode == "ni" else [])
     out = open(args.out, "w", newline="") if args.out else sys.stdout
     try:
         w = csv.writer(out)
@@ -164,8 +167,7 @@ def cmd_sweep(args):
 def cmd_transform(args):
     cfg = _config_from_args(args)
     doc = load_document(args.file)
-    obj = parse_document(doc)
-    R = tf_of(obj) if isinstance(obj, StateSpace) else obj
+    R = _rational(parse_document(doc))
     m = R.size
     name = args.map_name
     eps = None
@@ -192,23 +194,20 @@ def cmd_transform(args):
     if args.out:
         save_document(out_doc, args.out)
     else:
-        json.dump(jsonable(out_doc), sys.stdout, indent=2)
-        sys.stdout.write("\n")
+        _emit(out_doc)
     return 0
 
 
 def cmd_lemma(args):
     cfg = _config_from_args(args)
-    obj = parse_document(load_document(args.file))
-    if isinstance(obj, RationalMatrix):
-        obj = minimal_realization(obj, cfg)
+    obj = _state_space(parse_document(load_document(args.file)), cfg)
     if args.form == "pr":
         cert = dpr_lemma_check(obj, cfg)
     elif args.form == "dual":
         cert = dual_dni_lemma_check(obj, cfg)
     else:
         cert = dni_lemma_check(obj, cfg)
-    payload = jsonable({
+    _emit({
         "status": cert.status,
         "X": cert.X,
         "residual_affine": cert.residual_affine,
@@ -218,8 +217,6 @@ def cmd_lemma(args):
         "extras": cert.extras,
         "config": cfg.as_dict(),
     })
-    json.dump(payload, sys.stdout, indent=2)
-    sys.stdout.write("\n")
     return 0 if cert.status == FEASIBLE else 1
 
 
@@ -228,32 +225,22 @@ def cmd_interconnect(args):
     P = parse_document(load_document(args.fileP))
     Q = parse_document(load_document(args.fileQ))
     if args.mode == "ni-test":
-        Pr = tf_of(P) if isinstance(P, StateSpace) else P
-        Qr = tf_of(Q) if isinstance(Q, StateSpace) else Q
-        rep = ni_stability_test(Pr, Qr, cfg)
-        payload = jsonable({k: v for k, v in rep.items()})
-        json.dump(payload, sys.stdout, indent=2)
-        sys.stdout.write("\n")
+        rep = ni_stability_test(_rational(P), _rational(Q), cfg)
+        _emit(rep)
         return 0 if rep["verdict"] else 1
-    Pss = P if isinstance(P, StateSpace) else minimal_realization(P, cfg)
-    Qss = Q if isinstance(Q, StateSpace) else minimal_realization(Q, cfg)
-    res = internal_stability(Pss, Qss, cfg)
-    payload = jsonable({
+    res = internal_stability(_state_space(P, cfg), _state_space(Q, cfg), cfg)
+    _emit({
         "well_posed": res.well_posed,
         "internally_stable": res.internally_stable,
         "closed_loop_spectrum": res.closed_loop_spectrum,
     })
-    json.dump(payload, sys.stdout, indent=2)
-    sys.stdout.write("\n")
     return 0 if res.internally_stable else 1
 
 
 def cmd_star(args):
     cfg = _config_from_args(args)
-    S1 = parse_document(load_document(args.file1))
-    S2 = parse_document(load_document(args.file2))
-    S1 = S1 if isinstance(S1, StateSpace) else minimal_realization(S1, cfg)
-    S2 = S2 if isinstance(S2, StateSpace) else minimal_realization(S2, cfg)
+    S1 = _state_space(parse_document(load_document(args.file1)), cfg)
+    S2 = _state_space(parse_document(load_document(args.file2)), cfg)
     res = redheffer_star(PartitionedSystem(S1, args.a, args.b), PartitionedSystem(S2, args.a, args.b), cfg)
     star_doc = document_of(res.system, name="star", meta={"a": args.a, "b": args.b})
     verdicts = {}
@@ -262,16 +249,14 @@ def cmd_star(args):
         R = tf_of(res.system)
         if domain == R.domain:
             verdicts[args.class_name] = fn(R, cfg).verdict
-    payload = jsonable({
+    if args.out:
+        save_document(star_doc, args.out)
+    _emit({
         "well_posed": res.well_posed,
         "internally_stable": res.internally_stable,
         "closed_loop_spectrum": res.closed_loop_spectrum,
         "verdicts": verdicts,
     })
-    if args.out:
-        save_document(star_doc, args.out)
-    json.dump(payload, sys.stdout, indent=2)
-    sys.stdout.write("\n")
     return 0
 
 

@@ -11,7 +11,6 @@ from dataclasses import dataclass, asdict, replace
 class Config:
     # polynomial / rational arithmetic
     root_cluster: float = 1e-7      # roots merge when |r1-r2| <= root_cluster*(1+|r|)
-    gcd_rel: float = 1e-10          # relative cutoff in approximate GCD reduction
     coeff_rel: float = 1e-9         # coefficient comparisons after normalization
     pole_proximity: float = 1e-9    # |den(p)| below this (relative) means "at a pole"
 

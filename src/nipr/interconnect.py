@@ -6,10 +6,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .analysis import pole_at
 from .analysis_dt import classify_dni, classify_dssni, classify_dwsni
 from .config import DEFAULT, Config
 from .errors import IllPosed, PreconditionViolated
-from .ratmat import DT, RationalMatrix, rm_eval, rm_poles
+from .ratmat import DT, RationalMatrix, rm_eval
 from .realization import StateSpace, minimal_realization, spectrum, tf_of
 
 
@@ -144,9 +145,9 @@ def ni_stability_test(P: RationalMatrix, Q: RationalMatrix, cfg: Config = DEFAUL
     """
     if P.domain != DT or Q.domain != DT:
         raise ValueError("the eigenvalue test is for discrete-time systems")
-    for p, _ in rm_poles(P, cfg):
-        if abs(p - 1.0) <= cfg.root_cluster * 2 or abs(p + 1.0) <= cfg.root_cluster * 2:
-            raise PreconditionViolated("P has a pole at z = 1 or z = -1", witness=p)
+    p = pole_at(P, (1.0, -1.0), cfg)
+    if p is not None:
+        raise PreconditionViolated("P has a pole at z = 1 or z = -1", witness=p)
     rep_p = classify_dni(P, cfg)
     if not rep_p.verdict:
         raise PreconditionViolated("P is not D-NI", witness=[c.cid for c in rep_p.failed()])

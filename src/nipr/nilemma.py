@@ -14,13 +14,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .config import DEFAULT, Config
-from .errors import (
-    AsymmetricD,
-    EigenvalueAtMinusOne,
-    EigenvalueAtPlusOne,
-    NonMinimalRealization,
-)
-from .realization import StateSpace, is_minimal
+from .errors import AsymmetricD, NonMinimalRealization
+from .realization import StateSpace, is_minimal, require_no_eigenvalue_at
 
 FEASIBLE = "Feasible"
 INFEASIBLE = "Infeasible"
@@ -143,7 +138,7 @@ def _lammin_ascent(X0, Ns, cone_maps, max_iter=300):
     return point(th)
 
 
-def _search_affine_cones(X0, Ns, cone_maps, mu, cfg: Config, max_iter=2000, verify=None):
+def _search_affine_cones(X0, Ns, cone_maps, max_iter=2000, verify=None):
     """Search X = X0 + sum t_k N_k with every cone_map(X) + floor admissible.
 
     cone_maps: list of (affine function of X returning a symmetric matrix,
@@ -227,7 +222,6 @@ def _search_affine_cones(X0, Ns, cone_maps, mu, cfg: Config, max_iter=2000, veri
                 Xc = candidate(y)
                 if verify(Xc):
                     return Xc, it_total, gap, False
-        _ = mu
         if gap <= 1e-10 * scale:
             break
         certified = _farkas_infeasible(stalled, J, Jp, b, sizes, cone_maps, unstack, smat)
@@ -324,7 +318,7 @@ def _farkas_infeasible(z0, J, Jp, b, sizes, cone_maps, unstack, smat):
     return accepted(ts)
 
 
-def _certify(X, lyap_fn, eq_residual_fn, iterations, gap, cfg: Config, extras=None,
+def _certify(X, lyap_fn, eq_residual_fn, iterations, gap, extras=None,
              infeasibility_certified=False):
     scale = 1.0 + (np.linalg.norm(X, 2) if X is not None and X.size else 0.0)
     lam_x = float(np.linalg.eigvalsh(X)[0]) if X is not None and X.size else np.inf
@@ -382,8 +376,8 @@ def dpr_lemma_check(ss: StateSpace, cfg: Config = DEFAULT) -> FeasibilityCertifi
         return (np.linalg.eigvalsh(X)[0] > 0.0
                 and np.linalg.eigvalsh(block(X))[0] >= -1e-8 * scale)
 
-    X, iters, gap, farkas = _search_affine_cones(X0, Ns, cone_maps, mu, cfg, verify=ok)
-    cert = _certify(X, block, lambda _x: 0.0, iters, gap, cfg, infeasibility_certified=farkas)
+    X, iters, gap, farkas = _search_affine_cones(X0, Ns, cone_maps, verify=ok)
+    cert = _certify(X, block, lambda _x: 0.0, iters, gap, infeasibility_certified=farkas)
     if cert.status == FEASIBLE:
         M = _psd_clip(block(X))
         lam, V = np.linalg.eigh(M)
@@ -407,14 +401,11 @@ def _check_the2_preconditions(ss: StateSpace, cfg: Config):
         return
     if not is_minimal(ss, cfg):
         raise NonMinimalRealization("the NI lemma requires a minimal realization")
-    I = np.eye(n)
-    if abs(np.linalg.det(A + I)) <= 1e-12 * max(1.0, np.linalg.norm(A + I, 2)) ** n:
-        raise EigenvalueAtMinusOne("det(I + A) = 0")
-    if abs(np.linalg.det(I - A)) <= 1e-12 * max(1.0, np.linalg.norm(I - A, 2)) ** n:
-        raise EigenvalueAtPlusOne("det(I - A) = 0")
+    require_no_eigenvalue_at(A, -1.0)
+    require_no_eigenvalue_at(A, 1.0)
 
 
-def _affine_solution_set(Smap_cols, rhs_vec, n, cfg: Config):
+def _affine_solution_set(Smap_cols, rhs_vec, n):
     """Solve the linear system over symmetric X; return (X0, nullbasis, residual)."""
     basis = _sym_basis(n)
     Amat = np.stack([Smap_cols(E) for E in basis], axis=1)
@@ -449,7 +440,7 @@ def dni_lemma_check(ss: StateSpace, cfg: Config = DEFAULT, _fallback=True) -> Fe
 
     rhs = R.ravel()
     scale_eq = 1.0 + np.linalg.norm(R) + np.linalg.norm(S)
-    X0, null, residual = _affine_solution_set(lambda E: (S @ E).ravel(), rhs, n, cfg)
+    X0, null, residual = _affine_solution_set(lambda E: (S @ E).ravel(), rhs, n)
     if residual > 1e-7 * scale_eq:
         return FeasibilityCertificate(None, residual, -np.inf, -np.inf, 0, INFEASIBLE)
 
@@ -466,9 +457,9 @@ def dni_lemma_check(ss: StateSpace, cfg: Config = DEFAULT, _fallback=True) -> Fe
                 and np.linalg.eigvalsh(lyap(X))[0] >= -1e-8 * scale
                 and np.linalg.norm(S @ X - R) <= 1e-7 * scale)
 
-    X, iters, gap, farkas = _search_affine_cones(X0, null, cone_maps, mu, cfg, verify=ok)
+    X, iters, gap, farkas = _search_affine_cones(X0, null, cone_maps, verify=ok)
     cert = _certify(
-        X, lyap, lambda x: np.linalg.norm(S @ x - R), iters, gap, cfg,
+        X, lyap, lambda x: np.linalg.norm(S @ x - R), iters, gap,
         extras={"free_parameters": len(null)}, infeasibility_certified=farkas,
     )
     if cert.status == INCONCLUSIVE and _fallback:
@@ -481,7 +472,7 @@ def dni_lemma_check(ss: StateSpace, cfg: Config = DEFAULT, _fallback=True) -> Fe
             if ok(Xd):
                 alt = _certify(
                     Xd, lyap, lambda x: np.linalg.norm(S @ x - R), iters + dual.iterations,
-                    0.0, cfg, extras={"free_parameters": len(null), "via": "dual"},
+                    0.0, extras={"free_parameters": len(null), "via": "dual"},
                 )
                 if alt.status == FEASIBLE:
                     return alt
@@ -501,7 +492,7 @@ def dual_dni_lemma_check(ss: StateSpace, cfg: Config = DEFAULT, _fallback=True) 
 
     rhs = R.ravel()
     scale_eq = 1.0 + np.linalg.norm(R) + np.linalg.norm(S)
-    Y0, null, residual = _affine_solution_set(lambda E: (E @ S).ravel(), rhs, n, cfg)
+    Y0, null, residual = _affine_solution_set(lambda E: (E @ S).ravel(), rhs, n)
     if residual > 1e-7 * scale_eq:
         return FeasibilityCertificate(None, residual, -np.inf, -np.inf, 0, INFEASIBLE)
 
@@ -518,8 +509,8 @@ def dual_dni_lemma_check(ss: StateSpace, cfg: Config = DEFAULT, _fallback=True) 
                 and np.linalg.eigvalsh(lyap(Y))[0] >= -1e-8 * scale
                 and np.linalg.norm(Y @ S - R) <= 1e-7 * scale)
 
-    Y, iters, gap, farkas = _search_affine_cones(Y0, null, cone_maps, mu, cfg, verify=ok)
+    Y, iters, gap, farkas = _search_affine_cones(Y0, null, cone_maps, verify=ok)
     return _certify(
-        Y, lyap, lambda y: np.linalg.norm(y @ S - R), iters, gap, cfg,
+        Y, lyap, lambda y: np.linalg.norm(y @ S - R), iters, gap,
         extras={"free_parameters": len(null), "form": "dual"}, infeasibility_certified=farkas,
     )

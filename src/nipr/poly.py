@@ -183,13 +183,6 @@ def poly_from_roots_real(rts, lead=1.0):
     return np.real_if_close(c).astype(float)
 
 
-def poly_from_roots(rts, lead=1.0):
-    c = np.array([lead], dtype=complex)
-    for r in np.asarray(rts, dtype=complex):
-        c = polymul(c, np.array([-r, 1.0]))
-    return c
-
-
 def _synth_div(c, p):
     """Synthetic division of c by (x - p): returns (quotient, remainder)."""
     c = np.asarray(c, dtype=complex)

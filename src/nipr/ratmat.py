@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -16,7 +16,6 @@ from .poly import (
     polydivmod,
     polyval,
     roots,
-    trim,
 )
 
 CT = "ct"
@@ -333,12 +332,6 @@ def rm_is_symmetric(R: RationalMatrix, rel=DEFAULT.coeff_rel) -> bool:
             if not R.entries[i][j].equals(R.entries[j][i], rel=rel * scale):
                 return False
     return True
-
-
-def hermitian_defect(R: RationalMatrix, p, cfg: Config = DEFAULT) -> float:
-    """||M - M*|| of the evaluated matrix at p."""
-    M = rm_eval(R, p, cfg)
-    return float(np.linalg.norm(M - M.conj().T, 2))
 
 
 def _det_rational(R: RationalMatrix) -> RationalScalar:

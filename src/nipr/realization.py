@@ -9,7 +9,7 @@ import numpy as np
 from .config import DEFAULT, Config
 from .errors import EigenvalueAtMinusOne, EigenvalueAtPlusOne, ImproperInput
 from .poly import RationalScalar, poly_from_roots_real, polyadd
-from .ratmat import CT, DT, RationalMatrix, rm_infinity_expansion, rm_poles, rm_residues_at
+from .ratmat import CT, DT, RationalMatrix, rm_poles, rm_residues_at
 
 
 @dataclass
@@ -244,6 +244,15 @@ def minimal_realization(R: RationalMatrix, cfg: Config = DEFAULT) -> StateSpace:
 # bilinear state-space maps
 
 
+def require_no_eigenvalue_at(A, z0):
+    """Raise when A has an eigenvalue at z0 = 1 or -1, by |det(A - z0 I)| <= 1e-12 max(1, ||A - z0 I||)^n."""
+    n = A.shape[0]
+    M = A - z0 * np.eye(n)
+    if abs(np.linalg.det(M)) <= 1e-12 * max(1.0, np.linalg.norm(M, 2)) ** n:
+        exc = EigenvalueAtPlusOne if z0 == 1.0 else EigenvalueAtMinusOne
+        raise exc(f"state matrix has an eigenvalue at {z0:+g}")
+
+
 def cayley_ss(ss: StateSpace, cfg: Config = DEFAULT) -> StateSpace:
     """Bilinear domain swap at the state-space level.
 
@@ -255,19 +264,15 @@ def cayley_ss(ss: StateSpace, cfg: Config = DEFAULT) -> StateSpace:
         return StateSpace(ss.A, ss.B, ss.C, ss.D, CT if ss.domain == DT else DT)
     I = np.eye(n)
     if ss.domain == DT:
-        M = ss.A + I
-        if abs(np.linalg.det(M)) <= 1e-12 * max(1.0, np.linalg.norm(M, 2)) ** n:
-            raise EigenvalueAtMinusOne("state matrix has an eigenvalue at -1")
-        Minv = np.linalg.inv(M)
+        require_no_eigenvalue_at(ss.A, -1.0)
+        Minv = np.linalg.inv(ss.A + I)
         Ac = Minv @ (ss.A - I)
         Bc = np.sqrt(2.0) * (Minv @ ss.B)
         Cc = np.sqrt(2.0) * (ss.C @ Minv)
         Dc = ss.D - ss.C @ Minv @ ss.B
         return StateSpace(Ac, Bc, Cc, Dc, CT)
-    M = I - ss.A
-    if abs(np.linalg.det(M)) <= 1e-12 * max(1.0, np.linalg.norm(M, 2)) ** n:
-        raise EigenvalueAtPlusOne("state matrix has an eigenvalue at +1")
-    Minv = np.linalg.inv(M)
+    require_no_eigenvalue_at(ss.A, 1.0)
+    Minv = np.linalg.inv(I - ss.A)
     Ad = (I + ss.A) @ Minv
     Bd = np.sqrt(2.0) * (Minv @ ss.B)
     Cd = np.sqrt(2.0) * (ss.C @ Minv)

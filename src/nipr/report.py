@@ -22,7 +22,6 @@ class StrictnessLimits:
 
     Q: np.ndarray | None = None            # lim (1/w) i[G - G*] as w -> 0+
     sigma0_margin: float | None = None     # liminf of the scaled boundary defect
-    delta: float | None = None             # decay-order slack where defined
     K_inf: np.ndarray | None = None        # coefficient of s at infinity
 
 
@@ -43,7 +42,6 @@ class ClassificationReport:
     conditions: list = field(default_factory=list)
     limits: object = None                  # StrictnessLimits or CircleLimits
     pole_data: list = field(default_factory=list)
-    notes: list = field(default_factory=list)
     config: dict = field(default_factory=dict)
 
     def condition(self, cid):
@@ -56,7 +54,7 @@ class ClassificationReport:
         return [c for c in self.conditions if not c.passed]
 
 
-def finish_report(class_id, conditions, cfg, limits=None, pole_data=None, notes=None):
+def finish_report(class_id, conditions, cfg, limits=None, pole_data=None):
     """Assemble a report; the verdict is the AND of the condition passes."""
     return ClassificationReport(
         class_id=class_id,
@@ -64,6 +62,5 @@ def finish_report(class_id, conditions, cfg, limits=None, pole_data=None, notes=
         conditions=list(conditions),
         limits=limits,
         pole_data=list(pole_data or []),
-        notes=list(notes or []),
         config=cfg.as_dict(),
     )

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .boundary import herm
 from .ratmat import RationalMatrix
 
 
@@ -38,10 +39,6 @@ def matrix_laurent_inf(R: RationalMatrix, nterms):
             for k in range(nterms):
                 out[k][i, j] = c[k]
     return out
-
-
-def _herm(M):
-    return 0.5 * (M + M.conj().T)
 
 
 def _inv_series(A, nterms):
@@ -73,7 +70,7 @@ def branch_orders(coeffs, tol):
     stay in the kernel through all supplied coefficients come out with
     ``order = len(coeffs)`` and ``leading = 0.0``.
     """
-    coeffs = [_herm(np.asarray(M, dtype=complex)) for M in coeffs]
+    coeffs = [herm(np.asarray(M, dtype=complex)) for M in coeffs]
     return _reduce_branches(coeffs, 0, tol)
 
 
@@ -110,7 +107,7 @@ def _reduce_branches(coeffs, depth, tol):
                     cidx = k - a - b
                     if cidx >= 1:
                         acc = acc - B[a].conj().T @ Ainv[b] @ B[cidx]
-            S.append(_herm(acc))
+            S.append(herm(acc))
     if not S:
         return out + [(depth + 1, 0.0)] * kdim
     return out + _reduce_branches(S, depth + 1, tol)

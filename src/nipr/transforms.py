@@ -4,20 +4,20 @@ from __future__ import annotations
 
 import numpy as np
 
+from .analysis import pole_at
 from .analysis_ct import classify_csspr, classify_cssni
 from .config import DEFAULT, Config
 from .errors import (
     AsymmetricD,
     AsymmetricOffset,
     CancellationFailure,
-    EigenvalueAtMinusOne,
     EpsilonSearchFailed,
     ImproperInput,
     PoleAtMinusOne,
 )
 from .poly import RationalScalar, roots
 from .ratmat import CT, DT, RationalMatrix, rm_eval, rm_poles
-from .realization import StateSpace, is_minimal
+from .realization import StateSpace, is_minimal, require_no_eigenvalue_at
 
 
 def _require_symmetric_constant(M, what):
@@ -44,59 +44,43 @@ def ct_pr_to_ni(F: RationalMatrix, D, cfg: Config = DEFAULT) -> RationalMatrix:
     return F.scalar_mul(inv_s) + RationalMatrix.constant(D, CT)
 
 
-def _epsilon_max(R: RationalMatrix, cfg: Config) -> float:
+def _certified_epsilon(R: RationalMatrix, make, classify, what, cfg: Config):
+    """(make(eps), eps) for the first eps that classify certifies.
+
+    eps starts at half the pole-abscissa margin of R and halves, at most 30 times.
+    """
     mags = [abs(p.real) for p, _ in rm_poles(R, cfg)]
-    if not mags:
-        return 1.0
-    return 0.5 * min(mags)
+    eps = 0.5 * min(mags) if mags else 1.0
+    history = []
+    for _ in range(30):
+        out = make(eps)
+        ok = classify(out, cfg).verdict
+        history.append((eps, ok))
+        if ok:
+            return out, eps
+        eps *= 0.5
+    raise EpsilonSearchFailed(f"no eps in (0, eps_max] certified the {what} verdict", history=history)
 
 
 def csspr_to_cssni(F: RationalMatrix, D, cfg: Config = DEFAULT):
-    """G = F(s)/(s + eps) + D for a certified eps with G strongly strict NI.
-
-    eps starts at half the pole-abscissa margin and halves until the
-    transformed system passes classify_cssni.
-    """
+    """G = F(s)/(s + eps) + D for a certified eps with G strongly strict NI (classify_cssni)."""
     D = _require_symmetric_constant(D, "D")
-    eps = _epsilon_max(F, cfg)
-    history = []
-    for _ in range(30):
-        shift = RationalScalar([1.0], [eps, 1.0])
-        G = F.scalar_mul(shift) + RationalMatrix.constant(D, CT)
-        ok = classify_cssni(G, cfg).verdict
-        history.append((eps, ok))
-        if ok:
-            return G, eps
-        eps *= 0.5
-    raise EpsilonSearchFailed("no eps in (0, eps_max] certified the NI verdict", history=history)
+    return _certified_epsilon(
+        F, lambda eps: F.scalar_mul(RationalScalar([1.0], [eps, 1.0])) + RationalMatrix.constant(D, CT),
+        classify_cssni, "NI", cfg)
 
 
 def cssni_to_csspr(G: RationalMatrix, cfg: Config = DEFAULT):
-    """F = (s + eps) * (G(s) - G(inf)) for a certified eps with F strongly strict PR."""
+    """F = (s + eps) * (G(s) - G(inf)) for a certified eps with F strongly strict PR (classify_csspr)."""
     if not G.is_proper():
         raise ImproperInput("the NI-to-PR map needs a proper matrix")
     core = G - RationalMatrix.constant(G.value_at_inf(), CT)
-    eps = _epsilon_max(G, cfg)
-    history = []
-    for _ in range(30):
-        shift = RationalScalar([eps, 1.0])
-        F = core.scalar_mul(shift)
-        ok = classify_csspr(F, cfg).verdict
-        history.append((eps, ok))
-        if ok:
-            return F, eps
-        eps *= 0.5
-    raise EpsilonSearchFailed("no eps in (0, eps_max] certified the PR verdict", history=history)
+    return _certified_epsilon(
+        G, lambda eps: core.scalar_mul(RationalScalar([eps, 1.0])), classify_csspr, "PR", cfg)
 
 
 # ---------------------------------------------------------------------------
 # discrete time
-
-
-def _check_no_pole_at(R, z0, cfg, exc, msg):
-    for p, _ in rm_poles(R, cfg):
-        if abs(p - z0) <= cfg.root_cluster * 2:
-            raise exc(msg)
 
 
 def dt_ni_to_pr(G: RationalMatrix, cfg: Config = DEFAULT) -> RationalMatrix:
@@ -107,7 +91,8 @@ def dt_ni_to_pr(G: RationalMatrix, cfg: Config = DEFAULT) -> RationalMatrix:
     """
     if not G.is_proper():
         raise ImproperInput("the NI-to-PR map needs a proper matrix")
-    _check_no_pole_at(G, -1.0, cfg, PoleAtMinusOne, "G has a pole at z = -1")
+    if pole_at(G, (-1.0,), cfg) is not None:
+        raise PoleAtMinusOne("G has a pole at z = -1")
     Gm1 = np.real(rm_eval(G, -1.0, cfg))
     blaschke = RationalScalar([-1.0, 1.0], [1.0, 1.0])
     F = (G - RationalMatrix.constant(Gm1, DT)).scalar_mul(blaschke)
@@ -140,10 +125,8 @@ def dt_ni_to_pr_ss(ss: StateSpace, cfg: Config = DEFAULT):
         out = StateSpace(ss.A, ss.B, ss.C, np.zeros_like(ss.D), DT)
         return out, True
     I = np.eye(n)
-    M = ss.A + I
-    if abs(np.linalg.det(M)) <= 1e-12 * max(1.0, np.linalg.norm(M, 2)) ** n:
-        raise EigenvalueAtMinusOne("state matrix has an eigenvalue at -1")
-    Minv = np.linalg.inv(M)
+    require_no_eigenvalue_at(ss.A, -1.0)
+    Minv = np.linalg.inv(ss.A + I)
     Cn = ss.C @ (ss.A - I) @ Minv
     Dn = ss.C @ Minv @ ss.B
     out = StateSpace(ss.A, ss.B, Cn, Dn, DT)

@@ -1,0 +1,120 @@
+"""The shared per-matrix analysis behind the classifiers.
+
+Classifiers run on one matrix share one lazily computed analysis per Config.
+These tests check that sharing never changes an answer and that it removes
+the repeated work: each boundary matrix is built, scanned and root-searched
+once per document.
+"""
+
+import gc
+import json
+import sys
+import weakref
+
+import numpy as np
+import pytest
+
+import corpus
+from nipr import analysis_ct, analysis_dt
+from nipr.analysis import analysis_of
+from nipr.cli import CLASSIFIERS, _report_dict, main
+from nipr.config import DEFAULT
+from nipr.docio import document_of, jsonable, save_document
+
+CT_CLASSES = ("cpr", "csspr", "cwspr", "cni", "cssni", "cwsni")
+DT_CLASSES = ("dpr", "dsspr", "dni", "dssni", "dwsni")
+# the rng-0 reference documents (three modes each) for every labelled generator, m = 1..3;
+# their CLI runs use a 400-point grid to keep the suite fast
+DOCS = [(gen, m) for gen in ("ct_ni", "dt_ni", "ct_pr", "dt_pr") for m in (1, 2, 3)]
+OTHER = DEFAULT.with_overrides(require_symmetry=False, grid_points_ct=500, grid_points_dt=500)
+
+
+def reference(gen, m):
+    return getattr(corpus, gen)(np.random.default_rng(0), m=m, nterms=3)
+
+
+def write(tmp_path, gen, m):
+    path = tmp_path / f"{gen}-m{m}.json"
+    save_document(document_of(reference(gen, m), name=f"{gen}-m{m}"), path)
+    return str(path)
+
+
+def classify_json(capsys, path, cls):
+    code = main(["classify", path, "--class", cls, "--json", "--grid", "400"])
+    return code, json.loads(capsys.readouterr().out)
+
+
+def canonical(obj):
+    return json.dumps(obj, sort_keys=True)
+
+
+@pytest.mark.parametrize("gen,m", DOCS)
+def test_class_all_matches_each_classifier_on_a_fresh_parse(tmp_path, capsys, gen, m):
+    path = write(tmp_path, gen, m)
+    code_all, together = classify_json(capsys, path, "all")
+    classes = CT_CLASSES if gen.startswith("ct") else DT_CLASSES
+    assert [r["class"] for r in together] == list(classes)
+    codes = []
+    for report in together:
+        code, alone = classify_json(capsys, path, report["class"])
+        codes.append(code)
+        assert canonical(alone) == canonical([report])
+    assert code_all == max(codes)
+
+
+@pytest.mark.parametrize("gen", ["ct_ni", "dt_ni"])
+def test_one_matrix_under_two_configs_matches_fresh_matrices(gen):
+    G = reference(gen, 2)
+    classes = CT_CLASSES if gen.startswith("ct") else DT_CLASSES
+    for cls in classes:  # interleave the configs on the one matrix
+        for cfg in (DEFAULT, OTHER):
+            shared = _report_dict(CLASSIFIERS[cls][1](G, cfg))
+            fresh = _report_dict(CLASSIFIERS[cls][1](reference(gen, 2), cfg))
+            assert canonical(jsonable(shared)) == canonical(jsonable(fresh)), (cls, cfg == DEFAULT)
+    assert analysis_of(G, DEFAULT) is not analysis_of(G, OTHER)
+
+
+def test_analysis_is_per_matrix_object_and_dies_with_it():
+    G = reference("ct_ni", 1)
+    assert analysis_of(G) is analysis_of(G, DEFAULT)
+    assert analysis_of(reference("ct_ni", 1)) is not analysis_of(G)  # equal content, own analysis
+    analysis_ct.classify_cni(G)
+    ref = weakref.ref(G)
+    del G
+    gc.collect()
+    assert ref() is None
+
+
+def count_calls(monkeypatch, names):
+    """Count calls of nipr.boundary functions, through every nipr module that holds them."""
+    from nipr import boundary
+
+    counts = dict.fromkeys(names, 0)
+    for name in names:
+        orig = getattr(boundary, name)
+
+        def counted(*args, _name=name, _orig=orig, **kwargs):
+            counts[_name] += 1
+            return _orig(*args, **kwargs)
+
+        for mod_name, mod in list(sys.modules.items()):
+            if mod_name.startswith("nipr") and getattr(mod, name, None) is orig:
+                monkeypatch.setattr(mod, name, counted)
+    return counts
+
+
+@pytest.mark.parametrize("gen,builders", [("ct_ni", ("ppart_ct", "defect_ct")),
+                                          ("dt_ni", ("ppart_dt", "defect_dt"))])
+def test_class_all_scans_and_roots_each_boundary_matrix_once(tmp_path, capsys, monkeypatch, gen, builders):
+    path = write(tmp_path, gen, 2)
+    counts = count_calls(monkeypatch, ("boundary_det_zeros", "grid_psd_scan") + builders)
+    main(["classify", path, "--class", "all", "--json"])
+    capsys.readouterr()
+    # one Hermitian part and one defect per document, each scanned and root-searched once
+    assert counts == {"boundary_det_zeros": 2, "grid_psd_scan": 2, builders[0]: 1, builders[1]: 1}
+
+
+def test_single_class_stays_lazy(monkeypatch):
+    counts = count_calls(monkeypatch, ("boundary_det_zeros", "grid_psd_scan", "ppart_dt", "defect_dt"))
+    analysis_dt.classify_dni(reference("dt_ni", 2))
+    assert counts == {"boundary_det_zeros": 0, "grid_psd_scan": 1, "ppart_dt": 0, "defect_dt": 1}

@@ -1,0 +1,37 @@
+"""The benchmark's per-layer tracer still finds every function it wraps.
+
+``bench/tracing.py`` wraps nipr functions by name; renaming or deleting one
+breaks ``bench/run.py --trace 1``.  This test installs and uninstalls the
+tracer, and checks that a traced classification is seen layer by layer.
+"""
+
+import json
+from pathlib import Path
+
+import numpy as np
+
+import corpus
+from nipr import boundary, cli
+from nipr.docio import document_of, save_document
+
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+
+
+def test_tracer_installs_sees_a_classification_and_uninstalls(tmp_path, capsys, monkeypatch):
+    monkeypatch.syspath_prepend(str(BENCH))
+    from tracing import Tracer
+
+    path = tmp_path / "g.json"
+    save_document(document_of(corpus.ct_ni(np.random.default_rng(0), m=1, nterms=3)), path)
+    originals = (cli.main, boundary.grid_psd_scan, dict(cli.CLASSIFIERS))
+    tracer = Tracer()
+    tracer.install()
+    try:
+        assert cli.main(["classify", str(path), "--class", "cni", "--json"]) == 0
+    finally:
+        tracer.uninstall()
+    assert json.loads(capsys.readouterr().out)[0]["verdict"] is True
+    assert (cli.main, boundary.grid_psd_scan, dict(cli.CLASSIFIERS)) == originals
+    assert tracer.calls["analysis_ct.cni"] == 1
+    assert tracer.calls["boundary.grid_psd_scan"] == 1
+    assert tracer.calls["boundary.defect_ct"] == 1
