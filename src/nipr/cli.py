@@ -19,7 +19,7 @@ from .analysis_ct import (
     classify_cwspr,
 )
 from .analysis_dt import classify_dni, classify_dpr, classify_dssni, classify_dsspr, classify_dwsni
-from .boundary import ct_grid, herm
+from .boundary import herm
 from .config import DEFAULT
 from .docio import document_of, jsonable, load_document, parse_document, save_document
 from .errors import NiprError
@@ -134,12 +134,8 @@ def cmd_sweep(args):
     R = _load_rational(args.file)
     mode = args.mode
     dom = DOMAINS[R.domain]
-    if R.domain == "ct":
-        params = ct_grid(cfg)  # without the classifier's w = 0 in PR mode
-        scale = params  # (1/w) normalization column
-    else:
-        params = dom.grid[mode](cfg)
-        scale = np.sin(params)
+    params = dom.grid[mode](cfg)  # the classifier's grid, w = 0 included in CT PR mode
+    scale = params if R.domain == "ct" else np.sin(params)  # NI mode's slope normalization
     vals, ok = rm_eval_many(dom.matrix[mode](R), dom.point(params), cfg)
     rows = []
     for k in range(params.size):

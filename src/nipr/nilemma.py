@@ -1,10 +1,25 @@
 """State-space certificates for discrete PR and NI transfer matrices.
 
-Both lemmas reduce to finding a symmetric X in an affine family that lands
-two affine matrix expressions in semidefinite cones.  Feasibility is searched
-by Dykstra alternating projections between the affine set and the product of
-cones; any returned certificate is re-verified independently, so solver
-quality affects completeness only, never soundness.
+Both lemmas ask whether an affine family of symmetric matrices
+X = X0 + sum_k theta_k N_k meets a product of semidefinite cones: X itself
+and a Lyapunov-type block, each shifted by a small floor.  One interior-point
+search answers it for the PR lemma and for both forms of the NI lemma (the
+primal X form and the dual Y = X^-1 form, ``form="primal"`` / ``"dual"`` of
+the same routine).  It follows the log-det barrier path of
+max t  s.t.  every block minus its floor >= t I  (Vandenberghe & Boyd,
+"Semidefinite programming", SIAM Review 38(1), 1996).  The answers:
+
+- Feasible: X passed ``_certify``, the independent re-verification of the
+  lemma's conditions.  The search offers it only iterates that meet every
+  floored cone, or the one X the equation allows.
+- Infeasible: the lemma equation has no symmetric solution; or it has exactly
+  one and that X fails the check; or the barrier path's dual multiplier was
+  validated as a separating functional (``extras["farkas"]``).
+- Inconclusive: none of these happened before the duality gap closed or the
+  Newton budget ran out.
+
+Every answer is checked independently of the search, so solver quality affects
+completeness only, never soundness.
 """
 
 from __future__ import annotations
@@ -33,21 +48,8 @@ class FeasibilityCertificate:
     extras: dict = field(default_factory=dict)
 
 
-# ---------------------------------------------------------------------------
-# symmetric vectorization (isometric)
-
-
-def _svec(M):
-    n = M.shape[0]
-    out = []
-    for i in range(n):
-        out.append(M[i, i])
-        for j in range(i + 1, n):
-            out.append(np.sqrt(2.0) * M[i, j])
-    return np.array(out)
-
-
 def _sym_basis(n):
+    """An orthonormal basis of the symmetric n x n matrices."""
     basis = []
     for i in range(n):
         E = np.zeros((n, n))
@@ -60,266 +62,122 @@ def _sym_basis(n):
     return basis
 
 
-def _psd_clip(M, floor=0.0):
-    H = 0.5 * (M + M.T)
-    lam, V = np.linalg.eigh(H)
-    lam = np.maximum(lam, floor)
-    return V @ np.diag(lam) @ V.T
-
-
 # ---------------------------------------------------------------------------
 # generic affine/cone feasibility
 
-
-def _lammin_ascent(X0, Ns, cone_maps, max_iter=300):
-    """Maximize the worst cone eigenvalue over the affine family by supergradient
-    ascent in the free parameters.  Cheap and effective when the feasible region
-    has interior; returns the best point found (no feasibility promise)."""
-    k = len(Ns)
-    if k == 0:
-        return X0
-    fns = [f for f, _fl in cone_maps]
-    vals0 = [f(X0) for f in fns]
-    dmats = [[f(X0 + N) - v0 for N in Ns] for f, v0 in zip(fns, vals0)]
-
-    def point(th):
-        return X0 + sum(t * N for t, N in zip(th, Ns))
-
-    def eval_at(th):
-        X = point(th)
-        lams = []
-        for f in fns:
-            lam, V = np.linalg.eigh(f(X))
-            lams.append((lam[0], V[:, 0]))
-        j = int(np.argmin([l for l, _v in lams]))
-        return lams[j][0], j, lams
-
-    th = np.zeros(k)
-    fcur, j, lams = eval_at(th)
-    good = 1e-6 * (1.0 + np.linalg.norm(X0, 2))
-    grid = 2.0 ** np.arange(-16.0, 4.0)
-    for _ in range(max_iter):
-        if fcur > good:
-            break
-        v = lams[j][1]
-        g = np.array([v @ D @ v for D in dmats[j]])
-        ng = np.linalg.norm(g)
-        if ng == 0.0:
-            break
-        stepped = False
-        for g_try in (g / ng,):
-            fs = [eval_at(th + t * g_try)[0] for t in grid]
-            bi = int(np.argmax(fs))
-            if fs[bi] > fcur + 1e-15:
-                th = th + grid[bi] * g_try
-                fcur, j, lams = eval_at(th)
-                stepped = True
-        if not stepped:
-            # blend supergradients of all near-active pieces
-            gs = []
-            for jj, (l, vv) in enumerate(lams):
-                if l <= fcur + 1e-7 * (1.0 + abs(fcur)):
-                    gg = np.array([vv @ D @ vv for D in dmats[jj]])
-                    ngg = np.linalg.norm(gg)
-                    if ngg > 0.0:
-                        gs.append(gg / ngg)
-            if not gs:
-                break
-            g2 = np.mean(gs, axis=0)
-            n2 = np.linalg.norm(g2)
-            if n2 < 1e-12:
-                break
-            fs = [eval_at(th + t * g2 / n2)[0] for t in grid]
-            bi = int(np.argmax(fs))
-            if fs[bi] <= fcur + 1e-15:
-                break
-            th = th + grid[bi] * g2 / n2
-            fcur, j, lams = eval_at(th)
-    return point(th)
+_MAX_NEWTON = 400  # Newton steps before the search gives up
 
 
-def _search_affine_cones(X0, Ns, cone_maps, max_iter=2000, verify=None):
-    """Search X = X0 + sum t_k N_k with every cone_map(X) + floor admissible.
+def _search_affine_cones(X0, Ns, cone_maps, verify):
+    """Search X = X0 + sum theta_k N_k with every f_j(X) >= floor_j I.
 
     cone_maps: list of (affine function of X returning a symmetric matrix,
-    floor) where the value must be >= floor * I.  The first map is X itself.
-    ``verify`` allows an early exit once a candidate passes the caller's
-    independent check.  Returns (X or None, iterations, stalled_gap).
+    floor); the first map is X itself.  With S_j = f_j(X) - floor_j I - t I,
+    damped Newton steps in x = (theta, t) minimize the log-det barrier
+    -w t - sum_j log det S_j, and w grows tenfold at each centered point, so
+    the path climbs to max t while the duality gap bound sum_j size_j / w
+    shrinks.  Each Newton step also gives a dual point,
+    Z_j = S_j^-1 (S_j - dS_j) S_j^-1 / w, orthogonal to the affine directions
+    and PSD once the squared Newton decrement is below 1; while t < 0 it goes
+    to ``_farkas_infeasible``.
+
+    ``verify`` is the caller's independent check of X.  It sees an iterate
+    once t >= 0, that is once X meets every floored cone: the callers'
+    tolerances are relative to ||X||, and along a direction that keeps the
+    cones (nearly) PSD the path can run so far out that they would accept an
+    X missing a cone by a wide margin.  Returns (the verified X or None,
+    Newton steps, the gap bound, whether a separating functional was
+    validated).
     """
-    k = len(Ns)
-    vals0 = [f(X0) for f, _fl in cone_maps]
-    b = np.concatenate([_svec(v) for v in vals0])
-    sizes = [v.shape[0] for v in vals0]
-    if k == 0:
+    vals = [f(X0) for f, _fl in cone_maps]
+    F0 = [v - fl * np.eye(len(v)) for v, (_f, fl) in zip(vals, cone_maps)]
+    if not Ns:
         # the affine set is a single point: verification is decisive
-        return X0, 0, np.inf, True
-    cols = []
-    for N in Ns:
-        colv = [f(X0 + N) - v0 for (f, _fl), v0 in zip(cone_maps, vals0)]
-        cols.append(np.concatenate([_svec(v) for v in colv]))
-    J = np.stack(cols, axis=1)
-    Jp = np.linalg.pinv(J)
+        return X0, 0, 0.0, False
+    G = [np.array([f(X0 + N) - v for N in Ns]) for v, (f, _fl) in zip(vals, cone_maps)]
+    # S_j moves by sum_a x_a D_j[a]: theta along G_j, t along -I
+    D = [np.concatenate([Gj, -np.eye(len(F))[None]]) for Gj, F in zip(G, F0)]
+    vec_eye = np.concatenate([np.eye(len(F)).ravel() for F in F0])
 
-    def unstack(y):
-        out, at = [], 0
-        for s in sizes:
-            q = s * (s + 1) // 2
-            out.append(y[at:at + q])
-            at += q
-        return out
+    def point(x):
+        return X0 + sum(th * N for th, N in zip(x, Ns))
 
-    def smat(v, s):
-        M = np.zeros((s, s))
-        at = 0
-        for i in range(s):
-            M[i, i] = v[at]
-            at += 1
-            for j in range(i + 1, s):
-                M[i, j] = M[j, i] = v[at] / np.sqrt(2.0)
-                at += 1
-        return M
+    def factor(x):
+        """Cholesky factors of every S_j at x, or None if one is not PD."""
+        try:
+            return [np.linalg.cholesky(F + np.tensordot(x, Dj, 1)) for F, Dj in zip(F0, D)]
+        except np.linalg.LinAlgError:
+            return None
 
-    def cone_proj(y):
-        pieces = unstack(y)
-        out = []
-        for (v, s, (_f, fl)) in zip(pieces, sizes, cone_maps):
-            M = smat(v, s)
-            P = _psd_clip(M - fl * np.eye(s)) + fl * np.eye(s)
-            out.append(_svec(P))
-        return np.concatenate(out)
+    def barrier(x, Ls):
+        return -w * x[-1] - 2.0 * sum(np.log(np.diag(L)).sum() for L in Ls)
 
-    if verify is not None:
-        Xa = _lammin_ascent(X0, Ns, cone_maps)
-        if verify(Xa):
-            return Xa, 0, 0.0, False
-
-    y = b.copy()
-    p = np.zeros_like(y)
-    gap = np.inf
-    scale = 1.0 + np.linalg.norm(b)
-
-    def candidate(yv):
-        t = Jp @ (yv - b)
-        return X0 + sum(tk * N for tk, N in zip(t, Ns))
-
-    stalled = np.zeros_like(y)
-    it_total = 0
-    certified = False
-    for _round in range(10):
-        for it in range(max_iter):
-            w = y + p
-            yc = cone_proj(w)
-            p = w - yc
-            t = Jp @ (yc - b)
-            ya = b + J @ t
-            gap = float(np.linalg.norm(ya - yc))
-            stalled = yc - ya
-            y = ya
-            it_total += 1
-            if gap <= 1e-12 * scale:
+    spread = max(np.linalg.norm(F, 2) for F in F0) or 1.0
+    size = sum(len(F) for F in F0)
+    margin = min(np.linalg.eigvalsh(F)[0] for F in F0)
+    x = np.zeros(len(Ns) + 1)
+    x[-1] = margin - spread
+    Ls = factor(x)
+    # the weight that centers the start in t, so the gap bound starts near spread
+    w = float(sum(np.sum(np.linalg.inv(L) ** 2) for L in Ls))
+    X, steps = X0, 0
+    ok = margin >= 0.0 and verify(X)
+    while not ok and steps < _MAX_NEWTON:
+        Li = [np.linalg.inv(L) for L in Ls]
+        W = [(Lj @ Dj @ Lj.T).reshape(len(Dj), -1) for Lj, Dj in zip(Li, D)]  # L^-1 D L^-T
+        # The Hessian is M M' with M = [W_1 ... W_J] and the negated gradient
+        # is M vec(I) + w e_t.  Far along a direction that keeps the cones
+        # (nearly) PSD, M M' is too ill-conditioned to factor, but the SVD of
+        # M still resolves the step.
+        U, sv, Vt = np.linalg.svd(np.concatenate(W, axis=1), full_matrices=False)
+        if sv[-1] <= 1e-15 * sv[0]:
+            break
+        y = sv * (Vt @ vec_eye) + w * U[-1]
+        dx = U @ (y / sv ** 2)
+        dec = np.sum((y / sv) ** 2)  # squared Newton decrement
+        if dec < 1.0 and x[-1] < 0.0:
+            Z = [Lj.T @ (np.eye(len(Lj)) - (Wj.T @ dx).reshape(Lj.shape)) @ Lj / w
+                 for Lj, Wj in zip(Li, W)]
+            if _farkas_infeasible(Z, G, F0):
+                return None, steps, size / w, True
+        if dec < 1e-8:
+            if size / w <= 1e-12 * spread:
                 break
-            if verify is not None and it % 50 == 49:
-                Xc = candidate(y)
-                if verify(Xc):
-                    return Xc, it_total, gap, False
-        if gap <= 1e-10 * scale:
-            break
-        certified = _farkas_infeasible(stalled, J, Jp, b, sizes, cone_maps, unstack, smat)
-        if certified:
-            break
-    return candidate(y), it_total, gap, certified
+            w *= 10.0
+            continue
+        f0, alpha = barrier(x, Ls), 1.0
+        while True:
+            Lc = factor(x + alpha * dx)
+            if Lc is not None and barrier(x + alpha * dx, Lc) <= f0 - 0.25 * alpha * dec:
+                break
+            alpha *= 0.5
+            if alpha < 1e-12:
+                return None, steps, size / w, False
+        x, Ls = x + alpha * dx, Lc
+        X, steps = point(x), steps + 1
+        ok = x[-1] >= 0.0 and verify(X)
+    return (X if ok else None), steps, size / w, False
 
 
-def _farkas_infeasible(z0, J, Jp, b, sizes, cone_maps, unstack, smat):
+def _farkas_infeasible(Z, G, F0):
     """Validate a separating functional proving the affine set misses the cones.
 
-    A block-PSD z orthogonal to the affine directions with <z, b - c> < 0
-    (c stacking the cone floors) certifies that no point of the affine family
-    lands in every cone.  The functional is parametrized on an orthonormal
-    basis of null(J^T), so orthogonality holds by construction, and its block
-    eigenvalues and negated value are pushed strictly positive together by
-    supergradient ascent seeded from the stalled Dykstra displacement.
+    Z holds one candidate matrix per cone block, G[j][k] the change of block j
+    along the k-th affine direction and F0[j] block j at the base point, floor
+    subtracted.  Z is projected exactly onto the orthogonal complement of the
+    directions.  If every projected block is PSD and sum_j <Z_j, F0_j> < 0,
+    then sum_j <Z_j, F_j> < 0 at every point of the affine family, which no
+    point with every F_j PSD can give.
     """
-    c = np.concatenate([_svec(fl * np.eye(s)) for s, (_f, fl) in zip(sizes, cone_maps)])
-    d0 = b - c
-    if np.linalg.norm(z0) == 0.0:
-        return False
-    U, sv, _Vt = np.linalg.svd(J, full_matrices=True)
-    rank = int(np.sum(sv > 1e-10 * max(sv[0] if sv.size else 0.0, 1.0)))
-    Nc = U[:, rank:]
-    if Nc.shape[1] == 0:
-        return False
-
-    offs = np.cumsum([0] + [s * (s + 1) // 2 for s in sizes])
-    dn = 1.0 + np.linalg.norm(d0)
-    dproj = Nc.T @ d0 / dn
-
-    def terms(w):
-        z = Nc @ w
-        out = []
-        for blk, (v, s) in enumerate(zip(unstack(z), sizes)):
-            lam, V = np.linalg.eigh(smat(v, s))
-            g = np.zeros_like(z)
-            g[offs[blk]:offs[blk + 1]] = _svec(np.outer(V[:, 0], V[:, 0]))
-            out.append((lam[0], Nc.T @ g))
-        out.append((float(-w @ dproj), -dproj))
-        return out
-
-    # short Douglas-Rachford warm start between the PSD blocks and null(J^T)
-    z = z0.copy()
-
-    def cone_side(y):
-        return np.concatenate([_svec(_psd_clip(smat(v, s))) for v, s in zip(unstack(y), sizes)])
-
-    for _ in range(200):
-        pa = cone_side(z)
-        r = 2.0 * pa - z
-        z = z + (r - J @ (Jp @ r)) - pa
-    w = Nc.T @ cone_side(z)
-    if np.linalg.norm(w) < 1e-14:
-        w = Nc.T @ z0
-    nw = np.linalg.norm(w)
-    if nw == 0.0:
-        return False
-    w = w / nw
-
-    def accepted(ts):
-        # strictly interior certificate, or a singular one whose separation
-        # margin dominates the residual negativity of the blocks
-        vals = [t[0] for t in ts]
-        if min(vals) > 1e-8:
-            return True
-        value = vals[-1]
-        return value >= 1e-4 and min(vals[:-1]) >= -1e-5 * value
-
-    grid = 2.0 ** np.arange(-20.0, 2.0)
-    ts = terms(w)
-    fcur = min(t[0] for t in ts)
-    for _ in range(250):
-        if accepted(ts):
-            return True
-        active = [g for (l, g) in ts if l <= fcur + 1e-7 * (1.0 + abs(fcur))]
-        g = np.mean(active, axis=0)
-        ng = np.linalg.norm(g)
-        if ng < 1e-14:
-            break
-        g = g / ng
-        best_f, best_w = fcur, None
-        for t in grid:
-            wc = w + t * g
-            wc = wc / np.linalg.norm(wc)
-            fc = min(tt[0] for tt in terms(wc))
-            if fc > best_f:
-                best_f, best_w = fc, wc
-        if best_w is None:
-            break
-        w, fcur = best_w, best_f
-        ts = terms(w)
-    return accepted(ts)
+    J = np.concatenate([Gj.reshape(len(Gj), -1) for Gj in G], axis=1).T
+    c = np.linalg.lstsq(J, np.concatenate([Zj.ravel() for Zj in Z]), rcond=None)[0]
+    Z = [Zj - np.tensordot(c, Gj, 1) for Zj, Gj in zip(Z, G)]
+    return bool(all(np.linalg.eigvalsh(Zj)[0] >= 0.0 for Zj in Z)
+                and sum(np.sum(Zj * Fj) for Zj, Fj in zip(Z, F0)) < 0.0)
 
 
-def _certify(X, lyap_fn, eq_residual_fn, iterations, gap, extras=None,
-             infeasibility_certified=False):
+def _certify(X, lyap_fn, eq_residual_fn, iterations, infeasible, extras=None):
+    """Re-verify X; ``infeasible`` says the search proved that no X exists."""
     scale = 1.0 + (np.linalg.norm(X, 2) if X is not None and X.size else 0.0)
     lam_x = float(np.linalg.eigvalsh(X)[0]) if X is not None and X.size else np.inf
     L = lyap_fn(X) if X is not None else None
@@ -328,7 +186,7 @@ def _certify(X, lyap_fn, eq_residual_fn, iterations, gap, extras=None,
     ok = lam_x > 0.0 and lam_l >= -1e-8 * scale and res <= 1e-7 * scale
     if ok:
         status = FEASIBLE
-    elif gap > 1e-6 * scale and infeasibility_certified:
+    elif infeasible:
         status = INFEASIBLE
     else:
         status = INCONCLUSIVE
@@ -352,7 +210,7 @@ def dpr_lemma_check(ss: StateSpace, cfg: Config = DEFAULT) -> FeasibilityCertifi
     if not is_minimal(ss, cfg):
         raise NonMinimalRealization("the PR lemma requires a minimal realization")
     A, B, C, D = ss.A, ss.B, ss.C, ss.D
-    n, m = ss.order, ss.size
+    n = ss.order
     if n == 0:
         S = D + D.T
         lam = float(np.linalg.eigvalsh(S)[0])
@@ -371,18 +229,15 @@ def dpr_lemma_check(ss: StateSpace, cfg: Config = DEFAULT) -> FeasibilityCertifi
     eta = 5e-9 * (1.0 + np.linalg.norm(block(X0), 2))
     cone_maps = [(lambda X: X, mu), (block, -eta)]
 
-    def ok(X):
-        scale = 1.0 + np.linalg.norm(X, 2)
-        return (np.linalg.eigvalsh(X)[0] > 0.0
-                and np.linalg.eigvalsh(block(X))[0] >= -1e-8 * scale)
+    def verify(X):
+        return _certify(X, block, lambda _x: 0.0, 0, False).status == FEASIBLE
 
-    X, iters, gap, farkas = _search_affine_cones(X0, Ns, cone_maps, verify=ok)
-    cert = _certify(X, block, lambda _x: 0.0, iters, gap, infeasibility_certified=farkas)
+    X, iters, gap, farkas = _search_affine_cones(X0, Ns, cone_maps, verify)
+    cert = _certify(X, block, lambda _x: 0.0, iters, farkas,
+                    extras={"gap": gap, "farkas": farkas})
     if cert.status == FEASIBLE:
-        M = _psd_clip(block(X))
-        lam, V = np.linalg.eigh(M)
-        lam = np.maximum(lam, 0.0)
-        R = np.diag(np.sqrt(lam)) @ V.T
+        lam, V = np.linalg.eigh(block(X))
+        R = np.diag(np.sqrt(np.maximum(lam, 0.0))) @ V.T
         cert.extras["L"] = R[:, :n]
         cert.extras["W"] = R[:, n:]
     return cert
@@ -422,12 +277,14 @@ def _affine_solution_set(Smap_cols, rhs_vec, n):
     return X0, null, residual
 
 
-def dni_lemma_check(ss: StateSpace, cfg: Config = DEFAULT, _fallback=True) -> FeasibilityCertificate:
-    """Feasibility of the discrete NI lemma.
+def _dni_lemma(ss: StateSpace, cfg: Config, form: str) -> FeasibilityCertificate:
+    """The discrete NI lemma in its primal (X) or dual (Y = X^-1) form.
 
-    Searches symmetric X > 0 with C(A+I)^-1 = -B'(A'-I)^-1 X and
-    X - A'XA >= 0; the equation is affine in X, so its solution set is
-    parametrized exactly and only the cone search is iterative.
+    With P = C(A+I)^-1 and Q = -B'(A'-I)^-1, the primal form asks for
+    symmetric X > 0 with Q X = P and X - A'XA >= 0, the dual form for Y > 0
+    with P Y = Q (that is, B = -(A-I) Y (A'+I)^-1 C') and Y - AYA' >= 0.
+    The equation is affine, so its solution set is parametrized exactly and
+    only the cone search is iterative.
     """
     _check_the2_preconditions(ss, cfg)
     A, B, C = ss.A, ss.B, ss.C
@@ -435,82 +292,44 @@ def dni_lemma_check(ss: StateSpace, cfg: Config = DEFAULT, _fallback=True) -> Fe
     if n == 0:
         return FeasibilityCertificate(np.zeros((0, 0)), 0.0, np.inf, np.inf, 0, FEASIBLE)
     I = np.eye(n)
-    R = C @ np.linalg.inv(A + I)           # m x n
-    S = -B.T @ np.linalg.inv(A.T - I)      # m x n
+    P = C @ np.linalg.inv(A + I)           # m x n
+    Q = -B.T @ np.linalg.inv(A.T - I)      # m x n
+    S, R, Ad = (Q, P, A) if form == "primal" else (P, Q, A.T)
 
-    rhs = R.ravel()
     scale_eq = 1.0 + np.linalg.norm(R) + np.linalg.norm(S)
-    X0, null, residual = _affine_solution_set(lambda E: (S @ E).ravel(), rhs, n)
+    X0, null, residual = _affine_solution_set(lambda E: (S @ E).ravel(), R.ravel(), n)
     if residual > 1e-7 * scale_eq:
         return FeasibilityCertificate(None, residual, -np.inf, -np.inf, 0, INFEASIBLE)
 
     def lyap(X):
-        return X - A.T @ X @ A
+        return X - Ad.T @ X @ Ad
+
+    def eq_residual(X):
+        return np.linalg.norm(S @ X - R)
 
     mu = 1e-9 * (1.0 + np.linalg.norm(X0, 2))
     eta = 5e-9 * (1.0 + np.linalg.norm(X0, 2))
     cone_maps = [(lambda X: X, mu), (lyap, -eta)]
 
-    def ok(X):
-        scale = 1.0 + np.linalg.norm(X, 2)
-        return (np.linalg.eigvalsh(X)[0] > 0.0
-                and np.linalg.eigvalsh(lyap(X))[0] >= -1e-8 * scale
-                and np.linalg.norm(S @ X - R) <= 1e-7 * scale)
+    def verify(X):
+        return _certify(X, lyap, eq_residual, 0, False).status == FEASIBLE
 
-    X, iters, gap, farkas = _search_affine_cones(X0, null, cone_maps, verify=ok)
-    cert = _certify(
-        X, lyap, lambda x: np.linalg.norm(S @ x - R), iters, gap,
-        extras={"free_parameters": len(null)}, infeasibility_certified=farkas,
-    )
-    if cert.status == INCONCLUSIVE and _fallback:
-        # the dual variable solves the mirrored problem with Y = X^-1, and the
-        # two parametrizations rarely stall on the same instance
-        dual = dual_dni_lemma_check(ss, cfg, _fallback=False)
-        if dual.status == FEASIBLE:
-            Xd = np.linalg.inv(dual.X)
-            Xd = 0.5 * (Xd + Xd.T)
-            if ok(Xd):
-                alt = _certify(
-                    Xd, lyap, lambda x: np.linalg.norm(S @ x - R), iters + dual.iterations,
-                    0.0, extras={"free_parameters": len(null), "via": "dual"},
-                )
-                if alt.status == FEASIBLE:
-                    return alt
-    return cert
-
-
-def dual_dni_lemma_check(ss: StateSpace, cfg: Config = DEFAULT, _fallback=True) -> FeasibilityCertificate:
-    """The dual (Y) form: B = -(A - I) Y (A' + I)^-1 C', Y > 0, Y - AYA' >= 0."""
-    _check_the2_preconditions(ss, cfg)
-    A, B, C = ss.A, ss.B, ss.C
-    n = ss.order
-    if n == 0:
-        return FeasibilityCertificate(np.zeros((0, 0)), 0.0, np.inf, np.inf, 0, FEASIBLE)
-    I = np.eye(n)
-    R = -np.linalg.inv(A - I) @ B          # n x m
-    S = np.linalg.inv(A.T + I) @ C.T       # n x m
-
-    rhs = R.ravel()
-    scale_eq = 1.0 + np.linalg.norm(R) + np.linalg.norm(S)
-    Y0, null, residual = _affine_solution_set(lambda E: (E @ S).ravel(), rhs, n)
-    if residual > 1e-7 * scale_eq:
-        return FeasibilityCertificate(None, residual, -np.inf, -np.inf, 0, INFEASIBLE)
-
-    def lyap(Y):
-        return Y - A @ Y @ A.T
-
-    mu = 1e-9 * (1.0 + np.linalg.norm(Y0, 2))
-    eta = 5e-9 * (1.0 + np.linalg.norm(Y0, 2))
-    cone_maps = [(lambda Y: Y, mu), (lyap, -eta)]
-
-    def ok(Y):
-        scale = 1.0 + np.linalg.norm(Y, 2)
-        return (np.linalg.eigvalsh(Y)[0] > 0.0
-                and np.linalg.eigvalsh(lyap(Y))[0] >= -1e-8 * scale
-                and np.linalg.norm(Y @ S - R) <= 1e-7 * scale)
-
-    Y, iters, gap, farkas = _search_affine_cones(Y0, null, cone_maps, verify=ok)
+    X, iters, gap, farkas = _search_affine_cones(X0, null, cone_maps, verify)
     return _certify(
-        Y, lyap, lambda y: np.linalg.norm(y @ S - R), iters, gap,
-        extras={"free_parameters": len(null), "form": "dual"}, infeasibility_certified=farkas,
+        X, lyap, eq_residual, iters, farkas or not null,
+        extras={"free_parameters": len(null), "form": form, "gap": gap, "farkas": farkas},
     )
+
+
+def dni_lemma_check(ss: StateSpace, cfg: Config = DEFAULT) -> FeasibilityCertificate:
+    """Feasibility of the discrete NI lemma.
+
+    Searches symmetric X > 0 with C(A+I)^-1 = -B'(A'-I)^-1 X and
+    X - A'XA >= 0.
+    """
+    return _dni_lemma(ss, cfg, "primal")
+
+
+def dual_dni_lemma_check(ss: StateSpace, cfg: Config = DEFAULT) -> FeasibilityCertificate:
+    """The dual (Y) form: B = -(A - I) Y (A' + I)^-1 C', Y > 0, Y - AYA' >= 0."""
+    return _dni_lemma(ss, cfg, "dual")

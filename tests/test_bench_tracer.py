@@ -1,8 +1,9 @@
 """The benchmark's per-layer tracer still finds every function it wraps.
 
 ``bench/tracing.py`` wraps nipr functions by name; renaming or deleting one
-breaks ``bench/run.py --trace 1``.  This test installs and uninstalls the
-tracer, and checks that a traced classification is seen layer by layer.
+breaks ``bench/run.py --trace 1``.  These tests install and uninstall the
+tracer, and check that a traced classification and a traced lemma check are
+seen layer by layer.
 """
 
 import json
@@ -11,7 +12,7 @@ from pathlib import Path
 import numpy as np
 
 import corpus
-from nipr import boundary, cli
+from nipr import boundary, cli, nilemma
 from nipr.docio import document_of, save_document
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
@@ -35,3 +36,25 @@ def test_tracer_installs_sees_a_classification_and_uninstalls(tmp_path, capsys, 
     assert tracer.calls["analysis_ct.cni"] == 1
     assert tracer.calls["boundary.grid_psd_scan"] == 1
     assert tracer.calls["boundary.defect_ct"] == 1
+
+
+def test_tracer_sees_a_lemma_decided_by_a_separating_functional(tmp_path, capsys, monkeypatch):
+    monkeypatch.syspath_prepend(str(BENCH))
+    from tracing import Tracer
+
+    # not D-NI, with free parameters left by the lemma equation (the first
+    # dt_lemma_corpus(7, 100) system)
+    path = tmp_path / "g.json"
+    save_document(document_of(corpus.dt_lemma_corpus(7, 1)[0]), path)
+    originals = (nilemma.dni_lemma_check, nilemma._farkas_infeasible)
+    tracer = Tracer()
+    tracer.install()
+    try:
+        assert cli.main(["lemma", str(path), "--form", "primal"]) == 1
+    finally:
+        tracer.uninstall()
+    cert = json.loads(capsys.readouterr().out)
+    assert cert["status"] == "Infeasible" and cert["extras"]["free_parameters"] >= 1
+    assert (nilemma.dni_lemma_check, nilemma._farkas_infeasible) == originals
+    assert tracer.calls["nilemma.dni_lemma_check"] == 1
+    assert tracer.counts["infeasible_answers"] == tracer.counts["farkas_certified"] == 1

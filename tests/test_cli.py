@@ -4,6 +4,7 @@ import json
 import numpy as np
 import pytest
 
+from corpus import dt_lemma_corpus
 from nipr.cli import main
 from nipr.docio import document_of, load_document, parse_document, save_document
 from nipr.poly import RationalScalar
@@ -83,6 +84,17 @@ def test_sweep_ni_scaled_column(tmp_path):
     assert first[3] == pytest.approx(16.0, rel=1e-6)
 
 
+def test_sweep_ct_pr_starts_at_omega_zero(tmp_path):
+    # classify_cpr scans w = 0 besides the log grid, and so does the sweep;
+    # (s + 3)/((s + 1)(s + 2)) is finite there, with G + G* = 3 at w = 0
+    f = write_tfm(tmp_path, "f", [[([3.0, 1.0], [2.0, 3.0, 1.0])]], "ct")
+    out = tmp_path / "sweep.csv"
+    assert main(["sweep", f, "--mode", "pr", "--out", str(out)]) == 0
+    first = [float(v) for v in list(csv.reader(out.open()))[1]]
+    assert first[0] == 0.0
+    assert first[1] == pytest.approx(3.0, rel=1e-12)
+
+
 def test_sweep_constant_is_zero(tmp_path):
     f = write_tfm(tmp_path, "c", [[([2.0], [1.0])]], "dt")
     out = tmp_path / "sweep.csv"
@@ -127,6 +139,20 @@ def test_lemma_forms(tmp_path, capsys):
     pr = write_tfm(tmp_path, "pr", [[([0.0, 1.0], [-0.5, 1.0])]], "dt")
     assert main(["lemma", pr, "--form", "pr"]) == 0
     capsys.readouterr()
+
+
+def test_lemma_json_records_gap_and_farkas(tmp_path, capsys):
+    # dt_lemma_corpus(7, 100)[0] (the first draw, so also dt_lemma_corpus(7, 1)[0])
+    # is not D-NI and leaves free parameters: a validated separating
+    # functional decides it
+    path = tmp_path / "g.json"
+    save_document(document_of(dt_lemma_corpus(7, 1)[0]), path)
+    assert main(["lemma", str(path), "--form", "primal"]) == 1
+    data = json.loads(capsys.readouterr().out)
+    assert data["status"] == "Infeasible"
+    assert data["extras"]["free_parameters"] >= 1
+    assert data["extras"]["farkas"] is True
+    assert data["extras"]["gap"] > 0.0
 
 
 def test_interconnect_feedback(tmp_path, capsys):
