@@ -5,9 +5,10 @@ condition on its boundary; continuous and discrete time differ only in that
 domain, the open right half-plane or the outside of the unit disc.  A
 ``Domain`` holds everything the choice decides.  An ``Analysis`` computes the
 ingredients of the conditions (poles, the Hermitian part and the defect,
-boundary grid scans, determinant zeros, residues) lazily and at most once per
-matrix and ``Config``, so that classifiers run on one matrix share their
-work, and builds the conditions the classifiers of both domains share.
+boundary grid scans, a state-space realization and the boundary crossings,
+residues) lazily and at most once per matrix and ``Config``, so that
+classifiers run on one matrix share their work, and builds the conditions the
+classifiers of both domains share.
 
 A sign form is "pr" or "ni".  The "pr" form is the Hermitian part
 F(x) + F(mirror(x))^T, whose boundary values must be PSD; the "ni" form is the
@@ -28,6 +29,7 @@ from .boundary import is_psd
 from .config import DEFAULT, Config
 from .errors import ImproperInput
 from .ratmat import CT, DT, RationalMatrix, rm_infinity_expansion, rm_is_symmetric, rm_poles, rm_residues_at
+from .realization import cayley_ss, minimal_realization
 from .report import Condition
 
 PREMUL = {"pr": 1.0, "ni": 1j}          # the boundary form is herm(PREMUL * R(point))
@@ -38,9 +40,9 @@ SIGN_ID = {"pr": "boundary-psd", "ni": "boundary-sign"}
 class Domain:
     """Everything that separates continuous from discrete time.
 
-    The dict fields are keyed by sign form.  The builders and grids look the
-    ``boundary`` functions up when they run, so that a wrapper put on one of
-    those module attributes sees every call.
+    The dict fields are keyed by sign form.  The builders, grids and ``to_ct``
+    look the ``boundary`` and ``realization`` functions up when they run, so
+    that a wrapper put on one of those module attributes sees every call.
     """
 
     param: str                # witness key of a boundary parameter
@@ -50,7 +52,7 @@ class Domain:
     inside: Callable          # (pole, margin) -> it lies in the stable region, margin away
     matrix: dict              # form -> builder of the boundary matrix from G
     grid: dict                # form -> builder of the boundary parameter grid from a Config
-    det_region: dict          # form -> (z, tol) -> the determinant zero z lies on the form's boundary
+    to_ct: Callable           # realization -> a continuous-time realization of the same boundary forms
     unstable_id: dict         # form -> id of the no-unstable-poles condition
     stable_id: str            # id of the strictly-stable-poles condition
 
@@ -64,9 +66,7 @@ CT_DOMAIN = Domain(
     matrix={"pr": lambda F: boundary.ppart_ct(F), "ni": lambda G: boundary.defect_ct(G)},
     grid={"pr": lambda cfg: np.concatenate([[0.0], boundary.ct_grid(cfg)]),
           "ni": lambda cfg: boundary.ct_grid(cfg)},
-    # "pr": s = i w for every real w; "ni": w > 0
-    det_region={"pr": lambda z, tol: abs(z.real) <= tol * (1.0 + abs(z)),
-                "ni": lambda z, tol: abs(z.real) <= tol * (1.0 + abs(z)) and z.imag > tol},
+    to_ct=lambda ss: ss,
     unstable_id={"pr": "no-rhp-poles", "ni": "no-rhp-poles"},
     stable_id="hurwitz-poles",
 )
@@ -79,9 +79,7 @@ DT_DOMAIN = Domain(
     inside=lambda p, margin: abs(p) < 1.0 - margin,
     matrix={"pr": lambda F: boundary.ppart_dt(F), "ni": lambda G: boundary.defect_dt(G)},
     grid={"pr": lambda cfg: boundary.dt_grid_full(cfg), "ni": lambda cfg: boundary.dt_grid_half(cfg)},
-    # "pr": the whole circle; "ni": z = e^{it}, t in (0, pi)
-    det_region={"pr": lambda z, tol: abs(abs(z) - 1.0) <= tol,
-                "ni": lambda z, tol: abs(abs(z) - 1.0) <= tol and tol < np.angle(z) < np.pi - tol},
+    to_ct=lambda ss: cayley_ss(ss),
     unstable_id={"pr": "analytic-outside-disc", "ni": "no-outside-poles"},
     stable_id="schur-poles",
 )
@@ -144,10 +142,16 @@ class Analysis:
         return self._once(("scan", form), lambda: boundary.grid_psd_scan(
             self.matrix(form), d.grid[form](self.cfg), d.point, PREMUL[form], self.cfg))
 
+    def realization(self):
+        """A minimal realization of G, moved to continuous time by the domain's ``to_ct``."""
+        return self._once("realization", lambda: self.domain.to_ct(minimal_realization(self.G, self.cfg)))
+
     def det_zeros(self, form):
-        """boundary_det_zeros of the form on its region: (zeros, identically zero)."""
-        return self._once(("det", form), lambda: boundary.boundary_det_zeros(
-            self.matrix(form), self.domain.det_region[form], self.cfg))
+        """boundary_det_zeros of the form, realizing G only when it is strictly stable (else the class fails)."""
+        def compute():
+            ss = self.realization() if self.strictly_stable(self.cfg.root_cluster) else None
+            return boundary.boundary_det_zeros(self.matrix(form), ss, form, self.cfg)
+        return self._once(("det", form), compute)
 
     def pole_split(self):
         """(unstable poles, boundary poles in the closed upper half-plane) as (pole, multiplicity) lists."""
@@ -207,9 +211,9 @@ class Analysis:
     def strict_conditions(self, form, class_id):
         """The weakly strict class: proper, symmetric for NI, strictly stable, strict boundary sign.
 
-        The sign is strict when the grid scan passes and the determinant of
-        the boundary matrix has no zero on the boundary and is not
-        identically zero.
+        The sign is strict when the grid scan passes and the boundary form is
+        nowhere singular on the boundary: the crossing test finds no point
+        and det R is not identically zero.
         """
         self.require_proper(class_id)
         conds = self.symmetry() if form == "ni" else []

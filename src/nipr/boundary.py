@@ -1,10 +1,12 @@
 """Shared boundary-curve machinery for the PR/NI classifiers.
 
-Sign conditions are decided in two exact-leaning steps: a dense grid gives the
-semidefinite verdict with a relative tolerance, and strictness is decided by
-root-finding on the numerator of the determinant of the symbolic defect (an
-eigenvalue of a continuous Hermitian family can only change sign through a
-zero of the determinant or across a pole).
+Sign conditions are decided in two steps: a dense grid gives the
+semidefinite verdict with a relative tolerance, and strictness asks whether
+the boundary form becomes singular anywhere on the boundary (an eigenvalue of
+a continuous Hermitian family can only change sign where the form is
+singular).  That crossing test runs on a state-space realization: the
+boundary frequencies where det R vanishes are finite zeros of a realization
+of R built from (A, B, C, D), with no rational arithmetic.
 """
 
 from __future__ import annotations
@@ -12,14 +14,8 @@ from __future__ import annotations
 import numpy as np
 
 from .config import DEFAULT, Config
-from .poly import roots, trim
-from .ratmat import (
-    RationalMatrix,
-    _det_rational,
-    rm_eval_many,
-    rm_mobius,
-    rm_poles,
-)
+from .errors import RootFindingFailure
+from .ratmat import CT, RationalMatrix, rm_eval_many, rm_full_normal_rank, rm_mobius
 
 
 def herm(M):
@@ -138,27 +134,68 @@ def grid_psd_scan(R: RationalMatrix, params, to_points, premul, cfg: Config):
 
 
 # ---------------------------------------------------------------------------
-# exact strictness via determinant boundary zeros
+# exact strictness: where the boundary form is singular
 
 
-def boundary_det_zeros(R: RationalMatrix, region, cfg: Config = DEFAULT):
-    """Zeros of det R lying on the boundary region, excluding poles of R.
+def _finite_zeros(A, B, C, D, tol):
+    """Finite zeros of the square system (A, B, C, D); singular values up to tol count as zero.
 
-    region(z, tol) says whether the zero z lies on the region, within tol
-    (the regions of each domain are in ``analysis.Domain.det_region``).
-    Returns (zeros, identically_zero_flag).
+    The infinite eigenvalues of [[A - sI, B], [C, D]] are deflated exactly
+    (Emami-Naeini & Van Dooren, Automatica 18 (1982)): while D is singular,
+    rotate its null output directions into rows [C0, 0] and the states so
+    that C0 = [0, C02], C02 invertible; dropping the states C02 pins to zero
+    leaves a smaller square system with the same finite zeros.  With D
+    invertible they are the eigenvalues of A - B D^-1 C.
     """
-    det = _det_rational(R)
-    if det.is_zero(rel=1e-9):
+    while True:
+        n, m = A.shape[0], D.shape[0]
+        U, sv, _ = np.linalg.svd(D)
+        r = int(np.sum(sv > tol))
+        if r == m:
+            return np.linalg.eigvals(A - B @ np.linalg.solve(D, C))
+        C, D = U.T @ C, U.T @ D          # rows r.. of D are zero
+        _, s0, Vt = np.linalg.svd(C[r:])
+        rho = int(np.sum(s0 > tol))
+        if rho < m - r:
+            raise RootFindingFailure("the boundary pencil is singular")
+        V = np.hstack([Vt[rho:].T, Vt[:rho].T])  # C[r:] @ V = [0, C02]
+        A, B, Cr = V.T @ A @ V, V.T @ B, C[:r] @ V
+        k = n - rho
+        A, B, C, D = A[:k, :k], B[:k], np.vstack([A[k:, :k], Cr[:, :k]]), np.vstack([B[k:], D[:r]])
+
+
+def boundary_det_zeros(R: RationalMatrix, ss, form, cfg: Config = DEFAULT):
+    """(Boundary points where R is singular, det R identically zero).
+
+    R is the boundary matrix of G for the form; on the boundary R ("pr") or
+    i R ("ni") is Hermitian.  ss realizes G in continuous time (a
+    discrete-time G through ``cayley_ss``: z = e^{it} is s = i tan(t/2) and
+    z = -1 is s = inf), or is None when G is not strictly stable, and then
+    only ``rm_full_normal_rank`` runs.  R(s) = G(s) +- G(-s)^T ("+" for "pr")
+    is realized by (diag(A, -A^T), [B; -C^T], [C, +-B^T], D +- D^T); det R
+    vanishes at its finite zeros and, when D +- D^T is singular, at s = inf.
+    A zero counts when |Re s| <= 1e-6 (1 + |s|) and, for "ni", whose defect
+    vanishes at w = 0 by symmetry, Im s exceeds that bound; s = inf counts
+    for a discrete-time "pr" form.  Points are in R's domain variable.
+    """
+    if not rm_full_normal_rank(R, cfg):
         return [], True
-    num = trim(det.num, rel=1e-12)
-    zeros = roots(num)
-    pole_list = [p for p, _m in rm_poles(R, cfg)]
+    if ss is None:
+        return [], False
+    sign = 1.0 if form == "pr" else -1.0
+    n = ss.order
+    Z = np.zeros((n, n))
+    A = np.block([[ss.A, Z], [Z, -ss.A.T]])
+    B = np.vstack([ss.B, -ss.C.T])
+    C = np.hstack([ss.C, sign * ss.B.T])
+    D = ss.D + sign * ss.D.T
+    rank_tol = cfg.rank_rel * np.linalg.norm(np.block([[A, B], [C, D]]), 2)
     tol = 1e-6
-    out = []
-    for z0 in zeros:
-        if any(abs(z0 - p) <= 1e-6 * (1.0 + abs(p)) for p in pole_list):
-            continue
-        if region(z0, tol):
-            out.append(complex(z0))
-    return out, False
+    points = [s for s in _finite_zeros(A, B, C, D, rank_tol) if abs(s.real) <= tol * (1.0 + abs(s))
+              and (form == "pr" or s.imag > tol * (1.0 + abs(s)))]
+    if R.domain == CT:
+        return [1j * s.imag for s in points], False
+    points = [(1.0 + 1j * s.imag) / (1.0 - 1j * s.imag) for s in points]
+    if form == "pr" and np.linalg.svd(D, compute_uv=False)[-1] <= rank_tol:
+        points.append(-1.0 + 0j)
+    return points, False

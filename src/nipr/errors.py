@@ -10,7 +10,7 @@ class PoleProximity(NiprError):
 
 
 class RootFindingFailure(NiprError):
-    """Companion-matrix eigensolve did not converge."""
+    """A root or zero search failed: the eigensolve did not converge or the pencil is singular."""
 
 
 class MultiplicityTooHigh(NiprError):

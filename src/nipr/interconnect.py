@@ -43,6 +43,14 @@ def _stable(lams, domain, tol=1e-9):
     return all(l.real < -tol for l in lams)
 
 
+def _coupling_inverse(K, cfg: Config, what):
+    """K^-1 for a well-posed loop: the smallest singular value of K exceeds rank_rel times its largest."""
+    sv = np.linalg.svd(K, compute_uv=False)
+    if not sv[-1] > cfg.rank_rel * sv[0]:
+        raise IllPosed(what)
+    return np.linalg.inv(K)
+
+
 def redheffer_star(S1: PartitionedSystem, S2: PartitionedSystem, cfg: Config = DEFAULT) -> InterconnectResult:
     """Star product closing the (a, b) channel between two systems.
 
@@ -72,10 +80,7 @@ def redheffer_star(S1: PartitionedSystem, S2: PartitionedSystem, cfg: Config = D
     E21, E22 = Q.D[b:, :a], Q.D[b:, a:]
 
     K = np.block([[np.eye(a), -D122], [-E11, np.eye(b)]])
-    well = abs(np.linalg.det(K)) > 1e-9
-    if not well:
-        raise IllPosed("the interconnection coupling matrix is singular")
-    Kinv = np.linalg.inv(K)
+    Kinv = _coupling_inverse(K, cfg, "the interconnection coupling matrix is singular")
     # internal signals [u_hat; u_tilde] = Kinv (Gx x + Gu u)
     Gx = np.block([
         [C1b, np.zeros((a, n2))],
@@ -117,10 +122,7 @@ def internal_stability(P: StateSpace, Q: StateSpace, cfg: Config = DEFAULT) -> I
     if P.size != Q.size:
         raise ValueError("dimension mismatch")
     m = P.size
-    K = np.eye(m) - Q.D @ P.D
-    if abs(np.linalg.det(K)) <= 1e-9:
-        raise IllPosed("det(I - D_Q D_P) = 0")
-    Kinv = np.linalg.inv(K)
+    Kinv = _coupling_inverse(np.eye(m) - Q.D @ P.D, cfg, "I - D_Q D_P is singular")
     n1, n2 = P.order, Q.order
     # u_P = Kinv (D_Q C_P x_P + C_Q x_Q) + inputs
     UP = np.hstack([Kinv @ Q.D @ P.C, Kinv @ Q.C])

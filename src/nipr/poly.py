@@ -246,10 +246,6 @@ class RationalScalar:
         return RationalScalar.constant(0.0)
 
     # queries --------------------------------------------------------------
-    def is_zero(self, rel=DEFAULT.coeff_rel) -> bool:
-        scale = max(1.0, float(np.max(np.abs(self.den))))
-        return bool(np.max(np.abs(self.num)) <= rel * scale)
-
     @property
     def num_degree(self) -> int:
         return degree(self.num)

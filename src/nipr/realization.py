@@ -7,8 +7,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import DEFAULT, Config
-from .errors import EigenvalueAtMinusOne, EigenvalueAtPlusOne, ImproperInput
-from .poly import RationalScalar, poly_from_roots_real, polyadd
+from .errors import CancellationFailure, EigenvalueAtMinusOne, EigenvalueAtPlusOne, ImproperInput
+from .poly import RationalScalar, poly_from_roots_real, polyadd, polydivmod, polymul
 from .ratmat import CT, DT, RationalMatrix, rm_poles, rm_residues_at
 
 
@@ -137,7 +137,6 @@ def _minreal_ss(A, B, C, D, domain, rel) -> StateSpace:
 
 def _gilbert_blocks(R: RationalMatrix, pole_list, cfg: Config):
     """Gilbert blocks for simple poles; returns (A, B, C) lists."""
-    m = R.size
     Ab, Bb, Cb = [], [], []
     for p, _ in pole_list:
         if p.imag < -cfg.root_cluster * (1.0 + abs(p)):
@@ -179,18 +178,16 @@ def _block_companion(R: RationalMatrix, pole_list, cfg: Config):
         rts.extend([p] * mult)
     den = poly_from_roots_real(rts)  # monic, ascending, degree n
     n = den.size - 1
-    # entry numerators against the common denominator
+    # entry numerators against the common denominator; polynomial division,
+    # because root matching cannot pair the scattered roots of a triple pole
     Ncoef = [np.zeros((m, m)) for _ in range(n)]
-    dpoly = RationalScalar(den, [1.0], reduce=False)
     for i in range(m):
         for j in range(m):
             e = R.entries[i][j]
-            prod = RationalScalar(e.num, [1.0], reduce=False) * (
-                dpoly / RationalScalar(e.den, [1.0], reduce=False)
-            )
-            if prod.den_degree != 0:
-                raise ValueError("common denominator did not clear an entry")
-            c = prod.num / prod.den[0]
+            q, r = polydivmod(den, e.den)
+            if np.max(np.abs(r)) > cfg.root_cluster * np.max(np.abs(den)):
+                raise CancellationFailure(f"the common denominator does not clear entry ({i},{j})")
+            c = polymul(e.num, q)
             for k in range(min(c.size, n)):
                 Ncoef[k][i, j] = c[k]
     A = np.zeros((n * m, n * m))
@@ -221,16 +218,12 @@ def minimal_realization(R: RationalMatrix, cfg: Config = DEFAULT) -> StateSpace:
         Ab, Bb, Cb = _gilbert_blocks(strict, pole_list, cfg)
         if not Ab:
             return StateSpace(np.zeros((0, 0)), np.zeros((0, R.size)), np.zeros((R.size, 0)), D, R.domain)
-        n = sum(a.shape[0] for a in Ab)
-        A = np.zeros((n, n))
-        B = np.zeros((n, R.size))
-        C = np.zeros((R.size, n))
+        B, C = np.vstack(Bb), np.hstack(Cb)
+        A = np.zeros((B.shape[0], B.shape[0]))
         at = 0
-        for a, b, c in zip(Ab, Bb, Cb):
+        for a in Ab:
             k = a.shape[0]
             A[at:at + k, at:at + k] = a
-            B[at:at + k, :] = b
-            C[:, at:at + k] = c
             at += k
         ss = StateSpace(A, B, C, D, R.domain)
         if is_minimal(ss, cfg):

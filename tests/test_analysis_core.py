@@ -85,13 +85,13 @@ def test_analysis_is_per_matrix_object_and_dies_with_it():
     assert ref() is None
 
 
-def count_calls(monkeypatch, names):
-    """Count calls of nipr.boundary functions, through every nipr module that holds them."""
-    from nipr import boundary
+def count_calls(monkeypatch, names, owner="boundary"):
+    """Count calls of functions of the nipr module owner, through every nipr module that holds them."""
+    module = sys.modules[f"nipr.{owner}"]
 
     counts = dict.fromkeys(names, 0)
     for name in names:
-        orig = getattr(boundary, name)
+        orig = getattr(module, name)
 
         def counted(*args, _name=name, _orig=orig, **kwargs):
             counts[_name] += 1
@@ -118,3 +118,19 @@ def test_single_class_stays_lazy(monkeypatch):
     counts = count_calls(monkeypatch, ("boundary_det_zeros", "grid_psd_scan", "ppart_dt", "defect_dt"))
     analysis_dt.classify_dni(reference("dt_ni", 2))
     assert counts == {"boundary_det_zeros": 0, "grid_psd_scan": 1, "ppart_dt": 0, "defect_dt": 1}
+
+
+@pytest.mark.parametrize("gen", ["ct_ni", "dt_ni"])
+def test_class_all_realizes_the_matrix_once(tmp_path, capsys, monkeypatch, gen):
+    path = write(tmp_path, gen, 2)
+    counts = count_calls(monkeypatch, ("minimal_realization",), owner="realization")
+    main(["classify", path, "--class", "all", "--json"])
+    capsys.readouterr()
+    # both strict forms of each domain read the one realization
+    assert counts == {"minimal_realization": 1}
+
+
+def test_plain_class_does_not_realize(monkeypatch):
+    counts = count_calls(monkeypatch, ("minimal_realization",), owner="realization")
+    analysis_dt.classify_dni(reference("dt_ni", 2))
+    assert counts == {"minimal_realization": 0}

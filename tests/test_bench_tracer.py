@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 
 import corpus
-from nipr import boundary, cli, nilemma
+from nipr import boundary, cli, nilemma, realization
 from nipr.docio import document_of, save_document
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
@@ -36,6 +36,27 @@ def test_tracer_installs_sees_a_classification_and_uninstalls(tmp_path, capsys, 
     assert tracer.calls["analysis_ct.cni"] == 1
     assert tracer.calls["boundary.grid_psd_scan"] == 1
     assert tracer.calls["boundary.defect_ct"] == 1
+
+
+def test_tracer_sees_the_crossing_test_of_class_all(tmp_path, capsys, monkeypatch):
+    monkeypatch.syspath_prepend(str(BENCH))
+    from tracing import Tracer
+
+    path = tmp_path / "g.json"
+    save_document(document_of(corpus.dt_ni(np.random.default_rng(0), m=2, nterms=3)), path)
+    originals = (boundary.boundary_det_zeros, realization.minimal_realization)
+    tracer = Tracer()
+    tracer.install()
+    try:
+        cli.main(["classify", str(path), "--class", "all", "--json"])
+    finally:
+        tracer.uninstall()
+    verdicts = {r["class"]: r["verdict"] for r in json.loads(capsys.readouterr().out)}
+    assert verdicts["dni"] and verdicts["dwsni"] and verdicts["dssni"]
+    assert (boundary.boundary_det_zeros, realization.minimal_realization) == originals
+    # one crossing test per boundary form, both on the one realization
+    assert tracer.calls["boundary.boundary_det_zeros"] == 2
+    assert tracer.calls["realization.minimal_realization"] == 1
 
 
 def test_tracer_sees_a_lemma_decided_by_a_separating_functional(tmp_path, capsys, monkeypatch):

@@ -166,3 +166,22 @@ def test_star_class_preservation_known_example():
     assert out["star_membership"]["dni"]
     assert not out["star_membership"]["dwsni"]
     assert not out["star_membership"]["dssni"]
+
+
+def test_loop_well_posedness_is_relative():
+    # I - D_Q D_P = 0.01 I has det 1e-10 but condition number 1
+    D = np.sqrt(0.99) * np.eye(5)
+    assert internal_stability(static_ss(D), static_ss(D)).well_posed
+    with pytest.raises(IllPosed):  # I - D_Q D_P = diag(0, 0.5, 0.5, 0.5, 0.5)
+        internal_stability(static_ss(np.diag([1.0, 0.5, 0.5, 0.5, 0.5])), static_ss(np.eye(5)))
+
+
+def test_star_well_posedness_is_relative():
+    # the coupling matrix [[I, -cI], [-cI, I]] has det (1 - c^2)^5 = 1e-10 but condition number about 400
+    c = np.sqrt(0.99)
+    D1 = np.block([[np.zeros((5, 5)), np.zeros((5, 5))], [np.zeros((5, 5)), c * np.eye(5)]])
+    S1 = PartitionedSystem(static_ss(D1), 5, 5)
+    S2 = PartitionedSystem(static_ss(D1[::-1, ::-1].copy()), 5, 5)
+    assert redheffer_star(S1, S2).well_posed
+    with pytest.raises(IllPosed):
+        redheffer_star(PartitionedSystem(static_ss(D1 / c), 5, 5), PartitionedSystem(static_ss(D1[::-1, ::-1] / c), 5, 5))

@@ -52,6 +52,17 @@ def test_repeated_pole_realization():
     assert G.equals(tf_of(ss))
 
 
+def test_triple_pole_realization():
+    # the rounded roots of (s + 1)^3 scatter by about 6e-6, beyond root_cluster,
+    # so the common denominator has to be divided out as a polynomial
+    g = RationalScalar([3.0, 1.0], [1.0, 3.0, 3.0, 1.0])  # (s + 3)/(s + 1)^3
+    h = RationalScalar([1.0], [1.0, 1.0])
+    for G in (RationalMatrix([[g]], "ct"), RationalMatrix([[g, h], [h, 2.0 * g]], "ct")):
+        ss = minimal_realization(G)
+        assert is_minimal(ss)
+        assert G.equals(tf_of(ss))
+
+
 def test_improper_input_rejected():
     G = RationalMatrix([[RationalScalar([0.0, 0.0, 1.0], [1.0, 1.0])]], "ct")
     with pytest.raises(ImproperInput):
