@@ -7,6 +7,10 @@ a continuous Hermitian family can only change sign where the form is
 singular).  That crossing test runs on a state-space realization: the
 boundary frequencies where det R vanishes are finite zeros of a realization
 of R built from (A, B, C, D), with no rational arithmetic.
+
+The grid step is batched: ``rm_eval_many`` evaluates the whole grid at once and
+``psd_margin`` takes the margins of the (npts, m, m) stack with one ``eigvalsh``, with
+max |lambda| as ||H||_2 (no SVD); ``is_psd``, ``is_nsd`` and ``is_pd`` are its one-matrix case.
 """
 
 from __future__ import annotations
@@ -19,31 +23,36 @@ from .ratmat import CT, RationalMatrix, rm_eval_many, rm_full_normal_rank, rm_mo
 
 
 def herm(M):
-    return 0.5 * (M + M.conj().T)
+    """Hermitian part of a matrix, or of each matrix of an (npts, m, m) stack."""
+    M = np.asarray(M)
+    return 0.5 * (M + np.swapaxes(M, -1, -2).conj())
+
+
+def _spectrum_ends(M):
+    """(lambda_min, ||H||_2) of H = herm(M) per matrix of a stack, from one stacked eigvalsh:
+    H is Hermitian, so ||H||_2 = max |lambda| and no SVD is needed."""
+    lam = np.linalg.eigvalsh(herm(M))
+    return lam[..., 0], np.abs(lam).max(axis=-1)
 
 
 def psd_margin(M, rel):
-    """lambda_min plus the relative slack; >= 0 means PSD within tolerance."""
-    H = herm(M)
-    lam = np.linalg.eigvalsh(H)
-    return float(lam[0] + rel * (1.0 + np.linalg.norm(H, 2)))
+    """lambda_min plus the relative slack, per matrix of a stack; >= 0 means PSD within tolerance."""
+    lo, nrm = _spectrum_ends(M)
+    return lo + rel * (1.0 + nrm)
 
 
 def is_psd(M, rel=DEFAULT.psd_rel):
-    return psd_margin(M, rel) >= 0.0
+    return bool(psd_margin(M, rel) >= 0.0)
 
 
 def is_nsd(M, rel=DEFAULT.psd_rel):
-    return psd_margin(-np.asarray(M), rel) >= 0.0
+    return bool(psd_margin(-np.asarray(M), rel) >= 0.0)
 
 
 def is_pd(M, rel=DEFAULT.strict_rel):
     """Strict: lambda_min >= rel * ||M|| with nonzero norm."""
-    H = herm(np.asarray(M, dtype=complex))
-    nrm = np.linalg.norm(H, 2)
-    if nrm <= 0.0:
-        return False
-    return float(np.linalg.eigvalsh(H)[0]) >= rel * nrm
+    lo, nrm = _spectrum_ends(np.asarray(M, dtype=complex))
+    return bool(nrm > 0.0 and lo >= rel * nrm)
 
 
 # ---------------------------------------------------------------------------
@@ -102,31 +111,27 @@ def grid_psd_scan(R: RationalMatrix, params, to_points, premul, cfg: Config):
     """
     params = np.asarray(params, dtype=float)
 
-    def margins(ts):
+    def margins(ts):  # inf where a point is near a pole or its margin is not finite
         vals, ok = rm_eval_many(R, to_points(ts), cfg)
-        out = np.full(ts.size, np.inf)
-        for k in range(ts.size):
-            if ok[k]:
-                out[k] = psd_margin(premul * vals[k], cfg.psd_rel)
-        return out
+        vals *= premul
+        marg = psd_margin(vals, cfg.psd_rel)
+        return np.where(ok & np.isfinite(marg), marg, np.inf)
 
     marg = margins(params)
-    if not np.any(np.isfinite(marg)):
-        return np.inf, float(params[0]), params.size
-    kworst = int(np.nanargmin(np.where(np.isfinite(marg), marg, np.inf)))
+    kworst = int(np.argmin(marg))
     worst, tworst = float(marg[kworst]), float(params[kworst])
     evaluated = params.size
+    if worst == np.inf:
+        return worst, tworst, evaluated
     lo = params[max(kworst - 1, 0)]
     hi = params[min(kworst + 1, params.size - 1)]
     for _ in range(cfg.refine_rounds):
         ts = np.linspace(lo, hi, 5)[1:-1]
         sub = margins(ts)
         evaluated += ts.size
-        cand = np.concatenate([[worst], sub[np.isfinite(sub)]])
-        kk = int(np.argmin(cand))
-        if kk > 0:
-            worst = float(cand[kk])
-            tworst = float(ts[np.isfinite(sub)][kk - 1])
+        k = int(np.argmin(sub))
+        if sub[k] < worst:
+            worst, tworst = float(sub[k]), float(ts[k])
         width = hi - lo
         lo = max(lo, tworst - width / 4)
         hi = min(hi, tworst + width / 4)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import sys
 
@@ -135,18 +136,13 @@ def cmd_sweep(args):
     mode = args.mode
     dom = DOMAINS[R.domain]
     params = dom.grid[mode](cfg)  # the classifier's grid, w = 0 included in CT PR mode
-    scale = params if R.domain == "ct" else np.sin(params)  # NI mode's slope normalization
     vals, ok = rm_eval_many(dom.matrix[mode](R), dom.point(params), cfg)
-    rows = []
-    for k in range(params.size):
-        if not ok[k]:
-            continue
-        H = herm(PREMUL[mode] * vals[k])
-        lam = np.linalg.eigvalsh(H)
-        row = [params[k], lam[0], lam[-1]]
-        if mode == "ni":
-            row.append(lam[0] / scale[k] if scale[k] != 0 else float("nan"))
-        rows.append(row)
+    params = params[ok]
+    lam = np.linalg.eigvalsh(herm(PREMUL[mode] * vals[ok]))
+    cols = [params, lam[:, 0], lam[:, -1]]
+    if mode == "ni":  # slope normalization; the NI grids exclude w = 0 and theta = 0, pi
+        cols.append(lam[:, 0] / (params if R.domain == "ct" else np.sin(params)))
+    rows = np.column_stack(cols)
     header = [dom.param, "min_eig", "max_eig"] + (["min_eig_scaled"] if mode == "ni" else [])
     out = open(args.out, "w", newline="") if args.out else sys.stdout
     try:
@@ -226,7 +222,6 @@ def cmd_interconnect(args):
         return 0 if rep["verdict"] else 1
     res = internal_stability(_state_space(P, cfg), _state_space(Q, cfg), cfg)
     _emit({
-        "well_posed": res.well_posed,
         "internally_stable": res.internally_stable,
         "closed_loop_spectrum": res.closed_loop_spectrum,
     })
@@ -248,7 +243,6 @@ def cmd_star(args):
     if args.out:
         save_document(star_doc, args.out)
     _emit({
-        "well_posed": res.well_posed,
         "internally_stable": res.internally_stable,
         "closed_loop_spectrum": res.closed_loop_spectrum,
         "verdicts": verdicts,
@@ -262,6 +256,7 @@ def _add_common(p):
     p.add_argument("--allow-asymmetric", action="store_true", help="skip the symmetry requirement")
 
 
+@functools.cache  # argparse parses without changing the parser, so one serves every call of main
 def build_parser():
     ap = argparse.ArgumentParser(prog="nipr", description="positive-real / negative-imaginary analysis")
     sub = ap.add_subparsers(dest="command", required=True)

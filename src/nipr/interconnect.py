@@ -32,7 +32,6 @@ class PartitionedSystem:
 @dataclass
 class InterconnectResult:
     system: StateSpace
-    well_posed: bool
     closed_loop_spectrum: list = field(default_factory=list)
     internally_stable: bool = False
 
@@ -112,7 +111,7 @@ def redheffer_star(S1: PartitionedSystem, S2: PartitionedSystem, cfg: Config = D
     ]) + np.vstack([D112 @ Vt, E21 @ Vu])
     star = StateSpace(A, B, C, D, P.domain)
     lams = spectrum(star)
-    return InterconnectResult(star, True, lams, _stable(lams, P.domain))
+    return InterconnectResult(star, lams, _stable(lams, P.domain))
 
 
 def internal_stability(P: StateSpace, Q: StateSpace, cfg: Config = DEFAULT) -> InterconnectResult:
@@ -135,7 +134,7 @@ def internal_stability(P: StateSpace, Q: StateSpace, cfg: Config = DEFAULT) -> I
     BP = np.vstack([P.B, np.zeros((n2, m))])
     closed = StateSpace(A, BP, np.hstack([P.C, np.zeros((m, n2))]), P.D, P.domain)
     lams = spectrum(closed)
-    return InterconnectResult(closed, True, lams, _stable(lams, P.domain))
+    return InterconnectResult(closed, lams, _stable(lams, P.domain))
 
 
 def ni_stability_test(P: RationalMatrix, Q: RationalMatrix, cfg: Config = DEFAULT) -> dict:

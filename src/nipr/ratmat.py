@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -142,6 +143,21 @@ class RationalMatrix:
         m = self.size
         return np.array([[self.entries[i][j].value_at_inf() for j in range(m)] for i in range(m)])
 
+    @cached_property
+    def _coefficient_stacks(self):
+        """(num, den, den_max, den_deg): the entries' ascending coefficients zero-padded to (deg + 1, m, m),
+        and each entry's max |den| and den degree; built on first use, so entries must not change after."""
+        flat = [e for row in self.entries for e in row]
+        shape = (self.size, self.size)
+
+        def stack(coeffs):
+            n = max(c.size for c in coeffs)
+            return np.array([np.pad(c, (0, n - c.size)) for c in coeffs]).T.reshape(n, *shape)
+
+        den_max = np.reshape([np.max(np.abs(e.den)) for e in flat], shape)
+        den_deg = np.reshape([max(e.den_degree, 0) for e in flat], shape)
+        return stack([e.num for e in flat]), stack([e.den for e in flat]), den_max, den_deg
+
     def coeff_scale(self) -> float:
         return max(e.scale() for row in self.entries for e in row)
 
@@ -160,19 +176,32 @@ class RationalMatrix:
 # operations
 
 
+def _horner(C, X):
+    """Horner's scheme over the (deg + 1, m, m) stack C at the (npts, 1, 1) points X: ``npp.polyval``'s
+    steps, out of place, so each value is bitwise polyval's on an array of points of any length."""
+    v = C[-1] + X * 0
+    for c in C[-2::-1]:
+        v = c + v * X
+    return v
+
+
+def _eval_entries(R: RationalMatrix, points, cfg: Config):
+    """(values, near_pole), both (npts, m, m): all entries at once; where near_pole flags a
+    denominator within pole_proximity of zero (relative to its scale) the value is the numerator."""
+    num, den, den_max, den_deg = R._coefficient_stacks
+    X = np.asarray(points, dtype=complex).reshape(-1, 1, 1)
+    dv = _horner(den, X)
+    near_pole = np.abs(dv) <= cfg.pole_proximity * den_max * np.maximum(1.0, np.abs(X)) ** den_deg
+    return _horner(num, X) / np.where(near_pole, 1.0, dv), near_pole
+
+
 def rm_eval(R: RationalMatrix, p, cfg: Config = DEFAULT) -> np.ndarray:
     """Evaluate R at a point; raises PoleProximity near entry poles."""
-    m = R.size
-    out = np.zeros((m, m), dtype=complex)
-    for i in range(m):
-        for j in range(m):
-            e = R.entries[i][j]
-            dv = polyval(e.den, p)
-            scale = float(np.max(np.abs(e.den))) * max(1.0, abs(p)) ** max(e.den_degree, 0)
-            if abs(dv) <= cfg.pole_proximity * scale:
-                raise PoleProximity(f"evaluation at {p} is too close to a pole of entry ({i},{j})")
-            out[i, j] = polyval(e.num, p) / dv
-    return out
+    vals, near_pole = _eval_entries(R, [p], cfg)
+    if near_pole.any():
+        i, j = np.argwhere(near_pole[0])[0]
+        raise PoleProximity(f"evaluation at {p} is too close to a pole of entry ({i},{j})")
+    return vals[0]
 
 
 def rm_eval_many(R: RationalMatrix, points, cfg: Config = DEFAULT):
@@ -181,28 +210,21 @@ def rm_eval_many(R: RationalMatrix, points, cfg: Config = DEFAULT):
     values has shape (npts, m, m); pole-proximate points are flagged False in
     ok_mask instead of raising.
     """
-    points = np.asarray(points, dtype=complex)
-    m = R.size
-    vals = np.zeros((points.size, m, m), dtype=complex)
-    ok = np.ones(points.size, dtype=bool)
-    for i in range(m):
-        for j in range(m):
-            e = R.entries[i][j]
-            dv = polyval(e.den, points)
-            scale = float(np.max(np.abs(e.den))) * np.maximum(1.0, np.abs(points)) ** max(e.den_degree, 0)
-            bad = np.abs(dv) <= cfg.pole_proximity * scale
-            ok &= ~bad
-            safe = np.where(bad, 1.0, dv)
-            vals[:, i, j] = polyval(e.num, points) / safe
-    return vals, ok
+    vals, near_pole = _eval_entries(R, points, cfg)
+    return vals, ~near_pole.any(axis=(1, 2))
 
 
-def rm_poles(R: RationalMatrix, cfg: Config = DEFAULT):
-    """Union of entry poles with matrix multiplicity = max entry multiplicity."""
+def _entry_poles(R: RationalMatrix, cfg: Config):
+    """Clustered (location, multiplicity) poles of each entry, as an m x m grid of lists."""
+    return [[cluster_roots(roots(e.den), tol=cfg.root_cluster) for e in row] for row in R.entries]
+
+
+def _merge_poles(entry_poles, cfg: Config):
+    """``rm_poles`` from the clusters of each entry."""
     found = []  # list of [location, mult]
-    for row in R.entries:
-        for e in row:
-            for loc, mult in cluster_roots(roots(e.den), tol=cfg.root_cluster):
+    for row in entry_poles:
+        for clusters in row:
+            for loc, mult in clusters:
                 hit = None
                 for item in found:
                     if abs(item[0] - loc) <= cfg.root_cluster * (1.0 + abs(loc)):
@@ -226,20 +248,26 @@ def rm_poles(R: RationalMatrix, cfg: Config = DEFAULT):
     return sorted(((complex(l), int(m)) for l, m in found), key=lambda t: (abs(t[0]), t[0].real, t[0].imag))
 
 
-def _entry_multiplicity(e: RationalScalar, p, cfg: Config) -> int:
+def rm_poles(R: RationalMatrix, cfg: Config = DEFAULT):
+    """Union of entry poles with matrix multiplicity = max entry multiplicity."""
+    return _merge_poles(_entry_poles(R, cfg), cfg)
+
+
+def _entry_multiplicity(clusters, p, cfg: Config) -> int:
     mult = 0
-    for loc, m in cluster_roots(roots(e.den), tol=cfg.root_cluster):
+    for loc, m in clusters:
         if abs(loc - p) <= cfg.root_cluster * (1.0 + abs(p)):
             mult = m
     return mult
 
 
 def rm_residues_at(R: RationalMatrix, p, cfg: Config = DEFAULT) -> PoleDatum:
-    """Matrix residue data at a pole of multiplicity <= 2, by deflation."""
+    """Matrix residue data at a pole of multiplicity <= 2, by deflation; each entry's poles are found once."""
     p = complex(p)
     m = R.size
+    entry_poles = _entry_poles(R, cfg)
     mult = 0
-    for loc, k in rm_poles(R, cfg):
+    for loc, k in _merge_poles(entry_poles, cfg):
         if abs(loc - p) <= cfg.root_cluster * (1.0 + abs(p)):
             mult = k
             p = loc  # snap to the clustered location
@@ -252,7 +280,7 @@ def rm_residues_at(R: RationalMatrix, p, cfg: Config = DEFAULT) -> PoleDatum:
     for i in range(m):
         for j in range(m):
             e = R.entries[i][j]
-            k = _entry_multiplicity(e, p, cfg)
+            k = _entry_multiplicity(entry_poles[i][j], p, cfg)
             if k == 0:
                 continue
             q = np.asarray(e.den, dtype=complex)
@@ -340,13 +368,7 @@ def rm_full_normal_rank(M: RationalMatrix, cfg: Config = DEFAULT) -> bool:
     M is evaluated at seeded generic points; it has full normal rank when at
     one of them its smallest singular value exceeds rank_rel times its largest.
     """
-    rng = np.random.default_rng(20240817)
-    for _ in range(6):
-        p = complex(rng.uniform(0.5, 3.0), rng.uniform(0.5, 3.0))
-        try:
-            sv = np.linalg.svd(rm_eval(M, p, cfg), compute_uv=False)
-        except PoleProximity:
-            continue
-        if sv[-1] > cfg.rank_rel * sv[0]:
-            return True
-    return False
+    re_im = np.random.default_rng(20240817).uniform(0.5, 3.0, (6, 2))
+    vals, ok = rm_eval_many(M, re_im[:, 0] + 1j * re_im[:, 1], cfg)
+    sv = np.linalg.svd(vals[ok], compute_uv=False)
+    return bool(np.any(sv[:, -1] > cfg.rank_rel * sv[:, 0]))

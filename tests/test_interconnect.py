@@ -51,7 +51,6 @@ def test_star_reduces_to_sum():
     S1 = PartitionedSystem(minimal_realization(sum_wrapper(P)), 2, 2)
     S2 = PartitionedSystem(minimal_realization(Q), 2, 2)
     res = redheffer_star(S1, S2)
-    assert res.well_posed
     assert tf_of(res.system).equals(P + Q)
 
 
@@ -171,7 +170,7 @@ def test_star_class_preservation_known_example():
 def test_loop_well_posedness_is_relative():
     # I - D_Q D_P = 0.01 I has det 1e-10 but condition number 1
     D = np.sqrt(0.99) * np.eye(5)
-    assert internal_stability(static_ss(D), static_ss(D)).well_posed
+    internal_stability(static_ss(D), static_ss(D))
     with pytest.raises(IllPosed):  # I - D_Q D_P = diag(0, 0.5, 0.5, 0.5, 0.5)
         internal_stability(static_ss(np.diag([1.0, 0.5, 0.5, 0.5, 0.5])), static_ss(np.eye(5)))
 
@@ -182,6 +181,6 @@ def test_star_well_posedness_is_relative():
     D1 = np.block([[np.zeros((5, 5)), np.zeros((5, 5))], [np.zeros((5, 5)), c * np.eye(5)]])
     S1 = PartitionedSystem(static_ss(D1), 5, 5)
     S2 = PartitionedSystem(static_ss(D1[::-1, ::-1].copy()), 5, 5)
-    assert redheffer_star(S1, S2).well_posed
+    redheffer_star(S1, S2)
     with pytest.raises(IllPosed):
         redheffer_star(PartitionedSystem(static_ss(D1 / c), 5, 5), PartitionedSystem(static_ss(D1[::-1, ::-1] / c), 5, 5))
