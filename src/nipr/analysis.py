@@ -4,16 +4,19 @@ The paper defines PR and NI systems by a domain of analyticity and a sign
 condition on its boundary; continuous and discrete time differ only in that
 domain, the open right half-plane or the outside of the unit disc.  A
 ``Domain`` holds everything the choice decides.  An ``Analysis`` computes the
-ingredients of the conditions (poles, the Hermitian part and the defect,
-boundary grid scans, a state-space realization and the boundary crossings,
-residues) lazily and at most once per matrix and ``Config``, so that
-classifiers run on one matrix share their work, and builds the conditions the
-classifiers of both domains share.
+ingredients of the conditions (poles, boundary grid scans, a state-space
+realization and the boundary crossings, residues) lazily and at most once per
+matrix and ``Config``, so that classifiers run on one matrix share their
+work, and builds the conditions the classifiers of both domains share.
 
 A sign form is "pr" or "ni".  The "pr" form is the Hermitian part
 F(x) + F(mirror(x))^T, whose boundary values must be PSD; the "ni" form is the
 defect G(x) - G(mirror(x))^T, which times i must be PSD on the upper boundary.
-The mirror map is s -> -s in continuous and z -> 1/z in discrete time.
+The mirror map is s -> -s in continuous and z -> 1/z in discrete time.  On the
+boundary mirror(x) = conj(x), and a real-rational G has G(conj x) = conj G(x),
+so the forms there are 2 herm(G(x)) and 2 herm(i G(x)): scans evaluate G
+itself (``Analysis.sign_source``).  Only an input with a pole on the boundary
+(in continuous time, infinity included) builds the form as a rational matrix.
 """
 
 from __future__ import annotations
@@ -50,7 +53,7 @@ class Domain:
     on_boundary: Callable     # (pole, tol) -> the pole lies on the boundary
     outside: Callable         # pole off the boundary -> it lies in the unstable region
     inside: Callable          # (pole, margin) -> it lies in the stable region, margin away
-    matrix: dict              # form -> builder of the boundary matrix from G
+    matrix: dict              # form -> builder of the rational form from G (inputs with boundary poles)
     grid: dict                # form -> builder of the boundary parameter grid from a Config
     to_ct: Callable           # realization -> a continuous-time realization of the same boundary forms
     unstable_id: dict         # form -> id of the no-unstable-poles condition
@@ -136,11 +139,27 @@ class Analysis:
         """The Hermitian part ("pr") or the defect ("ni") as a rational matrix."""
         return self._once(("matrix", form), lambda: self.domain.matrix[form](self.G))
 
+    def sign_source(self, form):
+        """(R, premul): herm(premul * R(x)) is the form's value at a boundary point x.
+
+        Without a pole on the boundary that is (G, 2 PREMUL[form]), by the
+        mirror identity.  A pole on the boundary sits about 1e-16 off it once
+        the coefficients are rounded, and near it the rounded G(x) + G(x)^H
+        keeps a term of order eps ||G||^2 that the exact form cancels; the
+        polynomial part of an improper CT G does the same at large w.  Such
+        inputs take the rational form (``matrix``), whose reduction cancels
+        those principal parts.
+        """
+        if not self.pole_split()[1] and (self.G.domain == DT or self.G.is_proper()):
+            return self.G, 2.0 * PREMUL[form]
+        return self.matrix(form), PREMUL[form]
+
     def scan(self, form):
         """grid_psd_scan of the form on its boundary grid: (worst margin, its parameter, points)."""
-        d = self.domain
-        return self._once(("scan", form), lambda: boundary.grid_psd_scan(
-            self.matrix(form), d.grid[form](self.cfg), d.point, PREMUL[form], self.cfg))
+        def compute():
+            R, premul = self.sign_source(form)
+            return boundary.grid_psd_scan(R, self.domain.grid[form](self.cfg), self.domain.point, premul, self.cfg)
+        return self._once(("scan", form), compute)
 
     def realization(self):
         """A minimal realization of G, moved to continuous time by the domain's ``to_ct``."""
@@ -150,7 +169,7 @@ class Analysis:
         """boundary_det_zeros of the form, realizing G only when it is strictly stable (else the class fails)."""
         def compute():
             ss = self.realization() if self.strictly_stable(self.cfg.root_cluster) else None
-            return boundary.boundary_det_zeros(self.matrix(form), ss, form, self.cfg)
+            return boundary.boundary_det_zeros(self.G, ss, form, self.cfg)
         return self._once(("det", form), compute)
 
     def pole_split(self):

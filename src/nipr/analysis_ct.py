@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .analysis import analysis_of, hermitian_enough, hermitian_psd
+from .analysis import PREMUL, analysis_of, hermitian_enough, hermitian_psd
 from .boundary import herm, is_nsd, is_pd
 from .config import DEFAULT, Config
 from .poly import RationalScalar, cluster_roots, degree, roots
@@ -18,13 +18,17 @@ from .report import Condition, StrictnessLimits, finish_report
 from .series import decay_condition, matrix_laurent_inf, matrix_taylor
 
 
-def _decay_at_infinity(R, shift, order):
-    """herm(i**shift R(i w)) vanishes no faster than w**-order, in every eigenvalue direction positively.
+def _decay_at_infinity(G, form, order):
+    """The form's boundary value herm(PREMUL * R(i w)) vanishes no faster than w**-order, in every
+    eigenvalue direction positively.
 
+    G(s) = sum_k c_k s**-k at infinity (G proper), so G(-s)^T has the
+    coefficients (-1)**k c_k^T and R the coefficients c_k +- (-1)**k c_k^T.
     Returns the condition and its sigma0 margin.
     """
-    laurent = matrix_laurent_inf(R, 8)
-    coeffs = [np.real(herm((1j) ** (shift - k) * c.astype(complex))) for k, c in enumerate(laurent)]
+    sign = 1.0 if form == "pr" else -1.0
+    laurent = [c + sign * (-1.0) ** k * c.T for k, c in enumerate(matrix_laurent_inf(G, 8))]
+    coeffs = [np.real(herm(PREMUL[form] * (1j) ** -k * c.astype(complex))) for k, c in enumerate(laurent)]
     scale = 1.0 + max(np.linalg.norm(c, 2) for c in coeffs)
     ok, margin, worst_order = decay_condition(coeffs, order, 1e-11 * scale)
     wit = {"sigma0_margin": margin, "worst_order": worst_order}
@@ -77,7 +81,7 @@ def classify_csspr(F: RationalMatrix, cfg: Config = DEFAULT):
     """
     a = analysis_of(F, cfg)
     conds = a.strict_conditions("pr", "csspr")
-    decay, margin = _decay_at_infinity(a.matrix("pr"), 0, 2)
+    decay, margin = _decay_at_infinity(F, "pr", 2)
     conds += [decay, a.full_normal_rank("pr")]
     return finish_report("csspr", conds, cfg, limits=StrictnessLimits(sigma0_margin=margin))
 
@@ -130,15 +134,15 @@ def classify_cssni(G: RationalMatrix, cfg: Config = DEFAULT):
     """
     a = analysis_of(G, cfg)
     conds = a.strict_conditions("ni", "cssni")
-    W = a.matrix("ni")
-    decay, margin = _decay_at_infinity(W, 1, 3)
+    decay, margin = _decay_at_infinity(G, "ni", 3)
     conds.append(decay)
     Q = None
     if a.strictly_stable(0.0):
-        T = matrix_taylor(W, 0.0, 2)
-        Q = -np.real(herm(T[1]))
+        # the defect W(s) = G(s) - G(-s)^T has W(0) = G(0) - G(0)^T and W'(0) = G'(0) + G'(0)^T
+        g = matrix_taylor(G, 0.0, 2)
+        Q = -np.real(herm(g[1] + g[1].T))
         # the limit (1/w) i[G - G*] only exists when the defect vanishes at 0
-        vanishes = np.linalg.norm(T[0], 2) <= 1e-7 * (1.0 + np.linalg.norm(Q, 2))
+        vanishes = np.linalg.norm(g[0] - g[0].T, 2) <= 1e-7 * (1.0 + np.linalg.norm(Q, 2))
         conds.append(Condition("slope-at-origin", vanishes and is_pd(Q, cfg.strict_rel), {"Q": Q}))
     else:
         conds.append(Condition("slope-at-origin", False, {"note": "boundary pole prevents the limit"}))

@@ -104,15 +104,19 @@ def classify_dwsni(G: RationalMatrix, cfg: Config = DEFAULT):
 def circle_limits(G: RationalMatrix, cfg: Config = DEFAULT) -> CircleLimits:
     """Q0 and Qpi, the sin-normalized defect limits at z = 1 and z = -1.
 
-    Both equal -(G'(z0) + G'(z0)^T) at z0 = 1, -1; computed from the Taylor
-    expansion of the symbolic defect, never by dividing by sin(theta).
+    The defect V(z) = G(z) - G(1/z)^T has V'(z0) = G'(z0) + G'(z0)^T at
+    z0 = 1, -1, so both limits are -(G'(z0) + G'(z0)^T), from the Taylor
+    expansion of G, never by dividing by sin(theta).  A pole at z = 1 or -1
+    raises PoleAtPlusMinusOne.
     """
-    V = analysis_of(G, cfg).matrix("ni")
-    T1 = matrix_taylor(V, 1.0, 2)
-    Tm = matrix_taylor(V, -1.0, 2)
-    Q0 = -np.real(herm(T1[1]))
-    Qpi = -np.real(herm(Tm[1]))
-    return CircleLimits(Q0=Q0, Qpi=Qpi)
+    p = pole_at(G, (1.0, -1.0), cfg)
+    if p is not None:
+        raise PoleAtPlusMinusOne(f"pole at {p} blocks the defect limits")
+
+    def limit(z0):
+        d = matrix_taylor(G, z0, 2)[1]  # G'(z0)
+        return -np.real(herm(d + d.T))
+    return CircleLimits(Q0=limit(1.0), Qpi=limit(-1.0))
 
 
 def classify_dssni(G: RationalMatrix, cfg: Config = DEFAULT):

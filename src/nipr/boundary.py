@@ -1,5 +1,14 @@
 """Shared boundary-curve machinery for the PR/NI classifiers.
 
+A sign form is F(x) + F(mirror(x))^T ("pr") or G(x) - G(mirror(x))^T ("ni"),
+with mirror s -> -s (continuous time) or z -> 1/z (discrete time).  On the
+boundary the mirror of x is conj(x), so for a real-rational G the boundary
+values of the forms are 2 herm(G(x)) and, times i, 2 herm(i G(x)): they are
+evaluated from G itself.  The rational builders (``ppart_ct``, ``defect_ct``,
+``ppart_dt``, ``defect_dt``) remain for inputs with a pole on the boundary,
+whose principal part the form cancels exactly but G(x) + G(x)^H, rounded, does
+not (see ``analysis.Analysis.sign_source``).
+
 Sign conditions are decided in two steps: a dense grid gives the
 semidefinite verdict with a relative tolerance, and strictness asks whether
 the boundary form becomes singular anywhere on the boundary (an eigenvalue of
@@ -19,7 +28,7 @@ import numpy as np
 
 from .config import DEFAULT, Config
 from .errors import RootFindingFailure
-from .ratmat import CT, RationalMatrix, rm_eval_many, rm_full_normal_rank, rm_mobius
+from .ratmat import CT, RationalMatrix, full_rank_somewhere, generic_points, rm_eval_many, rm_mobius
 
 
 def herm(M):
@@ -56,7 +65,7 @@ def is_pd(M, rel=DEFAULT.strict_rel):
 
 
 # ---------------------------------------------------------------------------
-# defect / Hermitian-part builders
+# defect / Hermitian-part builders (the rational forms, for inputs with boundary poles)
 
 
 def defect_ct(G: RationalMatrix) -> RationalMatrix:
@@ -169,25 +178,32 @@ def _finite_zeros(A, B, C, D, tol):
         A, B, C, D = A[:k, :k], B[:k], np.vstack([A[k:, :k], Cr[:, :k]]), np.vstack([B[k:], D[:r]])
 
 
-def boundary_det_zeros(R: RationalMatrix, ss, form, cfg: Config = DEFAULT):
-    """(Boundary points where R is singular, det R identically zero).
+def boundary_det_zeros(G: RationalMatrix, ss, form, cfg: Config = DEFAULT):
+    """(Boundary points where the form R of G is singular, det R identically zero).
 
-    R is the boundary matrix of G for the form; on the boundary R ("pr") or
-    i R ("ni") is Hermitian.  ss realizes G in continuous time (a
-    discrete-time G through ``cayley_ss``: z = e^{it} is s = i tan(t/2) and
-    z = -1 is s = inf), or is None when G is not strictly stable, and then
-    only ``rm_full_normal_rank`` runs.  R(s) = G(s) +- G(-s)^T ("+" for "pr")
-    is realized by (diag(A, -A^T), [B; -C^T], [C, +-B^T], D +- D^T); det R
-    vanishes at its finite zeros and, when D +- D^T is singular, at s = inf.
-    A zero counts when |Re s| <= 1e-6 (1 + |s|) and, for "ni", whose defect
-    vanishes at w = 0 by symmetry, Im s exceeds that bound; s = inf counts
-    for a discrete-time "pr" form.  Points are in R's domain variable.
+    R(x) = G(x) +- G(mirror(x))^T ("+" for "pr"); on the boundary R ("pr") or
+    i R ("ni") is Hermitian.  det R counts as identically zero unless
+    ``full_rank_somewhere`` holds for R at the ``generic_points()``, from one
+    evaluation of G at those points and at their mirrors.  ss realizes G in
+    continuous time (a discrete-time G through ``cayley_ss``: z = e^{it} is
+    s = i tan(t/2) and z = -1 is s = inf), or is None when G is not strictly
+    stable, and then only the identically-zero test runs.  The form of ss,
+    G(s) +- G(-s)^T, is realized by (diag(A, -A^T), [B; -C^T], [C, +-B^T],
+    D +- D^T); det R vanishes at its finite zeros and, when D +- D^T is
+    singular, at s = inf.  A zero counts
+    when |Re s| <= 1e-6 (1 + |s|) and, for "ni", whose defect vanishes at
+    w = 0 by symmetry, Im s exceeds that bound; s = inf counts for a
+    discrete-time "pr" form.  Points are in G's domain variable.
     """
-    if not rm_full_normal_rank(R, cfg):
+    sign = 1.0 if form == "pr" else -1.0
+    x = generic_points()
+    k = x.size
+    vals, ok = rm_eval_many(G, np.concatenate([x, -x if G.domain == CT else 1.0 / x]), cfg)
+    R = vals[:k] + sign * np.swapaxes(vals[k:], -1, -2)
+    if not full_rank_somewhere(R[ok[:k] & ok[k:]], cfg):
         return [], True
     if ss is None:
         return [], False
-    sign = 1.0 if form == "pr" else -1.0
     n = ss.order
     Z = np.zeros((n, n))
     A = np.block([[ss.A, Z], [Z, -ss.A.T]])
@@ -198,7 +214,7 @@ def boundary_det_zeros(R: RationalMatrix, ss, form, cfg: Config = DEFAULT):
     tol = 1e-6
     points = [s for s in _finite_zeros(A, B, C, D, rank_tol) if abs(s.real) <= tol * (1.0 + abs(s))
               and (form == "pr" or s.imag > tol * (1.0 + abs(s)))]
-    if R.domain == CT:
+    if G.domain == CT:
         return [1j * s.imag for s in points], False
     points = [(1.0 + 1j * s.imag) / (1.0 - 1j * s.imag) for s in points]
     if form == "pr" and np.linalg.svd(D, compute_uv=False)[-1] <= rank_tol:

@@ -10,7 +10,7 @@ import sys
 
 import numpy as np
 
-from .analysis import DOMAINS, PREMUL
+from .analysis import DOMAINS, analysis_of
 from .analysis_ct import (
     classify_cni,
     classify_cpr,
@@ -136,9 +136,10 @@ def cmd_sweep(args):
     mode = args.mode
     dom = DOMAINS[R.domain]
     params = dom.grid[mode](cfg)  # the classifier's grid, w = 0 included in CT PR mode
-    vals, ok = rm_eval_many(dom.matrix[mode](R), dom.point(params), cfg)
+    source, premul = analysis_of(R, cfg).sign_source(mode)
+    vals, ok = rm_eval_many(source, dom.point(params), cfg)
     params = params[ok]
-    lam = np.linalg.eigvalsh(herm(PREMUL[mode] * vals[ok]))
+    lam = np.linalg.eigvalsh(herm(premul * vals[ok]))
     cols = [params, lam[:, 0], lam[:, -1]]
     if mode == "ni":  # slope normalization; the NI grids exclude w = 0 and theta = 0, pi
         cols.append(lam[:, 0] / (params if R.domain == "ct" else np.sin(params)))

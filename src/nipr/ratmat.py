@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -178,10 +178,13 @@ class RationalMatrix:
 
 def _horner(C, X):
     """Horner's scheme over the (deg + 1, m, m) stack C at the (npts, 1, 1) points X: ``npp.polyval``'s
-    steps, out of place, so each value is bitwise polyval's on an array of points of any length."""
+    steps, so each value is bitwise polyval's on an array of points of any length.  The multiply is out
+    of place (numpy's in-place complex multiply of a one-element array rounds differently); the add is
+    in place, which rounds the same and keeps one (npts, m, m) temporary fewer alive."""
     v = C[-1] + X * 0
     for c in C[-2::-1]:
-        v = c + v * X
+        v = v * X
+        v += c
     return v
 
 
@@ -362,13 +365,25 @@ def rm_is_symmetric(R: RationalMatrix, rel=DEFAULT.coeff_rel) -> bool:
     return True
 
 
-def rm_full_normal_rank(M: RationalMatrix, cfg: Config = DEFAULT) -> bool:
-    """True iff det M is not identically zero.
+@cache
+def generic_points():
+    """Six seeded points, off the imaginary axis, the real line and the unit circle (read-only).
 
-    M is evaluated at seeded generic points; it has full normal rank when at
-    one of them its smallest singular value exceeds rank_rel times its largest.
+    Made on first use, so that importing nipr does not import ``numpy.random``.
     """
     re_im = np.random.default_rng(20240817).uniform(0.5, 3.0, (6, 2))
-    vals, ok = rm_eval_many(M, re_im[:, 0] + 1j * re_im[:, 1], cfg)
-    sv = np.linalg.svd(vals[ok], compute_uv=False)
+    points = re_im[:, 0] + 1j * re_im[:, 1]
+    points.flags.writeable = False
+    return points
+
+
+def full_rank_somewhere(vals, cfg: Config = DEFAULT) -> bool:
+    """At one of the (npts, m, m) values the smallest singular value exceeds rank_rel times the largest."""
+    sv = np.linalg.svd(vals, compute_uv=False)
     return bool(np.any(sv[:, -1] > cfg.rank_rel * sv[:, 0]))
+
+
+def rm_full_normal_rank(M: RationalMatrix, cfg: Config = DEFAULT) -> bool:
+    """True iff det M is not identically zero: ``full_rank_somewhere`` at the ``generic_points()``."""
+    vals, ok = rm_eval_many(M, generic_points(), cfg)
+    return full_rank_somewhere(vals[ok], cfg)

@@ -2,8 +2,8 @@
 
 Classifiers run on one matrix share one lazily computed analysis per Config.
 These tests check that sharing never changes an answer and that it removes
-the repeated work: each boundary matrix is built, scanned and root-searched
-once per document.
+the repeated work: each boundary form is scanned and root-searched once per
+document, and built as a rational matrix only when G has a boundary pole.
 """
 
 import gc
@@ -20,6 +20,7 @@ from nipr.analysis import analysis_of
 from nipr.cli import CLASSIFIERS, _report_dict, main
 from nipr.config import DEFAULT
 from nipr.docio import document_of, jsonable, save_document
+from nipr.poly import RationalScalar
 
 CT_CLASSES = ("cpr", "csspr", "cwspr", "cni", "cssni", "cwsni")
 DT_CLASSES = ("dpr", "dsspr", "dni", "dssni", "dwsni")
@@ -103,21 +104,42 @@ def count_calls(monkeypatch, names, owner="boundary"):
     return counts
 
 
-@pytest.mark.parametrize("gen,builders", [("ct_ni", ("ppart_ct", "defect_ct")),
-                                          ("dt_ni", ("ppart_dt", "defect_dt"))])
+BUILDERS = {"ct_ni": ("ppart_ct", "defect_ct"), "dt_ni": ("ppart_dt", "defect_dt")}
+
+
+def with_boundary_pole(gen):
+    """The rng-0 m = 2 document plus an integrator: 1/s (CT) or 1/(z - 1) (DT), times a PSD weight."""
+    G = reference(gen, 2)
+    pole = [0.0, 1.0] if gen.startswith("ct") else [-1.0, 1.0]
+    integrator = corpus.weighted_modes([corpus.psd(np.random.default_rng(1), 2)], [RationalScalar([1.0], pole)],
+                                       np.zeros((2, 2)), G.domain)
+    return G + integrator
+
+
+@pytest.mark.parametrize("gen,builders", list(BUILDERS.items()))
 def test_class_all_scans_and_roots_each_boundary_matrix_once(tmp_path, capsys, monkeypatch, gen, builders):
     path = write(tmp_path, gen, 2)
     counts = count_calls(monkeypatch, ("boundary_det_zeros", "grid_psd_scan") + builders)
     main(["classify", path, "--class", "all", "--json"])
     capsys.readouterr()
-    # one Hermitian part and one defect per document, each scanned and root-searched once
+    # each form scanned and root-searched once, from G: no rational form is built
+    assert counts == {"boundary_det_zeros": 2, "grid_psd_scan": 2, builders[0]: 0, builders[1]: 0}
+
+
+@pytest.mark.parametrize("gen,builders", list(BUILDERS.items()))
+def test_a_boundary_pole_builds_each_rational_form_once(tmp_path, capsys, monkeypatch, gen, builders):
+    path = tmp_path / "pole.json"
+    save_document(document_of(with_boundary_pole(gen), name=f"{gen}-pole"), path)
+    counts = count_calls(monkeypatch, ("boundary_det_zeros", "grid_psd_scan") + builders)
+    main(["classify", str(path), "--class", "all", "--json"])
+    capsys.readouterr()
     assert counts == {"boundary_det_zeros": 2, "grid_psd_scan": 2, builders[0]: 1, builders[1]: 1}
 
 
 def test_single_class_stays_lazy(monkeypatch):
     counts = count_calls(monkeypatch, ("boundary_det_zeros", "grid_psd_scan", "ppart_dt", "defect_dt"))
     analysis_dt.classify_dni(reference("dt_ni", 2))
-    assert counts == {"boundary_det_zeros": 0, "grid_psd_scan": 1, "ppart_dt": 0, "defect_dt": 1}
+    assert counts == {"boundary_det_zeros": 0, "grid_psd_scan": 1, "ppart_dt": 0, "defect_dt": 0}
 
 
 @pytest.mark.parametrize("gen", ["ct_ni", "dt_ni"])

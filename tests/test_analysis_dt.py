@@ -37,6 +37,14 @@ def test_circle_limits_known_values():
     assert lim.Qpi[0, 0] == pytest.approx(8.0 / 9.0, rel=1e-9)
 
 
+@pytest.mark.parametrize("num,den", [([1.0, 1.0], [-1.0, 1.0]),    # (z + 1)/(z - 1)
+                                     ([1.0], [1.0, 1.0]),           # 1/(z + 1)
+                                     ([2.0, 1.0], [-1.0, 0.0, 1.0])])  # (z + 2)/(z^2 - 1)
+def test_circle_limits_rejects_a_pole_at_plus_or_minus_one(num, den):
+    with pytest.raises(PoleAtPlusMinusOne):
+        circle_limits(scalar(num, den))
+
+
 def test_unstable_dt_pole_fails():
     G = scalar([1.0], [-2.0, 1.0])  # 1/(z - 2)
     rep = classify_dni(G, COARSE)
