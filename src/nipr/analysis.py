@@ -14,9 +14,18 @@ F(x) + F(mirror(x))^T, whose boundary values must be PSD; the "ni" form is the
 defect G(x) - G(mirror(x))^T, which times i must be PSD on the upper boundary.
 The mirror map is s -> -s in continuous and z -> 1/z in discrete time.  On the
 boundary mirror(x) = conj(x), and a real-rational G has G(conj x) = conj G(x),
-so the forms there are 2 herm(G(x)) and 2 herm(i G(x)): scans evaluate G
-itself (``Analysis.sign_source``).  Only an input with a pole on the boundary
-(in continuous time, infinity included) builds the form as a rational matrix.
+so the forms there are 2 herm(G(x)) and 2 herm(i G(x)), and the scans and
+``nipr sweep`` read them from G on the boundary itself.  A pole on the
+boundary sits about 1e-16 off it once the coefficients are rounded, and near
+it the rounded form keeps a spike that only an exact split removes.  So the
+principal parts at the boundary poles (and the polynomial part of an improper
+CT G) are split off by deflation (``ratmat.rm_split_boundary``), which puts
+each such pole exactly on the boundary; the rest is read from its
+coefficients, and the share of each split-off term in the form is added in
+closed form (``Domain.expand``).  A term whose share is zero within the
+Hermitian tolerance of the residue checks is dropped, so a residue those
+checks accept adds exactly nothing.  No sign form is built as a rational
+matrix.
 """
 
 from __future__ import annotations
@@ -28,10 +37,11 @@ from typing import Callable
 import numpy as np
 
 from . import boundary
-from .boundary import is_psd
+from .boundary import herm, is_psd
 from .config import DEFAULT, Config
 from .errors import ImproperInput
-from .ratmat import CT, DT, RationalMatrix, rm_infinity_expansion, rm_is_symmetric, rm_poles, rm_residues_at
+from .ratmat import (CT, DT, RationalMatrix, rm_infinity_expansion, rm_is_symmetric, rm_poles, rm_residues_at,
+                     rm_split_boundary)
 from .realization import cayley_ss, minimal_realization
 from .report import Condition
 
@@ -43,30 +53,52 @@ SIGN_ID = {"pr": "boundary-psd", "ni": "boundary-sign"}
 class Domain:
     """Everything that separates continuous from discrete time.
 
-    The dict fields are keyed by sign form.  The builders, grids and ``to_ct``
-    look the ``boundary`` and ``realization`` functions up when they run, so
-    that a wrapper put on one of those module attributes sees every call.
+    The dict fields are keyed by sign form.  The grids and ``to_ct`` look the
+    ``boundary`` and ``realization`` functions up when they run, so that a
+    wrapper put on one of those module attributes sees every call.
+    ``expand(b, j)`` writes (x - b)**-j (x**j for b = inf in continuous time)
+    at the boundary point x of parameter t as a sum of complex constants c
+    times real functions r(t), so that a principal part's share of the form
+    that is zero comes out exactly zero.
     """
 
     param: str                # witness key of a boundary parameter
     point: Callable           # boundary parameters -> boundary points
+    project: Callable         # boundary pole -> the boundary point it is taken to lie on
+    expand: Callable          # (boundary point b, j) -> [(r, c)]: (x - b)**-j = sum c * r(t)
     on_boundary: Callable     # (pole, tol) -> the pole lies on the boundary
     outside: Callable         # pole off the boundary -> it lies in the unstable region
     inside: Callable          # (pole, margin) -> it lies in the stable region, margin away
-    matrix: dict              # form -> builder of the rational form from G (inputs with boundary poles)
     grid: dict                # form -> builder of the boundary parameter grid from a Config
     to_ct: Callable           # realization -> a continuous-time realization of the same boundary forms
     unstable_id: dict         # form -> id of the no-unstable-poles condition
     stable_id: str            # id of the strictly-stable-poles condition
 
 
+def _ct_expand(b, j):
+    """(i t - i w0)**-j = (-i)**j (t - w0)**-j, and (i t)**j at b = inf."""
+    if b == np.inf:
+        return [(lambda t: t ** j, 1j ** j)]
+    return [(lambda t: (t - b.imag) ** -j, (-1j) ** j)]
+
+
+def _dt_expand(b, j):
+    """On z = e^{it}, b/(z - b) = -(1 - i k)/2 with k = cot((arg b - t)/2), so (z - b)**-j = (-(1 - i k)/2)**j / b**j."""
+    def k(t):
+        return 1.0 / np.tan((np.angle(b) - t) / 2.0)
+    if j == 1:
+        return [(np.ones_like, -0.5 / b), (k, 0.5j / b)]
+    return [(np.ones_like, 0.25 / b ** 2), (lambda t: k(t) ** 2, -0.25 / b ** 2), (k, -0.5j / b ** 2)]
+
+
 CT_DOMAIN = Domain(
     param="omega",
     point=lambda t: 1j * t,
+    project=lambda p: 1j * p.imag,
+    expand=_ct_expand,
     on_boundary=lambda p, tol: abs(p.real) <= tol * (1.0 + abs(p)),
     outside=lambda p: p.real > 0,
     inside=lambda p, margin: p.real < -margin * (1.0 + abs(p)),
-    matrix={"pr": lambda F: boundary.ppart_ct(F), "ni": lambda G: boundary.defect_ct(G)},
     grid={"pr": lambda cfg: np.concatenate([[0.0], boundary.ct_grid(cfg)]),
           "ni": lambda cfg: boundary.ct_grid(cfg)},
     to_ct=lambda ss: ss,
@@ -77,10 +109,11 @@ CT_DOMAIN = Domain(
 DT_DOMAIN = Domain(
     param="theta",
     point=lambda t: np.exp(1j * t),
+    project=lambda p: p / abs(p),
+    expand=_dt_expand,
     on_boundary=lambda p, tol: abs(abs(p) - 1.0) <= tol * 2.0,
     outside=lambda p: abs(p) > 1.0,
     inside=lambda p, margin: abs(p) < 1.0 - margin,
-    matrix={"pr": lambda F: boundary.ppart_dt(F), "ni": lambda G: boundary.defect_dt(G)},
     grid={"pr": lambda cfg: boundary.dt_grid_full(cfg), "ni": lambda cfg: boundary.dt_grid_half(cfg)},
     to_ct=lambda ss: cayley_ss(ss),
     unstable_id={"pr": "analytic-outside-disc", "ni": "no-outside-poles"},
@@ -130,35 +163,56 @@ class Analysis:
         return self._once("poles", lambda: rm_poles(self.G, self.cfg))
 
     def infinity(self):
-        return self._once("infinity", lambda: rm_infinity_expansion(self.G, self.cfg))
+        return self._once("infinity", lambda: rm_infinity_expansion(self.G))
 
     def residue(self, p):
         return self._once(("residue", complex(p)), lambda: rm_residues_at(self.G, p, self.cfg))
 
-    def matrix(self, form):
-        """The Hermitian part ("pr") or the defect ("ni") as a rational matrix."""
-        return self._once(("matrix", form), lambda: self.domain.matrix[form](self.G))
+    def boundary_parts(self):
+        """rm_split_boundary of G at its boundary poles and, for an improper CT G, at infinity."""
+        def compute():
+            points = []  # poles that scatter about one boundary point split there together
+            for p, _ in self.pole_split()[1]:
+                b = self.domain.project(p)
+                if all(abs(b - c) > self.cfg.root_cluster * (1.0 + abs(b)) for c in points):
+                    points.append(b)
+            improper = self.G.domain == CT and not self.G.is_proper()
+            rest, parts = rm_split_boundary(self.G, points, self.infinity().poly_coeffs if improper else (), self.cfg)
+            return None if rest is self.G else rest, parts  # the memo must not keep G alive
+        return self._once("parts", compute)
 
-    def sign_source(self, form):
-        """(R, premul): herm(premul * R(x)) is the form's value at a boundary point x.
+    def sign_terms(self, form):
+        """(R, extra): the form at boundary parameters t is herm(2 PREMUL[form] R(point(t))) + extra(t).
 
-        Without a pole on the boundary that is (G, 2 PREMUL[form]), by the
-        mirror identity.  A pole on the boundary sits about 1e-16 off it once
-        the coefficients are rounded, and near it the rounded G(x) + G(x)^H
-        keeps a term of order eps ||G||^2 that the exact form cancels; the
-        polynomial part of an improper CT G does the same at large w.  Such
-        inputs take the rational form (``matrix``), whose reduction cancels
-        those principal parts.
+        R is G without the parts of ``boundary_parts``, and extra(t) gives
+        (their share of the form, where it is finite), or extra is None when
+        that share is zero.  A part's coefficient enters per term c r(t) of
+        ``Domain.expand`` and is dropped where its share herm(2 PREMUL c A)
+        vanishes within ``hermitian_enough``, the tolerance of the residue checks.
         """
-        if not self.pole_split()[1] and (self.G.domain == DT or self.G.is_proper()):
-            return self.G, 2.0 * PREMUL[form]
-        return self.matrix(form), PREMUL[form]
+        def compute():
+            premul = 2.0 * PREMUL[form]
+            terms = [(r, herm(premul * c * A)) for b, coeffs in self.boundary_parts()[1]
+                     for j, A in enumerate(coeffs, 1)
+                     for r, c in self.domain.expand(b, j)
+                     if not hermitian_enough(1j * PREMUL[form] * (c / abs(c)) * A)]
+            if not terms:
+                return None
+
+            def extra(ts):
+                with np.errstate(divide="ignore", invalid="ignore"):
+                    H = sum(r(ts)[:, None, None] * M for r, M in terms)
+                return H, np.isfinite(H).all(axis=(1, 2))
+            return extra
+        rest = self.boundary_parts()[0]
+        return self.G if rest is None else rest, self._once(("terms", form), compute)
 
     def scan(self, form):
-        """grid_psd_scan of the form on its boundary grid: (worst margin, its parameter, points)."""
+        """grid_psd_scan of the form on its boundary grid, from ``sign_terms``: (worst margin, its parameter, points)."""
         def compute():
-            R, premul = self.sign_source(form)
-            return boundary.grid_psd_scan(R, self.domain.grid[form](self.cfg), self.domain.point, premul, self.cfg)
+            R, extra = self.sign_terms(form)
+            return boundary.grid_psd_scan(R, self.domain.grid[form](self.cfg), self.domain.point,
+                                          2.0 * PREMUL[form], self.cfg, extra)
         return self._once(("scan", form), compute)
 
     def realization(self):

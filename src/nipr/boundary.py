@@ -3,11 +3,12 @@
 A sign form is F(x) + F(mirror(x))^T ("pr") or G(x) - G(mirror(x))^T ("ni"),
 with mirror s -> -s (continuous time) or z -> 1/z (discrete time).  On the
 boundary the mirror of x is conj(x), so for a real-rational G the boundary
-values of the forms are 2 herm(G(x)) and, times i, 2 herm(i G(x)): they are
-evaluated from G itself.  The rational builders (``ppart_ct``, ``defect_ct``,
-``ppart_dt``, ``defect_dt``) remain for inputs with a pole on the boundary,
-whose principal part the form cancels exactly but G(x) + G(x)^H, rounded, does
-not (see ``analysis.Analysis.sign_source``).
+values of the forms are 2 herm(G(x)) and, times i, 2 herm(i G(x)).  The
+classifiers read them from G on the boundary, with the principal parts at
+boundary poles split off and their share added in closed form
+(``analysis.Analysis.sign_terms``).  The rational builders (``ppart_ct``,
+``defect_ct``, ``ppart_dt``, ``defect_dt``) are not on that path: they are the
+reference that tests compare the scans against.
 
 Sign conditions are decided in two steps: a dense grid gives the
 semidefinite verdict with a relative tolerance, and strictness asks whether
@@ -65,7 +66,7 @@ def is_pd(M, rel=DEFAULT.strict_rel):
 
 
 # ---------------------------------------------------------------------------
-# defect / Hermitian-part builders (the rational forms, for inputs with boundary poles)
+# defect / Hermitian-part builders (the rational forms; a reference for tests)
 
 
 def defect_ct(G: RationalMatrix) -> RationalMatrix:
@@ -105,14 +106,30 @@ def dt_grid_full(cfg: Config):
     return np.linspace(0.0, 2.0 * np.pi, cfg.grid_points_dt, endpoint=False)
 
 
-def grid_psd_scan(R: RationalMatrix, params, to_points, premul, cfg: Config):
-    """Minimum relative PSD margin of premul * R(point) over a parameter grid.
+def form_values(R: RationalMatrix, params, to_points, premul, cfg: Config, extra=None):
+    """(premul * R(to_points(params)) + extra(params), ok): a stack whose Hermitian part is the form.
+
+    ok is False where a point is near a pole of R or extra's share is not
+    finite; extra(params) gives (a Hermitian stack, finite mask), or extra is None.
+    """
+    vals, ok = rm_eval_many(R, to_points(params), cfg)
+    vals *= premul
+    if extra is not None:
+        add, finite = extra(params)
+        vals += np.where(finite[:, None, None], add, 0.0)
+        ok &= finite
+    return vals, ok
+
+
+def grid_psd_scan(R: RationalMatrix, params, to_points, premul, cfg: Config, extra=None):
+    """Minimum relative PSD margin of premul * R(point) (+ extra) over a parameter grid.
 
     Parameters
     ----------
     params : real array of grid parameters (w or theta)
     to_points : callable mapping the parameter array to boundary points
     premul : complex scalar applied to the evaluated matrices (1 or i)
+    extra : None, or the share of the form that R leaves out (see ``form_values``)
 
     Returns
     -------
@@ -121,8 +138,7 @@ def grid_psd_scan(R: RationalMatrix, params, to_points, premul, cfg: Config):
     params = np.asarray(params, dtype=float)
 
     def margins(ts):  # inf where a point is near a pole or its margin is not finite
-        vals, ok = rm_eval_many(R, to_points(ts), cfg)
-        vals *= premul
+        vals, ok = form_values(R, ts, to_points, premul, cfg, extra)
         marg = psd_margin(vals, cfg.psd_rel)
         return np.where(ok & np.isfinite(marg), marg, np.inf)
 

@@ -10,7 +10,7 @@ import sys
 
 import numpy as np
 
-from .analysis import DOMAINS, analysis_of
+from .analysis import DOMAINS, PREMUL, analysis_of
 from .analysis_ct import (
     classify_cni,
     classify_cpr,
@@ -20,13 +20,13 @@ from .analysis_ct import (
     classify_cwspr,
 )
 from .analysis_dt import classify_dni, classify_dpr, classify_dssni, classify_dsspr, classify_dwsni
-from .boundary import herm
+from .boundary import form_values, herm
 from .config import DEFAULT
 from .docio import document_of, jsonable, load_document, parse_document, save_document
 from .errors import NiprError
 from .interconnect import PartitionedSystem, internal_stability, ni_stability_test, redheffer_star
 from .nilemma import FEASIBLE, dni_lemma_check, dpr_lemma_check, dual_dni_lemma_check
-from .ratmat import rm_cayley, rm_eval_many
+from .ratmat import rm_cayley
 from .realization import StateSpace, minimal_realization, tf_of
 from .transforms import (
     csspr_to_cssni,
@@ -136,10 +136,10 @@ def cmd_sweep(args):
     mode = args.mode
     dom = DOMAINS[R.domain]
     params = dom.grid[mode](cfg)  # the classifier's grid, w = 0 included in CT PR mode
-    source, premul = analysis_of(R, cfg).sign_source(mode)
-    vals, ok = rm_eval_many(source, dom.point(params), cfg)
+    rest, extra = analysis_of(R, cfg).sign_terms(mode)  # the values the scan reads
+    vals, ok = form_values(rest, params, dom.point, 2.0 * PREMUL[mode], cfg, extra)
     params = params[ok]
-    lam = np.linalg.eigvalsh(herm(premul * vals[ok]))
+    lam = np.linalg.eigvalsh(herm(vals[ok]))
     cols = [params, lam[:, 0], lam[:, -1]]
     if mode == "ni":  # slope normalization; the NI grids exclude w = 0 and theta = 0, pi
         cols.append(lam[:, 0] / (params if R.domain == "ct" else np.sin(params)))

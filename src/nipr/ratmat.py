@@ -6,6 +6,7 @@ from dataclasses import dataclass
 from functools import cache, cached_property
 
 import numpy as np
+import numpy.polynomial.polynomial as npp
 
 from .config import DEFAULT, Config
 from .errors import MultiplicityTooHigh, PoleProximity
@@ -14,7 +15,10 @@ from .poly import (
     cluster_roots,
     deflate,
     degree,
+    polyadd,
     polydivmod,
+    polymul,
+    polysub,
     polyval,
     roots,
 )
@@ -40,10 +44,9 @@ class PoleDatum:
 
 @dataclass
 class InfinityExpansion:
-    """G = proper_part + sum_i poly_coeffs[i-1] * s**i."""
+    """G = (a proper part) + sum_i poly_coeffs[i-1] * s**i."""
 
     poly_coeffs: list  # list of real m x m arrays, index k holds A_{k+1}
-    proper_part: "RationalMatrix"
 
     @property
     def polynomial_degree(self) -> int:
@@ -305,23 +308,17 @@ def rm_residues_at(R: RationalMatrix, p, cfg: Config = DEFAULT) -> PoleDatum:
     return PoleDatum(p, mult, A1, A2, K0)
 
 
-def rm_infinity_expansion(R: RationalMatrix, cfg: Config = DEFAULT) -> InfinityExpansion:
-    """Split off the polynomial part at infinity (constant term stays proper)."""
+def rm_infinity_expansion(R: RationalMatrix) -> InfinityExpansion:
+    """The polynomial part at infinity, without its constant term."""
     m = R.size
     k = 0
     quot = [[np.zeros(1) for _ in range(m)] for _ in range(m)]
-    proper = [[None] * m for _ in range(m)]
     for i in range(m):
         for j in range(m):
             e = R.entries[i][j]
             if e.num_degree > e.den_degree:
-                q, r = polydivmod(e.num, e.den)
-                quot[i][j] = q
-                k = max(k, degree(q))
-                const = q[0] if q.size else 0.0
-                proper[i][j] = RationalScalar(r, e.den) + RationalScalar.constant(const)
-            else:
-                proper[i][j] = e
+                quot[i][j] = polydivmod(e.num, e.den)[0]
+                k = max(k, degree(quot[i][j]))
     coeffs = []
     for d in range(1, k + 1):
         A = np.zeros((m, m))
@@ -331,7 +328,63 @@ def rm_infinity_expansion(R: RationalMatrix, cfg: Config = DEFAULT) -> InfinityE
                 if degree(q) >= d:
                     A[i, j] = q[d]
         coeffs.append(A)
-    return InfinityExpansion(coeffs, RationalMatrix(proper, R.domain))
+    return InfinityExpansion(coeffs)
+
+
+def rm_split_boundary(R: RationalMatrix, points, infinity=(), cfg: Config = DEFAULT):
+    """(rest, parts): R without its principal parts at the boundary points b, and those parts.
+
+    An entry's poles within 2 root_cluster (1 + |b|) of b, not taken by an
+    earlier point, count as poles at b; e is their total.  With f the real
+    factor with roots b and conj(b), the entry n/d splits as c/f**e + h/q,
+    where q = d / f**e, c = n/q mod f**e and h = (n - c q) / f**e.  Both
+    divisions drop their remainders, the rounding that moved the poles off b.
+    Simple poles and double real ones split; others stay in rest.  ``parts``
+    lists (b, [A1, A2, ...]) for b and conj(b), A_j the coefficient of
+    (x - b)**-j.  A nonempty ``infinity`` lists the coefficients A_j of x**j
+    of an improper CT R; they go to parts as (inf, infinity), the constant stays.
+    """
+    if not points and not infinity:
+        return R, []
+    m = R.size
+    num = [[e.num for e in row] for row in R.entries]
+    den = [[e.den for e in row] for row in R.entries]
+    parts = []
+    if infinity:
+        parts.append((np.inf, infinity))
+        for i in range(m):
+            for j in range(m):
+                q, r = polydivmod(num[i][j], den[i][j])
+                num[i][j] = polyadd(r, q[0] * den[i][j])
+    left = _entry_poles(R, cfg)  # each entry's pole clusters not yet taken by a point
+    for b in points:
+        near = 2.0 * cfg.root_cluster * (1.0 + abs(b))
+        mult = [[sum(k for loc, k in left[i][j] if abs(loc - b) <= near) for j in range(m)] for i in range(m)]
+        left = [[[(loc, k) for loc, k in cl if min(abs(loc - b), abs(loc - np.conj(b))) > near] for cl in row]
+                for row in left]
+        k = max(max(row) for row in mult)
+        if k > (2 if b.imag == 0 else 1):
+            continue
+        f = np.array([-b.real, 1.0]) if b.imag == 0 else np.array([abs(b) ** 2, -2.0 * b.real, 1.0])
+        A = np.zeros((k, m, m), dtype=complex)
+        for i, j in ((i, j) for i in range(m) for j in range(m) if mult[i][j]):
+            e = mult[i][j]
+            fe = npp.polypow(f, e)
+            q = npp.polydiv(den[i][j], fe)[0]
+            t = RationalScalar(num[i][j], q, reduce=False).taylor(b, e)
+            if e == 2:  # b real: c = t0 + t1 (x - b)
+                A[1, i, j], A[0, i, j] = t[0], t[1]
+                c = [t[0].real - t[1].real * b.real, t[1].real]
+            elif b.imag == 0:
+                A[0, i, j], c = t[0], [t[0].real]
+            else:  # c real and linear with c(b) = t0; f'(b) = 2i Im b
+                A[0, i, j] = t[0] / (2j * b.imag)
+                c = [t[0].real - t[0].imag * b.real / b.imag, t[0].imag / b.imag]
+            num[i][j] = npp.polydiv(polysub(num[i][j], polymul(c, q)), fe)[0]
+            den[i][j] = q
+        parts += [(b, list(A))] + ([(np.conj(b), list(A.conj()))] if b.imag != 0 else [])
+    rest = [[RationalScalar(num[i][j], den[i][j], reduce=False) for j in range(m)] for i in range(m)]
+    return RationalMatrix(rest, R.domain), parts
 
 
 def rm_mobius(R: RationalMatrix, a, b, c, d, flip_domain=False) -> RationalMatrix:

@@ -246,7 +246,7 @@ def require_no_eigenvalue_at(A, z0):
         raise exc(f"state matrix has an eigenvalue at {z0:+g}")
 
 
-def cayley_ss(ss: StateSpace, cfg: Config = DEFAULT) -> StateSpace:
+def cayley_ss(ss: StateSpace) -> StateSpace:
     """Bilinear domain swap at the state-space level.
 
     DT -> CT realizes G((1+s)/(1-s)); CT -> DT realizes G((z-1)/(z+1)).  The

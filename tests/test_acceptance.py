@@ -422,7 +422,7 @@ def test_4_residues_and_limits():
     # K_inf on improper systems
     for G in [ct_scalar([0.0, 1.0], [1.0]),                 # s
               ct_scalar([3.0, 3.0, 1.0], [1.0, 1.0])]:      # s + 2 + 1/(s+1)
-        exp = rm_infinity_expansion(G, COARSE)
+        exp = rm_infinity_expansion(G)
         worst = max(worst, _rel(_brute_K_inf(G), exp.poly_coeffs[0]))
     # Q at the origin for CT strictness reports
     for G, _qexp in [(ct_scalar([1.0, 2.0], [1.0, 2.0, 1.0]), 0.0),

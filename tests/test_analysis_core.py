@@ -3,7 +3,8 @@
 Classifiers run on one matrix share one lazily computed analysis per Config.
 These tests check that sharing never changes an answer and that it removes
 the repeated work: each boundary form is scanned and root-searched once per
-document, and built as a rational matrix only when G has a boundary pole.
+document, and no boundary form is built as a rational matrix, not even when G
+has a boundary pole.
 """
 
 import gc
@@ -127,13 +128,13 @@ def test_class_all_scans_and_roots_each_boundary_matrix_once(tmp_path, capsys, m
 
 
 @pytest.mark.parametrize("gen,builders", list(BUILDERS.items()))
-def test_a_boundary_pole_builds_each_rational_form_once(tmp_path, capsys, monkeypatch, gen, builders):
+def test_a_boundary_pole_builds_no_rational_form(tmp_path, capsys, monkeypatch, gen, builders):
     path = tmp_path / "pole.json"
     save_document(document_of(with_boundary_pole(gen), name=f"{gen}-pole"), path)
     counts = count_calls(monkeypatch, ("boundary_det_zeros", "grid_psd_scan") + builders)
     main(["classify", str(path), "--class", "all", "--json"])
     capsys.readouterr()
-    assert counts == {"boundary_det_zeros": 2, "grid_psd_scan": 2, builders[0]: 1, builders[1]: 1}
+    assert counts == {"boundary_det_zeros": 2, "grid_psd_scan": 2, builders[0]: 0, builders[1]: 0}
 
 
 def test_single_class_stays_lazy(monkeypatch):

@@ -13,7 +13,7 @@ import numpy.polynomial.polynomial as npp
 import pytest
 
 import corpus
-from nipr.analysis import DOMAINS, analysis_of
+from nipr.analysis import DOMAINS, PREMUL, analysis_of
 from nipr.boundary import grid_psd_scan, herm, is_nsd, is_pd, is_psd, psd_margin
 from nipr.config import DEFAULT
 from nipr.errors import PoleProximity
@@ -154,9 +154,11 @@ CASES = [("ct_ni", "ni"), ("dt_pr", "pr"), ("ct_mixed", "pr"), ("ct_mixed", "ni"
 def test_grid_scan_matches_the_per_point_scan(gen, form, m):
     G = getattr(corpus, gen)(np.random.default_rng(0), m=m)
     dom = DOMAINS[G.domain]
-    R, premul = analysis_of(G, GRID).sign_source(form)  # what Analysis.scan evaluates
-    args = (R, dom.grid[form](GRID), dom.point, premul, GRID)
+    R, extra = analysis_of(G, GRID).sign_terms(form)  # what Analysis.scan evaluates
+    assert R is G and extra is None  # no boundary pole: G itself, nothing split off
+    args = (R, dom.grid[form](GRID), dom.point, 2.0 * PREMUL[form], GRID)
     worst, tworst, n = grid_psd_scan(*args)
+    assert (worst, tworst, n) == analysis_of(G, GRID).scan(form)  # what the classifiers scan
     ref_worst, ref_tworst, ref_n = reference_scan(*args)
     assert (tworst, n) == (ref_tworst, ref_n)
     assert abs(worst - ref_worst) <= 1e-12

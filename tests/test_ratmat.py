@@ -100,7 +100,6 @@ def test_infinity_expansion():
     ix = rm_infinity_expansion(R)
     assert ix.polynomial_degree == 1
     assert ix.poly_coeffs[0][0, 0] == pytest.approx(1.0)
-    assert ix.proper_part.value_at_inf()[0, 0] == pytest.approx(2.0)
 
 
 def test_mobius_pointwise():
