@@ -61,18 +61,40 @@ def parse_document(doc: dict):
         raise ValueError(f"document domain must be 'ct' or 'dt', got {domain!r}")
     form = doc.get("form")
     if form == "tfm":
-        entries = doc["entries"]
-        return RationalMatrix(
-            [[RationalScalar(cell["num"], cell["den"]) for cell in row] for row in entries],
-            domain,
-        )
+        entries = doc.get("entries")
+        if not isinstance(entries, list) or not all(isinstance(row, list) for row in entries):
+            raise ValueError(f"document entries must be a list of rows, got {entries!r}")
+        return RationalMatrix([[_cell(cell, i, j) for j, cell in enumerate(row)] for i, row in enumerate(entries)],
+                              domain)
     if form == "ss":
-        return StateSpace(np.array(doc["A"], dtype=float, ndmin=2) if doc["A"] else np.zeros((0, 0)),
-                          np.array(doc["B"], dtype=float),
-                          np.array(doc["C"], dtype=float),
-                          np.array(doc["D"], dtype=float, ndmin=2),
-                          domain)
+        try:
+            A, B, C, D = (np.array(doc[k], dtype=float) for k in "ABCD")
+        except KeyError as exc:
+            raise ValueError(f"an 'ss' document needs {exc}") from exc
+        except TypeError as exc:
+            raise ValueError(f"'ss' document arrays must hold numbers: {exc}") from exc
+        if not all(np.isfinite(M).all() for M in (A, B, C, D)):
+            raise ValueError("'ss' document coefficients must be finite")
+        return StateSpace(A, B, C, D, domain)
     raise ValueError(f"document form must be 'tfm' or 'ss', got {form!r}")
+
+
+def _cell(cell, i, j) -> RationalScalar:
+    """Entry (i, j) of a tfm document; a malformed cell raises ValueError naming it."""
+    try:
+        if not isinstance(cell, dict):
+            raise ValueError("a cell must be an object with 'num' and 'den'")
+        num = np.asarray(cell["num"], dtype=float)
+        den = np.asarray(cell["den"], dtype=float)
+        if num.ndim != 1 or den.ndim != 1:
+            raise ValueError("'num' and 'den' must be lists of numbers")
+        if not (np.isfinite(num).all() and np.isfinite(den).all()):
+            raise ValueError("coefficients must be finite")
+        return RationalScalar(num, den)
+    except KeyError as exc:
+        raise ValueError(f"entry ({i}, {j}): missing {exc}") from exc
+    except (TypeError, ValueError, ZeroDivisionError) as exc:
+        raise ValueError(f"entry ({i}, {j}): {exc}") from exc
 
 
 def save_document(doc: dict, path):

@@ -4,7 +4,10 @@ Coefficients are stored in ascending degree order as numpy arrays.  Public
 rational scalars keep real coefficients; internal helpers accept complex
 arrays (deflation at complex poles).  Reduction of a rational scalar cancels
 matched numerator/denominator roots within the documented clustering
-tolerance and leaves the denominator monic.
+tolerance and leaves the denominator monic.  A rational scalar keeps its
+denominator roots (``den_roots``): the ones reduction found when it cancelled
+nothing, otherwise found on first use; so num and den must not change after
+construction.
 """
 
 from __future__ import annotations
@@ -221,20 +224,24 @@ def shift_poly(c, p):
 
 
 class RationalScalar:
-    """A reduced real-coefficient rational function num/den with monic den."""
+    """A reduced real-coefficient rational function num/den with monic den.
 
-    __slots__ = ("num", "den")
+    A ``den_roots`` given with reduce=False must be ``roots`` of the monic den.
+    """
 
-    def __init__(self, num, den=(1.0,), reduce=True, cfg: Config = DEFAULT):
+    __slots__ = ("num", "den", "_den_roots")
+
+    def __init__(self, num, den=(1.0,), reduce=True, cfg: Config = DEFAULT, den_roots=None):
         num = trim(np.asarray(num, dtype=float))
         den = trim(np.asarray(den, dtype=float))
         if degree(den) < 0:
             raise ZeroDivisionError("denominator is identically zero")
         if reduce:
-            num, den = _reduce(num, den, cfg)
+            num, den, den_roots = _reduce(num, den, cfg)
         lead = den[-1]
         self.num = num / lead
         self.den = den / lead
+        self._den_roots = _NO_ROOTS if den.size == 1 else den_roots
 
     # construction helpers -------------------------------------------------
     @staticmethod
@@ -263,6 +270,13 @@ class RationalScalar:
     def relative_degree(self) -> int:
         return self.den_degree - self.num_degree
 
+    @property
+    def den_roots(self) -> np.ndarray:
+        """``roots(self.den)``, read-only, found at most once."""
+        if self._den_roots is None:
+            self._den_roots = _read_only(roots(self.den))
+        return self._den_roots
+
     def value_at_inf(self) -> float:
         """Limit at infinity; requires properness."""
         if self.num_degree < self.den_degree:
@@ -287,7 +301,7 @@ class RationalScalar:
         return self.__add__(other)
 
     def __neg__(self):
-        return RationalScalar(-self.num, self.den, reduce=False)
+        return RationalScalar(-self.num, self.den, reduce=False, den_roots=self._den_roots)
 
     def __sub__(self, other):
         return self.__add__(-_coerce(other))
@@ -308,6 +322,20 @@ class RationalScalar:
 
     def __rtruediv__(self, other):
         return _coerce(other).__truediv__(self)
+
+    def strictly_proper_part(self) -> "RationalScalar":
+        """(num - c den)/den with c = ``value_at_inf()``, over the same denominator.
+
+        gcd(num - c den, den) = gcd(num, den), so a reduced scalar's part is
+        reduced too and keeps its denominator roots; nothing is re-reduced.
+        """
+        c = self.value_at_inf()
+        if c == 0.0:
+            return self
+        num = self.num - c * self.den  # c is nonzero only where num and den have one degree
+        if degree(num) < 0:
+            return RationalScalar.zero()
+        return RationalScalar(num, self.den, reduce=False, den_roots=self._den_roots)
 
     def derivative(self) -> "RationalScalar":
         num = polysub(polymul(polyder(self.num), self.den), polymul(self.num, polyder(self.den)))
@@ -385,14 +413,28 @@ def _series_div(n, d, nterms):
     return out
 
 
+_NO_ROOTS = np.zeros(0, dtype=complex)
+_NO_ROOTS.flags.writeable = False
+
+
+def _read_only(a):
+    a.flags.writeable = False
+    return a
+
+
 def _reduce(num, den, cfg: Config):
-    """Cancel matched numerator/denominator roots (float-safe GCD)."""
+    """(num, den, den_roots): matched numerator/denominator roots cancelled (float-safe GCD).
+
+    den_roots are the roots of the monic den when nothing was cancelled and
+    they were found; None otherwise.
+    """
     if degree(num) < 0:
-        return np.zeros(1), np.ones(1)
+        return np.zeros(1), np.ones(1), None
     if degree(num) == 0 or degree(den) == 0:
-        return num, den
+        return num, den, None
     rn = list(roots(num))
-    rd = list(roots(den))
+    den_roots = _read_only(roots(den / den[-1]))  # the monic den's, which np.roots also builds
+    rd = list(den_roots)
     keep_n, cancelled = [], 0
     for r in rn:
         hit = None
@@ -406,7 +448,7 @@ def _reduce(num, den, cfg: Config):
             rd.pop(hit)
             cancelled += 1
     if cancelled == 0:
-        return num, den
+        return num, den, den_roots
     new_num = poly_from_roots_real(keep_n, lead=num[-1])
     new_den = poly_from_roots_real(rd, lead=den[-1])
-    return new_num, new_den
+    return new_num, new_den, None

@@ -20,7 +20,6 @@ from .poly import (
     polymul,
     polysub,
     polyval,
-    roots,
 )
 
 CT = "ct"
@@ -68,6 +67,7 @@ class RationalMatrix:
             for row in entries
         ]
         self.domain = domain
+        self._clusters_by_tol = {}  # root_cluster -> _pole_clusters
 
     # ------------------------------------------------------------------
     @property
@@ -220,11 +220,6 @@ def rm_eval_many(R: RationalMatrix, points, cfg: Config = DEFAULT):
     return vals, ~near_pole.any(axis=(1, 2))
 
 
-def _entry_poles(R: RationalMatrix, cfg: Config):
-    """Clustered (location, multiplicity) poles of each entry, as an m x m grid of lists."""
-    return [[cluster_roots(roots(e.den), tol=cfg.root_cluster) for e in row] for row in R.entries]
-
-
 def _merge_poles(entry_poles, cfg: Config):
     """``rm_poles`` from the clusters of each entry."""
     found = []  # list of [location, mult]
@@ -254,9 +249,19 @@ def _merge_poles(entry_poles, cfg: Config):
     return sorted(((complex(l), int(m)) for l, m in found), key=lambda t: (abs(t[0]), t[0].real, t[0].imag))
 
 
+def _pole_clusters(R: RationalMatrix, cfg: Config):
+    """(entry_poles, poles): each entry's clustered (location, multiplicity) poles as an m x m grid of
+    tuples, and ``rm_poles``; clustered once per root_cluster value, so entries must not change after."""
+    tol = cfg.root_cluster
+    if tol not in R._clusters_by_tol:
+        entry_poles = tuple(tuple(tuple(cluster_roots(e.den_roots, tol=tol)) for e in row) for row in R.entries)
+        R._clusters_by_tol[tol] = entry_poles, tuple(_merge_poles(entry_poles, cfg))
+    return R._clusters_by_tol[tol]
+
+
 def rm_poles(R: RationalMatrix, cfg: Config = DEFAULT):
     """Union of entry poles with matrix multiplicity = max entry multiplicity."""
-    return _merge_poles(_entry_poles(R, cfg), cfg)
+    return list(_pole_clusters(R, cfg)[1])
 
 
 def _entry_multiplicity(clusters, p, cfg: Config) -> int:
@@ -268,12 +273,15 @@ def _entry_multiplicity(clusters, p, cfg: Config) -> int:
 
 
 def rm_residues_at(R: RationalMatrix, p, cfg: Config = DEFAULT) -> PoleDatum:
-    """Matrix residue data at a pole of multiplicity <= 2, by deflation; each entry's poles are found once."""
+    """Matrix residue data at a pole of multiplicity <= 2, by deflation of the entries that have it.
+
+    The entries' poles are R's ``_pole_clusters``: clustered once, not once per call.
+    """
     p = complex(p)
     m = R.size
-    entry_poles = _entry_poles(R, cfg)
+    entry_poles, poles = _pole_clusters(R, cfg)
     mult = 0
-    for loc, k in _merge_poles(entry_poles, cfg):
+    for loc, k in poles:
         if abs(loc - p) <= cfg.root_cluster * (1.0 + abs(p)):
             mult = k
             p = loc  # snap to the clustered location
@@ -356,7 +364,7 @@ def rm_split_boundary(R: RationalMatrix, points, infinity=(), cfg: Config = DEFA
             for j in range(m):
                 q, r = polydivmod(num[i][j], den[i][j])
                 num[i][j] = polyadd(r, q[0] * den[i][j])
-    left = _entry_poles(R, cfg)  # each entry's pole clusters not yet taken by a point
+    left = _pole_clusters(R, cfg)[0]  # each entry's pole clusters not yet taken by a point
     for b in points:
         near = 2.0 * cfg.root_cluster * (1.0 + abs(b))
         mult = [[sum(k for loc, k in left[i][j] if abs(loc - b) <= near) for j in range(m)] for i in range(m)]

@@ -210,7 +210,9 @@ def minimal_realization(R: RationalMatrix, cfg: Config = DEFAULT) -> StateSpace:
     if not R.is_proper():
         raise ImproperInput("minimal_realization requires a proper rational matrix")
     D = R.value_at_inf()
-    strict = R - RationalMatrix.constant(D, R.domain)
+    strict = R  # when D = 0, so that R's pole clusters serve both
+    if D.any():
+        strict = RationalMatrix([[e.strictly_proper_part() for e in row] for row in R.entries], R.domain)
     pole_list = rm_poles(strict, cfg)
     if not pole_list:
         return StateSpace(np.zeros((0, 0)), np.zeros((0, R.size)), np.zeros((R.size, 0)), D, R.domain)

@@ -15,7 +15,7 @@ from .errors import (
     ImproperInput,
     PoleAtMinusOne,
 )
-from .poly import RationalScalar, roots
+from .poly import RationalScalar
 from .ratmat import CT, DT, RationalMatrix, rm_eval, rm_poles
 from .realization import StateSpace, is_minimal, require_no_eigenvalue_at
 
@@ -98,7 +98,7 @@ def dt_ni_to_pr(G: RationalMatrix, cfg: Config = DEFAULT) -> RationalMatrix:
     F = (G - RationalMatrix.constant(Gm1, DT)).scalar_mul(blaschke)
     for row in F.entries:
         for e in row:
-            for r in roots(e.den):
+            for r in e.den_roots:
                 if abs(r + 1.0) <= 1e-6:
                     raise CancellationFailure("residual pole at z = -1 after the map")
     return F

@@ -58,6 +58,23 @@ def test_classify_malformed_document(tmp_path):
     assert main(["classify", str(bad), "--class", "dni"]) == 2
 
 
+@pytest.mark.parametrize("command", ["lemma", "classify"])
+@pytest.mark.parametrize("entries,message", [
+    pytest.param([[{"num": [1.0], "den": [0.0]}]], "entry (0, 0): denominator is identically zero", id="zero-den"),
+    pytest.param([[{"num": [1.0]}]], "entry (0, 0): missing 'den'", id="no-den"),
+    pytest.param(None, "document entries must be a list of rows", id="null-entries"),
+    pytest.param([[{"num": [float("nan")], "den": [1.0, 0.5]}]], "entry (0, 0): coefficients must be finite",
+                 id="nan"),
+    pytest.param([[{"num": [1.0], "den": [float("inf"), 1.0]}]], "entry (0, 0): coefficients must be finite",
+                 id="inf"),
+])
+def test_malformed_cells_exit_2_with_the_entry_named(tmp_path, capsys, command, entries, message):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"domain": "dt", "form": "tfm", "entries": entries}))
+    assert main([command, str(bad)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {message}")
+
+
 def test_missing_file(tmp_path):
     assert main(["classify", str(tmp_path / "none.json"), "--class", "dni"]) == 2
 

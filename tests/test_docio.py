@@ -59,11 +59,35 @@ def test_bad_json_reports_position(tmp_path):
         load_document(path)
 
 
+MALFORMED_CELLS = {
+    "zero-den": {"num": [1.0], "den": [0.0]},
+    "no-den": {"num": [1.0]},
+    "nan": {"num": [float("nan")], "den": [1.0, 1.0]},
+    "inf": {"num": [1.0], "den": [float("inf"), 1.0]},
+    "not-a-cell": None,
+    "not-numbers": {"num": ["a"], "den": [1.0]},
+    "nested": {"num": [[1.0]], "den": [1.0]},
+}
+
+
 def test_bad_domain_and_form():
     with pytest.raises(ValueError, match="domain"):
         parse_document({"domain": "laplace", "form": "tfm"})
     with pytest.raises(ValueError, match="form"):
         parse_document({"domain": "ct", "form": "nope"})
+    for entries in (None, 3, [1.0], [[{"num": [1.0], "den": [1.0]}, 2.0]]):
+        with pytest.raises(ValueError, match="entr"):
+            parse_document({"domain": "ct", "form": "tfm", "entries": entries})
+    ss = {"domain": "dt", "form": "ss", "A": [[0.5]], "B": [[1.0]], "C": [[1.0]], "D": [[0.0]]}
+    for key, value, match in (("B", None, "needs 'B'"), ("A", [[float("nan")]], "finite"),
+                              ("D", [[float("inf")]], "finite"), ("C", [["a"]], "convert")):
+        bad = dict(ss, **{key: value}) if value is not None else {k: v for k, v in ss.items() if k != key}
+        with pytest.raises(ValueError, match=match):
+            parse_document(bad)
+    good = {"num": [1.0], "den": [1.0, 1.0]}
+    for cell in MALFORMED_CELLS.values():
+        with pytest.raises(ValueError, match=r"^entry \(1, 0\): "):
+            parse_document({"domain": "dt", "form": "tfm", "entries": [[good, good], [cell, good]]})
 
 
 def test_serialize_rejects_other_types():

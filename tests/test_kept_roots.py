@@ -1,0 +1,175 @@
+"""Each denominator's roots are found once and each matrix's entry poles are clustered once.
+
+A rational scalar keeps the denominator roots its reduction found; a rational
+matrix clusters its entry poles once per root_cluster value; and the minimal
+realization forms its strictly proper part over the entries' own
+denominators.  These tests check that the kept roots are exactly the roots
+that would be found again, and that parsing, realizing and classifying do
+not find them again.
+"""
+
+import sys
+
+import numpy as np
+import pytest
+
+import corpus
+from nipr import poly
+from nipr.cli import main
+from nipr.config import DEFAULT
+from nipr.docio import document_of, jsonable, parse_document, save_document
+from nipr.poly import RationalScalar, roots
+from nipr.ratmat import RationalMatrix, rm_poles, rm_residues_at, rm_split_boundary
+from nipr.realization import minimal_realization
+
+GENERATORS = ("ct_ni", "ct_pr", "ct_mixed", "dt_ni", "dt_pr", "dt_mixed")
+
+
+def reference(gen, m):
+    return getattr(corpus, gen)(np.random.default_rng(0), m=m, nterms=3)
+
+
+def parsed(G):
+    """G as the CLI sees it: written to a document and parsed back."""
+    return parse_document(jsonable(document_of(G)))
+
+
+def record_calls(monkeypatch, name, owner=poly):
+    """The first argument of every call of owner.name, through every nipr module that holds it."""
+    orig = getattr(owner, name)
+    seen = []
+
+    def recorded(*args, **kwargs):
+        seen.append(args[0])
+        return orig(*args, **kwargs)
+
+    for mod_name, mod in list(sys.modules.items()):
+        if mod_name.startswith("nipr") and getattr(mod, name, None) is orig:
+            monkeypatch.setattr(mod, name, recorded)
+    return seen
+
+
+def same_roots(r):
+    """r.den_roots is bitwise roots(r.den), dtype included."""
+    kept, found = r.den_roots, roots(r.den)
+    return kept.dtype == found.dtype and np.array_equal(kept, found)
+
+
+def entries(G):
+    return [e for row in G.entries for e in row]
+
+
+# ---------------------------------------------------------------------------
+# the kept roots are the roots
+
+
+@pytest.mark.parametrize("gen", GENERATORS)
+def test_kept_roots_are_bitwise_the_roots_of_the_denominator(gen):
+    for m in (1, 2, 3):
+        for e in entries(reference(gen, m)) + entries(parsed(reference(gen, m))):
+            assert same_roots(e)
+
+
+def test_parse_keeps_the_roots_it_found(monkeypatch):
+    G = parsed(reference("dt_ni", 2))
+    seen = record_calls(monkeypatch, "roots")
+    for e in entries(G):
+        assert e.num_degree >= 1  # so the parse's reduction found the denominator's roots
+        e.den_roots
+    assert seen == []
+
+
+def test_kept_roots_are_read_only():
+    e = parsed(reference("ct_pr", 2)).entries[0][0]
+    with pytest.raises(ValueError):
+        e.den_roots[0] = 0.0
+
+
+@pytest.mark.parametrize("num,den", [
+    ([1.0, 1.0], np.polymul([1.0, 1.0], [1.0, 2.0])[::-1]),                        # (s+1)/((s+1)(s+2))
+    (np.polymul([1.0, 1.0], [1.0, 3.0])[::-1],
+     np.polymul(np.polymul([1.0, 1.0], [1.0, 2.0]), [2.0, 8.0])[::-1]),            # a zero survives
+    ([0.0, 0.5, 1.0], [0.0, 0.0, 2.0, 3.0]),                                       # s(s + 0.5)/(s^2 (2 + 3s))
+])
+def test_kept_roots_after_a_cancellation(num, den):
+    r = RationalScalar(num, den)
+    assert r.den_degree < len(den) - 1  # something cancelled
+    assert same_roots(r)
+
+
+def test_kept_roots_of_arithmetic_results():
+    G = parsed(reference("ct_mixed", 2))
+    a, b = G.entries[0][0], G.entries[1][1]
+    results = [a + b, a - b, a * b, a / b, -a, 2.0 + a, 2.0 - a, 2.0 * a, 2.0 / a,
+               RationalScalar.constant(2.5), RationalScalar.zero(), a.derivative(), a.strictly_proper_part()]
+    for r in results:
+        assert same_roots(r)
+
+
+@pytest.mark.parametrize("gen", GENERATORS)
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+def test_strictly_proper_part_is_g_minus_its_value_at_infinity(gen, m):
+    G = reference(gen, m)
+    old = G - RationalMatrix.constant(G.value_at_inf(), G.domain)
+    for e, o in zip(entries(G), entries(old)):
+        part = e.strictly_proper_part()
+        assert part.is_strictly_proper()
+        assert part.equals(o)
+        assert np.array_equal(part.den, e.den) or part.den_degree == 0
+        assert same_roots(part)
+
+
+def test_strictly_proper_part_of_a_constant_is_zero():
+    part = RationalScalar([3.0, 6.0], [1.0, 2.0]).strictly_proper_part()  # reduces to the constant 3
+    assert part.num_degree < 0 and part.den_degree == 0
+
+
+# ---------------------------------------------------------------------------
+# nothing found twice
+
+
+@pytest.mark.parametrize("gen", GENERATORS)
+def test_realizing_a_parsed_document_finds_no_roots(monkeypatch, gen):
+    G = parsed(reference(gen, 2))
+    seen = record_calls(monkeypatch, "roots")
+    minimal_realization(G)
+    assert seen == []
+
+
+def test_poles_and_residues_cluster_each_entry_once(monkeypatch):
+    G = parsed(reference("dt_mixed", 3))
+    found = record_calls(monkeypatch, "roots")
+    clustered = record_calls(monkeypatch, "cluster_roots")
+    poles = rm_poles(G)
+    for p, _ in poles:
+        rm_residues_at(G, p)
+    rm_split_boundary(G, [1.0])
+    assert rm_poles(G) == poles
+    assert found == [] and len(clustered) == 9
+    # another root_cluster clusters again, and only then
+    other = DEFAULT.with_overrides(root_cluster=1e-9)
+    assert [p for p, _ in rm_poles(G, other)] == pytest.approx([p for p, _ in poles], abs=1e-9)
+    rm_poles(G, other)
+    assert len(clustered) == 18
+
+
+def test_the_returned_pole_list_is_the_callers():
+    G = parsed(reference("ct_ni", 2))
+    poles = rm_poles(G)
+    poles.clear()
+    assert rm_poles(G)
+
+
+@pytest.mark.parametrize("gen", ["ct_ni", "dt_ni", "ct_pr", "dt_pr"])
+def test_classify_all_finds_each_denominators_roots_at_most_once(tmp_path, capsys, monkeypatch, gen):
+    G = reference(gen, 2)
+    path = tmp_path / f"{gen}.json"
+    save_document(document_of(G, name=gen), path)
+    dens = [e.den for e in entries(parsed(G)) if e.den_degree > 0]
+    seen = record_calls(monkeypatch, "roots")
+    main(["classify", str(path), "--class", "all", "--json"])
+    capsys.readouterr()
+    for den in dens:
+        times = sum(1 for c in seen if np.shape(c) == den.shape and np.array_equal(c, den))
+        sharing = sum(1 for d in dens if np.array_equal(d, den))
+        assert times <= sharing  # each entry's once, by the parse
