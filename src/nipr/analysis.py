@@ -4,17 +4,17 @@ The paper defines PR and NI systems by a domain of analyticity and a sign
 condition on its boundary; continuous and discrete time differ only in that
 domain, the open right half-plane or the outside of the unit disc.  A
 ``Domain`` holds everything the choice decides.  An ``Analysis`` computes the
-ingredients of the conditions (poles, boundary grid scans, a state-space
-realization and the boundary crossings, residues) lazily and at most once per
-matrix and ``Config``, so that classifiers run on one matrix share their
-work, and builds the conditions the classifiers of both domains share.
+ingredients of the conditions (poles, a state-space realization, the boundary
+crossings and the sign samples, residues) lazily and at most once per matrix
+and ``Config``, so that classifiers run on one matrix share their work, and
+builds the conditions the classifiers of both domains share.
 
 A sign form is "pr" or "ni".  The "pr" form is the Hermitian part
 F(x) + F(mirror(x))^T, whose boundary values must be PSD; the "ni" form is the
 defect G(x) - G(mirror(x))^T, which times i must be PSD on the upper boundary.
 The mirror map is s -> -s in continuous and z -> 1/z in discrete time.  On the
 boundary mirror(x) = conj(x), and a real-rational G has G(conj x) = conj G(x),
-so the forms there are 2 herm(G(x)) and 2 herm(i G(x)), and the scans and
+so the forms there are 2 herm(G(x)) and 2 herm(i G(x)), and the samples and
 ``nipr sweep`` read them from G on the boundary itself.  A pole on the
 boundary sits about 1e-16 off it once the coefficients are rounded, and near
 it the rounded form keeps a spike that only an exact split removes.  So the
@@ -26,10 +26,19 @@ closed form (``Domain.expand``).  A term whose share is zero within the
 Hermitian tolerance of the residue checks is dropped, so a residue those
 checks accept adds exactly nothing.  No sign form is built as a rational
 matrix.
+
+The sign comes from the crossings: the rest is realized once, the shares
+join that realization (moved to continuous time in discrete time) as
+partial fractions in the continuous-time frequency, and
+``boundary.boundary_det_zeros`` finds where the form is singular on the
+boundary.  Those crossings and the boundary poles cut the upper half of the
+boundary into intervals, and ``boundary.crossing_scan`` reads the form at one
+sample in each (``Analysis.sign_scan``).
 """
 
 from __future__ import annotations
 
+import math
 import weakref
 from dataclasses import dataclass
 from typing import Callable
@@ -42,7 +51,7 @@ from .config import DEFAULT, Config
 from .errors import ImproperInput
 from .ratmat import (CT, DT, RationalMatrix, rm_infinity_expansion, rm_is_symmetric, rm_poles, rm_residues_at,
                      rm_split_boundary)
-from .realization import cayley_ss, minimal_realization
+from .realization import minimal_realization
 from .report import Condition
 
 PREMUL = {"pr": 1.0, "ni": 1j}          # the boundary form is herm(PREMUL * R(point))
@@ -53,24 +62,28 @@ SIGN_ID = {"pr": "boundary-psd", "ni": "boundary-sign"}
 class Domain:
     """Everything that separates continuous from discrete time.
 
-    The dict fields are keyed by sign form.  The grids and ``to_ct`` look the
-    ``boundary`` and ``realization`` functions up when they run, so that a
-    wrapper put on one of those module attributes sees every call.
+    The dict fields are keyed by sign form.  The sweep grids look the
+    ``boundary`` functions up when they run, so that a wrapper put on one of
+    those module attributes sees every call.
     ``expand(b, j)`` writes (x - b)**-j (x**j for b = inf in continuous time)
     at the boundary point x of parameter t as a sum of complex constants c
     times real functions r(t), so that a principal part's share of the form
-    that is zero comes out exactly zero.
+    that is zero comes out exactly zero; with each r it gives r as a partial
+    fraction in the continuous-time frequency w (w = tan(t/2) in discrete
+    time), a list of (w0, k, a) for a (w - w0)**-k, a w**k when w0 = inf.
     """
 
     param: str                # witness key of a boundary parameter
     point: Callable           # boundary parameters -> boundary points
+    freq: Callable            # boundary point -> its frequency w >= 0 on the upper half of the boundary
+    from_freq: Callable       # frequencies w -> boundary parameters on the upper half
+    ends: dict                # form -> the boundary parameters that end the closed boundary the form is read on
     project: Callable         # boundary pole -> the boundary point it is taken to lie on
-    expand: Callable          # (boundary point b, j) -> [(r, c)]: (x - b)**-j = sum c * r(t)
+    expand: Callable          # (boundary point b, j) -> [(r, c, partial fraction of r)]: (x - b)**-j = sum c * r(t)
     on_boundary: Callable     # (pole, tol) -> the pole lies on the boundary
     outside: Callable         # pole off the boundary -> it lies in the unstable region
     inside: Callable          # (pole, margin) -> it lies in the stable region, margin away
-    grid: dict                # form -> builder of the boundary parameter grid from a Config
-    to_ct: Callable           # realization -> a continuous-time realization of the same boundary forms
+    grid: dict                # form -> builder of the ``nipr sweep`` parameter grid from a Config
     unstable_id: dict         # form -> id of the no-unstable-poles condition
     stable_id: str            # id of the strictly-stable-poles condition
 
@@ -78,22 +91,35 @@ class Domain:
 def _ct_expand(b, j):
     """(i t - i w0)**-j = (-i)**j (t - w0)**-j, and (i t)**j at b = inf."""
     if b == np.inf:
-        return [(lambda t: t ** j, 1j ** j)]
-    return [(lambda t: (t - b.imag) ** -j, (-1j) ** j)]
+        return [(lambda t: t ** j, 1j ** j, [(np.inf, j, 1.0)])]
+    return [(lambda t: (t - b.imag) ** -j, (-1j) ** j, [(b.imag, j, 1.0)])]
 
 
 def _dt_expand(b, j):
-    """On z = e^{it}, b/(z - b) = -(1 - i k)/2 with k = cot((arg b - t)/2), so (z - b)**-j = (-(1 - i k)/2)**j / b**j."""
+    """On z = e^{it}, b/(z - b) = -(1 - i k)/2 with k = cot((arg b - t)/2), so (z - b)**-j = (-(1 - i k)/2)**j / b**j.
+
+    With w = tan(t/2) and wb = tan(arg b / 2), k = -wb - (1 + wb**2)/(w - wb):
+    -1/w at b = 1 and w at b = -1.  j > 1 only at the real b = 1, -1.
+    """
     def k(t):
         return 1.0 / np.tan((np.angle(b) - t) / 2.0)
-    if j == 1:
-        return [(np.ones_like, -0.5 / b), (k, 0.5j / b)]
-    return [(np.ones_like, 0.25 / b ** 2), (lambda t: k(t) ** 2, -0.25 / b ** 2), (k, -0.5j / b ** 2)]
+    one = [(0.0, 0, 1.0)]
+    if j == 1 and b != -1.0 and b != 1.0:
+        wb = np.tan(np.angle(b) / 2.0)
+        return [(np.ones_like, -0.5 / b, one), (k, 0.5j / b, [(0.0, 0, -wb), (wb, 1, -(1.0 + wb * wb))])]
+
+    def k_pow(ell):  # k**ell as a partial fraction in w
+        return one if ell == 0 else [(np.inf, ell, 1.0)] if b == -1.0 else [(0.0, ell, (-1.0) ** ell)]
+    return [(np.ones_like if ell == 0 else k if ell == 1 else (lambda t, ell=ell: k(t) ** ell),
+             math.comb(j, ell) * (-0.5) ** j * (-1j) ** ell / b ** j, k_pow(ell)) for ell in range(j + 1)]
 
 
 CT_DOMAIN = Domain(
     param="omega",
     point=lambda t: 1j * t,
+    freq=lambda p: abs(p.imag),
+    from_freq=lambda w: w,
+    ends={"pr": [0.0], "ni": []},
     project=lambda p: 1j * p.imag,
     expand=_ct_expand,
     on_boundary=lambda p, tol: abs(p.real) <= tol * (1.0 + abs(p)),
@@ -101,7 +127,6 @@ CT_DOMAIN = Domain(
     inside=lambda p, margin: p.real < -margin * (1.0 + abs(p)),
     grid={"pr": lambda cfg: np.concatenate([[0.0], boundary.ct_grid(cfg)]),
           "ni": lambda cfg: boundary.ct_grid(cfg)},
-    to_ct=lambda ss: ss,
     unstable_id={"pr": "no-rhp-poles", "ni": "no-rhp-poles"},
     stable_id="hurwitz-poles",
 )
@@ -109,13 +134,15 @@ CT_DOMAIN = Domain(
 DT_DOMAIN = Domain(
     param="theta",
     point=lambda t: np.exp(1j * t),
+    freq=lambda p: abs(p.imag) / (1.0 + p.real) if p.real > -1.0 else np.inf,  # tan(t/2) = sin t / (1 + cos t)
+    from_freq=lambda w: 2.0 * np.arctan(w),
+    ends={"pr": [0.0, np.pi], "ni": []},
     project=lambda p: p / abs(p),
     expand=_dt_expand,
     on_boundary=lambda p, tol: abs(abs(p) - 1.0) <= tol * 2.0,
     outside=lambda p: abs(p) > 1.0,
     inside=lambda p, margin: abs(p) < 1.0 - margin,
     grid={"pr": lambda cfg: boundary.dt_grid_full(cfg), "ni": lambda cfg: boundary.dt_grid_half(cfg)},
-    to_ct=lambda ss: cayley_ss(ss),
     unstable_id={"pr": "analytic-outside-disc", "ni": "no-outside-poles"},
     stable_id="schur-poles",
 )
@@ -181,21 +208,30 @@ class Analysis:
             return None if rest is self.G else rest, parts  # the memo must not keep G alive
         return self._once("parts", compute)
 
+    def shares(self, form):
+        """[(r, M, partial fraction of r)]: the split-off terms' shares M r(t) of the form that are not zero.
+
+        A part's coefficient enters per term c r(t) of ``Domain.expand`` and is
+        dropped where its share M = herm(2 PREMUL[form] c A) vanishes within
+        ``hermitian_enough``, the tolerance of the residue checks.
+        """
+        def compute():
+            premul = 2.0 * PREMUL[form]
+            return [(r, herm(premul * c * A), pf) for b, coeffs in self.boundary_parts()[1]
+                    for j, A in enumerate(coeffs, 1)
+                    for r, c, pf in self.domain.expand(b, j)
+                    if not hermitian_enough(1j * PREMUL[form] * (c / abs(c)) * A)]
+        return self._once(("shares", form), compute)
+
     def sign_terms(self, form):
         """(R, extra): the form at boundary parameters t is herm(2 PREMUL[form] R(point(t))) + extra(t).
 
         R is G without the parts of ``boundary_parts``, and extra(t) gives
-        (their share of the form, where it is finite), or extra is None when
-        that share is zero.  A part's coefficient enters per term c r(t) of
-        ``Domain.expand`` and is dropped where its share herm(2 PREMUL c A)
-        vanishes within ``hermitian_enough``, the tolerance of the residue checks.
+        (the sum of their ``shares``, where it is finite), or extra is None
+        when no share is left.
         """
         def compute():
-            premul = 2.0 * PREMUL[form]
-            terms = [(r, herm(premul * c * A)) for b, coeffs in self.boundary_parts()[1]
-                     for j, A in enumerate(coeffs, 1)
-                     for r, c in self.domain.expand(b, j)
-                     if not hermitian_enough(1j * PREMUL[form] * (c / abs(c)) * A)]
+            terms = [(r, M) for r, M, _ in self.shares(form)]
             if not terms:
                 return None
 
@@ -207,24 +243,44 @@ class Analysis:
         rest = self.boundary_parts()[0]
         return self.G if rest is None else rest, self._once(("terms", form), compute)
 
-    def scan(self, form):
-        """grid_psd_scan of the form on its boundary grid, from ``sign_terms``: (worst margin, its parameter, points)."""
-        def compute():
-            R, extra = self.sign_terms(form)
-            return boundary.grid_psd_scan(R, self.domain.grid[form](self.cfg), self.domain.point,
-                                          2.0 * PREMUL[form], self.cfg, extra)
-        return self._once(("scan", form), compute)
-
     def realization(self):
-        """A minimal realization of G, moved to continuous time by the domain's ``to_ct``."""
-        return self._once("realization", lambda: self.domain.to_ct(minimal_realization(self.G, self.cfg)))
+        """A minimal realization of G without its ``boundary_parts``."""
+        def compute():
+            rest = self.boundary_parts()[0]
+            return minimal_realization(self.G if rest is None else rest, self.cfg)
+        return self._once("realization", compute)
+
+    def singular(self, form):
+        """identically_singular of the form: its det vanishes everywhere (no realization needed)."""
+        return self._once(("singular", form), lambda: boundary.identically_singular(self.G, form, self.cfg))
 
     def det_zeros(self, form):
-        """boundary_det_zeros of the form, realizing G only when it is strictly stable (else the class fails)."""
+        """boundary_det_zeros of the form: one crossing search per form, on ``realization`` and the ``shares``."""
         def compute():
-            ss = self.realization() if self.strictly_stable(self.cfg.root_cluster) else None
-            return boundary.boundary_det_zeros(self.G, ss, form, self.cfg)
+            pieces = {}
+            for _, M, pf in self.shares(form):
+                for w0, k, a in pf:
+                    pieces[w0, k] = pieces.get((w0, k), 0.0) + a * M
+            return boundary.boundary_det_zeros(self.realization(), self.G.domain, form, self.cfg, pieces,
+                                               self.singular(form))
         return self._once(("det", form), compute)
+
+    def sign_scan(self, form):
+        """crossing_scan of the form: (worst margin, its parameter, samples, crossing parameters).
+
+        The boundary poles cut the boundary too: the form may change sign
+        across a pole without becoming singular.
+        """
+        def compute():
+            points, _ = self.det_zeros(form)
+            d = self.domain
+            crossings = [w for w in (d.freq(p) for p in points) if 0.0 < w < np.inf]
+            poles = [d.freq(d.project(p)) for p, _ in self.pole_split()[1]]
+            R, extra = self.sign_terms(form)
+            worst, tworst, n = boundary.crossing_scan(R, crossings + poles, d.ends[form], d.from_freq, d.point,
+                                                      2.0 * PREMUL[form], self.cfg, extra)
+            return worst, tworst, n, sorted({float(t) for t in d.from_freq(np.array(crossings))})
+        return self._once(("scan", form), compute)
 
     def pole_split(self):
         """(unstable poles, boundary poles in the closed upper half-plane) as (pole, multiplicity) lists."""
@@ -259,10 +315,16 @@ class Analysis:
         unstable, _ = self.pole_split()
         return Condition(self.domain.unstable_id[form], not unstable, {"poles": unstable} if unstable else {})
 
+    def sign_witness(self, form):
+        """The witness of the sign read from the crossings: the worst sample and how it was found."""
+        worst, tworst, n, params = self.sign_scan(form)
+        return {"worst_margin": worst, self.domain.param: tworst, "path": "crossing", "crossings": params,
+                "samples": n}
+
     def boundary_sign(self, form):
-        """The form is PSD on the boundary grid, within psd_rel."""
-        worst, tworst, _n = self.scan(form)
-        return Condition(SIGN_ID[form], worst >= 0.0, {"worst_margin": worst, self.domain.param: tworst})
+        """The form is PSD on the boundary within psd_rel: at one sample between each pair of crossings."""
+        wit = self.sign_witness(form)
+        return Condition(SIGN_ID[form], wit["worst_margin"] >= 0.0, wit)
 
     def simple_pole_witness(self, p, mult, pole_data, residue=lambda pd, p: pd.normalized_K0, key="K0"):
         """None when the boundary pole p is simple with a Hermitian PSD residue(datum, p), else a witness."""
@@ -284,24 +346,28 @@ class Analysis:
     def strict_conditions(self, form, class_id):
         """The weakly strict class: proper, symmetric for NI, strictly stable, strict boundary sign.
 
-        The sign is strict when the grid scan passes and the boundary form is
-        nowhere singular on the boundary: the crossing test finds no point
-        and det R is not identically zero.
+        The sign is strict when the form has no crossing on the boundary, its
+        det is not identically zero, and its one sample (and each end of a
+        closed boundary) is positive.  It is searched only for a strictly
+        stable G: otherwise the class fails on its poles, and the report
+        holds no sign condition that was not evaluated.
         """
         self.require_proper(class_id)
         conds = self.symmetry() if form == "ni" else []
         stable = self.strictly_stable(self.cfg.root_cluster)
         conds.append(Condition(self.domain.stable_id, stable, {} if stable else {"poles": self.poles()}))
-        worst, tworst, _n = self.scan(form)
+        if not stable:
+            return conds
         zeros, ident_zero = self.det_zeros(form)
-        wit = {"worst_margin": worst, self.domain.param: tworst, "det_zeros": zeros,
-               "identically_zero": ident_zero}
-        conds.append(Condition("strict-boundary-sign", worst >= 0.0 and not zeros and not ident_zero, wit))
+        wit = self.sign_witness(form)
+        wit.update(det_zeros=[] if ident_zero else zeros, identically_zero=ident_zero)
+        conds.append(Condition("strict-boundary-sign", wit["worst_margin"] >= 0.0 and not zeros and not ident_zero,
+                               wit))
         return conds
 
     def full_normal_rank(self, form):
         """det of the boundary matrix is not identically zero."""
-        _zeros, ident_zero = self.det_zeros(form)
+        ident_zero = self.singular(form)
         return Condition("full-normal-rank", not ident_zero, {"identically_zero": ident_zero})
 
 

@@ -46,7 +46,7 @@ def classify_dsspr(F: RationalMatrix, cfg: Config = DEFAULT):
 
     Schur poles, strictly positive Hermitian part on the whole (closed) unit
     circle, and full normal rank of F(z) + F(1/z)^T.  The closed curve makes
-    strict positivity equivalent to coercivity; the grid margin is reported.
+    strict positivity equivalent to coercivity; the worst sample margin is reported.
     """
     a = analysis_of(F, cfg)
     return finish_report("dsspr", a.strict_conditions("pr", "dsspr") + [a.full_normal_rank("pr")], cfg)

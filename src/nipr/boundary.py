@@ -8,28 +8,38 @@ classifiers read them from G on the boundary, with the principal parts at
 boundary poles split off and their share added in closed form
 (``analysis.Analysis.sign_terms``).  The rational builders (``ppart_ct``,
 ``defect_ct``, ``ppart_dt``, ``defect_dt``) are not on that path: they are the
-reference that tests compare the scans against.
+reference that tests compare against.
 
-Sign conditions are decided in two steps: a dense grid gives the
-semidefinite verdict with a relative tolerance, and strictness asks whether
-the boundary form becomes singular anywhere on the boundary (an eigenvalue of
-a continuous Hermitian family can only change sign where the form is
-singular).  That crossing test runs on a state-space realization: the
-boundary frequencies where det R vanishes are finite zeros of a realization
-of R built from (A, B, C, D), with no rational arithmetic.
+Every sign condition is decided from the crossings.  An eigenvalue of a
+continuous Hermitian family can only change sign where the form is singular,
+or across a pole, so ``boundary_det_zeros`` finds the boundary frequencies
+where the form is singular, as finite zeros of a state-space realization of
+the form (no rational arithmetic), and ``crossing_scan`` reads the form at one
+sample inside each interval between them.  The dense grid (``grid_psd_scan``,
+``ct_grid``, ``dt_grid_half``, ``dt_grid_full``) decides no verdict; it serves
+``nipr sweep`` and the tests.
 
-The grid step is batched: ``rm_eval_many`` evaluates the whole grid at once and
-``psd_margin`` takes the margins of the (npts, m, m) stack with one ``eigvalsh``, with
-max |lambda| as ||H||_2 (no SVD); ``is_psd``, ``is_nsd`` and ``is_pd`` are its one-matrix case.
+Both evaluate through one batched kernel: ``rm_eval_many`` evaluates every
+point at once and ``psd_margin`` takes the margins of the (npts, m, m) stack
+with one ``eigvalsh``, with max |lambda| as ||H||_2 (no SVD); ``is_psd``,
+``is_nsd`` and ``is_pd`` are its one-matrix case.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
+import numpy.polynomial.polynomial as npp
 
 from .config import DEFAULT, Config
 from .errors import RootFindingFailure
 from .ratmat import CT, RationalMatrix, full_rank_somewhere, generic_points, rm_eval_many, rm_mobius
+from .realization import StateSpace, cayley_ss
+
+# a zero s of the boundary form's realization is a crossing when |Re s| <= CROSSING_BAND (1 + |s|);
+# an "ni" crossing also needs Im s above that bound
+CROSSING_BAND = 1e-6
 
 
 def herm(M):
@@ -90,7 +100,7 @@ def ppart_dt(F: RationalMatrix) -> RationalMatrix:
 
 
 # ---------------------------------------------------------------------------
-# grid scans
+# grid scans (``nipr sweep`` and the tests)
 
 
 def ct_grid(cfg: Config):
@@ -164,11 +174,11 @@ def grid_psd_scan(R: RationalMatrix, params, to_points, premul, cfg: Config, ext
 
 
 # ---------------------------------------------------------------------------
-# exact strictness: where the boundary form is singular
+# the sign from the crossings
 
 
 def _finite_zeros(A, B, C, D, tol):
-    """Finite zeros of the square system (A, B, C, D); singular values up to tol count as zero.
+    """Finite zeros of the square system (A, B, C, D), real or complex; singular values up to tol count as zero.
 
     The infinite eigenvalues of [[A - sI, B], [C, D]] are deflated exactly
     (Emami-Naeini & Van Dooren, Automatica 18 (1982)): while D is singular,
@@ -183,56 +193,238 @@ def _finite_zeros(A, B, C, D, tol):
         r = int(np.sum(sv > tol))
         if r == m:
             return np.linalg.eigvals(A - B @ np.linalg.solve(D, C))
-        C, D = U.T @ C, U.T @ D          # rows r.. of D are zero
+        Uh = U.conj().T
+        C, D = Uh @ C, Uh @ D          # rows r.. of D are zero
         _, s0, Vt = np.linalg.svd(C[r:])
         rho = int(np.sum(s0 > tol))
         if rho < m - r:
             raise RootFindingFailure("the boundary pencil is singular")
-        V = np.hstack([Vt[rho:].T, Vt[:rho].T])  # C[r:] @ V = [0, C02]
-        A, B, Cr = V.T @ A @ V, V.T @ B, C[:r] @ V
+        V = np.hstack([Vt[rho:].conj().T, Vt[:rho].conj().T])  # C[r:] @ V = [0, C02]
+        Vh = V.conj().T
+        A, B, Cr = Vh @ A @ V, Vh @ B, C[:r] @ V
         k = n - rho
         A, B, C, D = A[:k, :k], B[:k], np.vstack([A[k:, :k], Cr[:, :k]]), np.vstack([B[k:], D[:r]])
 
 
-def boundary_det_zeros(G: RationalMatrix, ss, form, cfg: Config = DEFAULT):
-    """(Boundary points where the form R of G is singular, det R identically zero).
+def _scalar_ss(num, den):
+    """Controllable canonical (a, b, c, d) of the proper scalar num/den (ascending, complex allowed)."""
+    num, den = np.asarray(num, dtype=complex), np.asarray(den, dtype=complex)
+    num, den = num / den[-1], den / den[-1]
+    n = den.size - 1
+    d = num[n] if num.size > n else 0.0
+    c = np.zeros(n, dtype=complex)
+    c[:min(num.size, n)] = num[:n]
+    c -= d * den[:n]
+    a = np.eye(n, k=1, dtype=complex)
+    if n:
+        a[-1] = -den[:n]
+    return a, np.eye(n, dtype=complex)[:, -1:], c[None, :], d
 
-    R(x) = G(x) +- G(mirror(x))^T ("+" for "pr"); on the boundary R ("pr") or
-    i R ("ni") is Hermitian.  det R counts as identically zero unless
-    ``full_rank_somewhere`` holds for R at the ``generic_points()``, from one
-    evaluation of G at those points and at their mirrors.  ss realizes G in
-    continuous time (a discrete-time G through ``cayley_ss``: z = e^{it} is
-    s = i tan(t/2) and z = -1 is s = inf), or is None when G is not strictly
-    stable, and then only the identically-zero test runs.  The form of ss,
-    G(s) +- G(-s)^T, is realized by (diag(A, -A^T), [B; -C^T], [C, +-B^T],
-    D +- D^T); det R vanishes at its finite zeros and, when D +- D^T is
-    singular, at s = inf.  A zero counts
-    when |Re s| <= 1e-6 (1 + |s|) and, for "ni", whose defect vanishes at
-    w = 0 by symmetry, Im s exceeds that bound; s = inf counts for a
-    discrete-time "pr" form.  Points are in G's domain variable.
+
+def _times_matrix(a, b, c, d, M, unit):
+    """A realization of unit g(s) M for the scalar g = (a, b, c, d) and the Hermitian M, through M = L N^H."""
+    lam, V = np.linalg.eigh(M)
+    keep = np.abs(lam) > np.finfo(float).eps * M.shape[0] * np.abs(lam).max()  # the rank, up to rounding
+    L, N = unit * V[:, keep] * lam[keep], V[:, keep]
+    r = N.shape[1]
+    return np.kron(a, np.eye(r)), np.kron(b, N.conj().T), np.kron(c, L), unit * d * M
+
+
+def _parallel(systems, m):
+    """The sum of the (A, B, C, D) systems of size m."""
+    n = sum(A.shape[0] for A, _, _, _ in systems)
+    A = np.zeros((n, n), dtype=complex)
+    at = 0
+    for Ak, _, _, _ in systems:
+        A[at:at + Ak.shape[0], at:at + Ak.shape[0]] = Ak
+        at += Ak.shape[0]
+    B = np.vstack([Bk.reshape(-1, m) for _, Bk, _, _ in systems])
+    C = np.hstack([Ck.reshape(m, -1) for _, _, Ck, _ in systems])
+    return A, B, C, sum(Dk for _, _, _, Dk in systems)
+
+
+def _form_system(ss, form, pieces, shift):
+    """(A, B, C, D) whose zeros s = i w are the crossings of the boundary form, and its value at s = inf.
+
+    The form of the realization ss, W(s) = R(s) +- R(-s)^T, is realized by
+    (diag(A, -A^T), [B; -C^T], [C, +-B^T], D +- D^T), with B and C first
+    scaled to one norm (beta B and C / beta realize the same R), since the
+    zeros' rank decisions are relative to the norm of the whole pencil and
+    would take a small B or C for zero; on the boundary the
+    form is PREMUL W(i w).  ``pieces`` maps (w0, k) to the Hermitian share
+    M of the split-off terms, M (w - w0)^-k, M w^k for w0 = inf and M for
+    k = 0; with w = -i s they join W divided by PREMUL, and ``shift`` times
+    the identity joins them the same way.  A share that grows like w^k is
+    made proper by weighting everything with 1/(1 + w^2)^J = 1/(1 - s^2)^J,
+    which is positive on the boundary and moves no crossing.
+    """
+    sign = 1.0 if form == "pr" else -1.0
+    n, m = ss.order, ss.size
+    Z = np.zeros((n, n))
+    nb, nc = np.linalg.norm(ss.B), np.linalg.norm(ss.C)
+    beta = np.sqrt(nc / nb) if nb and nc else 1.0
+    A = np.block([[ss.A, Z], [Z, -ss.A.T]])
+    B = np.vstack([beta * ss.B, -ss.C.T / beta])
+    C = np.hstack([ss.C / beta, sign * beta * ss.B.T])
+    D = ss.D + sign * ss.D.T
+    if not pieces and not shift:
+        return A, B, C, D, D
+    unit = 1.0 if form == "pr" else -1j  # 1 / PREMUL
+    pieces = dict(pieces)
+    if shift:
+        pieces[0.0, 0] = pieces.get((0.0, 0), 0.0) + shift * np.eye(m)
+    J = max([(k + 1) // 2 for (w0, k) in pieces if w0 == np.inf] + [0])
+    weight = npp.polypow([1.0, 0.0, -1.0], J)  # (1 - s^2)^J
+    systems, at_inf = [], D + 0j
+    for (w0, k), M in pieces.items():
+        if w0 == np.inf:   # w^k = (-i)^k s^k
+            num, den = npp.polypow([0.0, -1j], k), weight
+        else:              # (w - w0)^-k = i^k (s - i w0)^-k
+            num, den = [1j ** k], npp.polymul(npp.polypow([-1j * w0, 1.0], k), weight)
+            at_inf = at_inf + (unit * M if k == 0 else 0.0)
+        systems.append(_times_matrix(*_scalar_ss(num, den), M, unit))
+    if J:  # W / (1 - s^2)^J: W in series with the weight
+        a, b, c, _ = _scalar_ss([1.0], weight)
+        Aq, Bq, Cq = np.kron(a, np.eye(m)), np.kron(b, np.eye(m)), np.kron(c, np.eye(m))
+        nq = Aq.shape[0]
+        A = np.block([[A, np.zeros((2 * n, nq))], [Bq @ C, Aq]])
+        B, C, D = np.vstack([B, Bq @ D]), np.hstack([np.zeros((m, 2 * n)), Cq]), np.zeros((m, m))
+    return (*_parallel([(A, B, C, D)] + systems, m), None if J else at_inf)
+
+
+def identically_singular(G: RationalMatrix, form, cfg: Config = DEFAULT) -> bool:
+    """det of the form R of G is identically zero: no ``full_rank_somewhere`` at the ``generic_points()``.
+
+    R(x) = G(x) +- G(mirror(x))^T ("+" for "pr"), from one evaluation of G at
+    those points and at their mirrors, on the scale of G there: a form that
+    is rounding next to G, as that of a lossless G, counts as zero.
     """
     sign = 1.0 if form == "pr" else -1.0
     x = generic_points()
     k = x.size
     vals, ok = rm_eval_many(G, np.concatenate([x, -x if G.domain == CT else 1.0 / x]), cfg)
-    R = vals[:k] + sign * np.swapaxes(vals[k:], -1, -2)
-    if not full_rank_somewhere(R[ok[:k] & ok[k:]], cfg):
-        return [], True
-    if ss is None:
-        return [], False
-    n = ss.order
-    Z = np.zeros((n, n))
-    A = np.block([[ss.A, Z], [Z, -ss.A.T]])
-    B = np.vstack([ss.B, -ss.C.T])
-    C = np.hstack([ss.C, sign * ss.B.T])
-    D = ss.D + sign * ss.D.T
+    ok = ok[:k] & ok[k:]
+    R = (vals[:k] + sign * np.swapaxes(vals[k:], -1, -2))[ok]
+    scale = np.linalg.norm(vals[np.concatenate([ok, ok])], 2, axis=(1, 2)).max(initial=0.0)
+    return not full_rank_somewhere(R, cfg, scale)
+
+
+def _turned(pieces):
+    """The ``pieces`` in w' = -1/w, the frequency of the boundary turned by pi (z -> -z).
+
+    w^k = (-1)^k w'^-k, w^-k = (-1)^k w'^k, and with a = -1/w0,
+    (w - w0)^-k = (-w0)^-k sum_i C(k, i) a^i (w' - a)^-i.
+    """
+    out = {}
+    for (w0, k), M in pieces.items():
+        if k == 0:
+            terms = [((0.0, 0), 1.0)]
+        elif w0 == np.inf:
+            terms = [((0.0, k), (-1.0) ** k)]
+        elif w0 == 0.0:
+            terms = [((np.inf, k), (-1.0) ** k)]
+        else:
+            a = -1.0 / w0
+            terms = [((a, i) if i else (0.0, 0), math.comb(k, i) * a ** i / (-w0) ** k) for i in range(k + 1)]
+        for key, c in terms:
+            out[key] = out.get(key, 0.0) + c * M
+    return out
+
+
+def _smallest_sv(M):
+    return np.linalg.svd(M, compute_uv=False)[-1]
+
+
+def boundary_det_zeros(ss, domain, form, cfg: Config = DEFAULT, pieces=None, singular=False):
+    """(The boundary points that cut the sign intervals of the form, det of the form singular everywhere).
+
+    The form of a matrix G is R(x) = G(x) +- G(mirror(x))^T ("+" for "pr");
+    on the boundary R ("pr") or i R ("ni") is Hermitian.  ss realizes, in
+    the domain, the part of G whose form is read from coefficients, and
+    ``pieces`` the rest of the form (see ``_form_system``).  A discrete-time
+    ss is moved to continuous time by ``cayley_ss``: z = e^{it} is
+    s = i tan(t/2) and z = -1 is s = inf, where the values of G near z = -1
+    end up in the realization's D.  When A has its spectrum nearer -1 than 1
+    (by the smallest singular value of A +- I), G(-z) is mapped instead, and
+    the boundary turns by pi.  The points are the zeros of det R on the
+    boundary: finite zeros s of the form's realization with
+    |Re s| <= CROSSING_BAND (1 + |s|), for "ni" (whose form vanishes at
+    z = 1 and -1 by symmetry) with Im s above that bound, and for a
+    discrete-time "pr" form the point sent to s = inf when the form is
+    singular there.  When det R vanishes everywhere (``singular``, from
+    ``identically_singular``, or a realization whose pencil is singular
+    within rank_rel) they are instead where det(R + psd_rel I) vanishes,
+    where an eigenvalue crosses -psd_rel.  Points are in the domain variable.
+    """
+    shift = cfg.psd_rel if singular else 0.0
+    ct, ct_pieces, turn = ss, pieces or {}, 1.0
+    if domain != CT:
+        I = np.eye(ss.order)
+        if ss.order and _smallest_sv(ss.A + I) < _smallest_sv(ss.A - I):
+            ct, ct_pieces, turn = StateSpace(-ss.A, ss.B, -ss.C, ss.D, ss.domain), _turned(ct_pieces), -1.0
+        ct = cayley_ss(ct)
+    A, B, C, D, at_inf = _form_system(ct, form, ct_pieces, shift)
     rank_tol = cfg.rank_rel * np.linalg.norm(np.block([[A, B], [C, D]]), 2)
-    tol = 1e-6
-    points = [s for s in _finite_zeros(A, B, C, D, rank_tol) if abs(s.real) <= tol * (1.0 + abs(s))
-              and (form == "pr" or s.imag > tol * (1.0 + abs(s)))]
-    if G.domain == CT:
-        return [1j * s.imag for s in points], False
-    points = [(1.0 + 1j * s.imag) / (1.0 - 1j * s.imag) for s in points]
-    if form == "pr" and np.linalg.svd(D, compute_uv=False)[-1] <= rank_tol:
-        points.append(-1.0 + 0j)
-    return points, False
+    if shift:  # the shift must lift the form's null space, however small it is next to the rank tolerance
+        rank_tol = min(rank_tol, shift / 2.0)
+    try:
+        zeros = _finite_zeros(A, B, C, D, rank_tol)
+    except RootFindingFailure:
+        if singular:
+            raise
+        return boundary_det_zeros(ss, domain, form, cfg, pieces, True)
+    points = [s for s in zeros if abs(s.real) <= CROSSING_BAND * (1.0 + abs(s))
+              and (form == "pr" or s.imag > CROSSING_BAND * (1.0 + abs(s)))]
+    if domain == CT:
+        return [1j * s.imag for s in points], singular
+    points = [turn * (1.0 + 1j * s.imag) / (1.0 - 1j * s.imag) for s in points]
+    if form == "pr" and at_inf is not None and _smallest_sv(at_inf) <= rank_tol:
+        points.append(-turn + 0j)
+    return points, singular
+
+
+def _interval_samples(cuts):
+    """One frequency inside each interval that the sorted positive finite frequencies cuts make of (0, inf).
+
+    The geometric mean of two finite ends; an interval with an end at 0 or
+    inf gets 1 when it holds 1, else half its upper or twice its lower end.
+    """
+    edges = [0.0, *cuts, np.inf]
+    out = []
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        if lo == 0.0 or hi == np.inf:
+            out.append(1.0 if lo < 1.0 < hi else hi / 2.0 if lo == 0.0 else 2.0 * lo)
+        else:
+            out.append(np.sqrt(lo * hi))
+    return np.array(out)
+
+
+def crossing_scan(R: RationalMatrix, cuts, ends, from_freq, to_points, premul, cfg: Config, extra=None):
+    """Minimum relative PSD margin of the form premul * R(point) (+ extra) over one sample per sign interval.
+
+    Parameters
+    ----------
+    cuts : the boundary frequencies w (continuous-time frequencies; tan(t/2)
+        in discrete time) where the form may change sign
+    ends : boundary parameters sampled as well (the ends of a closed arc)
+    from_freq : frequencies -> boundary parameters
+    to_points, premul, extra : as for ``form_values``
+
+    Between consecutive cuts no eigenvalue of the form changes sign, so the
+    sample inside an interval decides the sign there.
+
+    A close pair of cuts brackets a narrow dip or a near touch; the sample
+    between them sits at their midpoint, which the rounding of the zeros
+    moves far less than it moves either cut, so the pair is kept as two cuts.
+
+    Returns
+    -------
+    worst_margin : float (>= 0 passes), worst_param : float, samples : int
+    """
+    params = np.concatenate([np.asarray(ends, dtype=float),
+                             from_freq(_interval_samples(sorted(w for w in cuts if 0.0 < w < np.inf)))])
+    vals, ok = form_values(R, params, to_points, premul, cfg, extra)
+    marg = psd_margin(vals, cfg.psd_rel)
+    marg = np.where(ok & np.isfinite(marg), marg, np.inf)
+    k = int(np.argmin(marg))
+    return float(marg[k]), float(params[k]), params.size

@@ -135,8 +135,8 @@ def cmd_sweep(args):
     R = _load_rational(args.file)
     mode = args.mode
     dom = DOMAINS[R.domain]
-    params = dom.grid[mode](cfg)  # the classifier's grid, w = 0 included in CT PR mode
-    rest, extra = analysis_of(R, cfg).sign_terms(mode)  # the values the scan reads
+    params = dom.grid[mode](cfg)  # the sweep grid, w = 0 included in CT PR mode
+    rest, extra = analysis_of(R, cfg).sign_terms(mode)  # the values the sign samples read
     vals, ok = form_values(rest, params, dom.point, 2.0 * PREMUL[mode], cfg, extra)
     params = params[ok]
     lam = np.linalg.eigvalsh(herm(vals[ok]))
@@ -253,7 +253,7 @@ def cmd_star(args):
 
 def _add_common(p):
     p.add_argument("--tol", type=float, default=None, help="semidefinite tolerance override")
-    p.add_argument("--grid", type=int, default=None, help="grid point count override")
+    p.add_argument("--grid", type=int, default=None, help="sweep grid point count override (no verdict reads it)")
     p.add_argument("--allow-asymmetric", action="store_true", help="skip the symmetry requirement")
 
 

@@ -21,12 +21,12 @@ class Config:
     # rank decisions
     rank_rel: float = 1e-8
 
-    # frequency grids
+    # frequency grids of ``nipr sweep`` (no verdict reads them)
     grid_points_ct: int = 2000      # log grid on [omega_min, omega_max]
     grid_points_dt: int = 4096      # uniform on the relevant arc
     omega_min: float = 1e-6
     omega_max: float = 1e6
-    refine_rounds: int = 30         # bisection refinement around eigenvalue dips
+    refine_rounds: int = 30         # bisection refinement around the worst point of grid_psd_scan
 
     # classification policy
     require_symmetry: bool = True   # enforce symmetric transfer matrices for NI

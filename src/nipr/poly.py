@@ -16,7 +16,7 @@ import numpy as np
 import numpy.polynomial.polynomial as npp
 
 from .config import DEFAULT, Config
-from .errors import DegenerateMap, RootFindingFailure
+from .errors import CancellationFailure, DegenerateMap, RootFindingFailure
 
 
 # ---------------------------------------------------------------------------
@@ -323,19 +323,49 @@ class RationalScalar:
     def __rtruediv__(self, other):
         return _coerce(other).__truediv__(self)
 
-    def strictly_proper_part(self) -> "RationalScalar":
-        """(num - c den)/den with c = ``value_at_inf()``, over the same denominator.
+    def minus(self, c) -> "RationalScalar":
+        """self - c for a real constant c, as (num - c den)/den over the same denominator.
 
-        gcd(num - c den, den) = gcd(num, den), so a reduced scalar's part is
-        reduced too and keeps its denominator roots; nothing is re-reduced.
+        gcd(num - c den, den) = gcd(num, den), so a reduced scalar's difference
+        is reduced too and keeps its denominator roots; nothing is re-reduced.
         """
-        c = self.value_at_inf()
         if c == 0.0:
             return self
-        num = self.num - c * self.den  # c is nonzero only where num and den have one degree
+        num = np.zeros(max(self.num.size, self.den.size))
+        num[:self.num.size] = self.num
+        num[:self.den.size] -= c * self.den
         if degree(num) < 0:
             return RationalScalar.zero()
         return RationalScalar(num, self.den, reduce=False, den_roots=self._den_roots)
+
+    def strictly_proper_part(self) -> "RationalScalar":
+        """``minus(value_at_inf())``: the part that vanishes at infinity."""
+        return self.minus(self.value_at_inf())
+
+    def times_factors(self, zero=None, pole=None, cfg: Config = DEFAULT) -> "RationalScalar":
+        """self (x - zero) / (x - pole) for real zero and pole (None: no such factor), reduced without root finding.
+
+        Only the new factors can cancel in a reduced scalar.  x - pole must
+        cancel a numerator root, which holds when num(pole) = 0 within
+        coeff_rel of sum_k |n_k| |pole|^k; otherwise CancellationFailure is
+        raised.  x - zero cancels a kept denominator root within
+        root_cluster (1 + |zero|) of zero; the denominator roots are kept
+        unless it did.
+        """
+        num, den, den_roots = self.num, self.den, self._den_roots
+        if degree(num) < 0:
+            return self
+        if pole is not None:
+            q, rem = _synth_div(num, pole)
+            if abs(rem) > cfg.coeff_rel * polyval(np.abs(num), abs(pole)):
+                raise CancellationFailure(f"no numerator root at {pole} cancels the new pole there")
+            num = np.real(q)
+        if zero is not None:
+            if (np.abs(self.den_roots - zero) <= cfg.root_cluster * (1.0 + abs(self.den_roots))).any():
+                den, den_roots = np.real(_synth_div(den, zero)[0]), None
+            else:
+                num = polymul(num, [-zero, 1.0])
+        return RationalScalar(num, den, reduce=False, den_roots=den_roots)
 
     def derivative(self) -> "RationalScalar":
         num = polysub(polymul(polyder(self.num), self.den), polymul(self.num, polyder(self.den)))

@@ -148,8 +148,8 @@ class RationalMatrix:
 
     @cached_property
     def _coefficient_stacks(self):
-        """(num, den, den_max, den_deg): the entries' ascending coefficients zero-padded to (deg + 1, m, m),
-        and each entry's max |den| and den degree; built on first use, so entries must not change after."""
+        """(num, den): the entries' ascending coefficients zero-padded to (deg + 1, m, m) stacks; built on
+        first use, so entries must not change after."""
         flat = [e for row in self.entries for e in row]
         shape = (self.size, self.size)
 
@@ -157,9 +157,7 @@ class RationalMatrix:
             n = max(c.size for c in coeffs)
             return np.array([np.pad(c, (0, n - c.size)) for c in coeffs]).T.reshape(n, *shape)
 
-        den_max = np.reshape([np.max(np.abs(e.den)) for e in flat], shape)
-        den_deg = np.reshape([max(e.den_degree, 0) for e in flat], shape)
-        return stack([e.num for e in flat]), stack([e.den for e in flat]), den_max, den_deg
+        return stack([e.num for e in flat]), stack([e.den for e in flat])
 
     def coeff_scale(self) -> float:
         return max(e.scale() for row in self.entries for e in row)
@@ -193,11 +191,13 @@ def _horner(C, X):
 
 def _eval_entries(R: RationalMatrix, points, cfg: Config):
     """(values, near_pole), both (npts, m, m): all entries at once; where near_pole flags a
-    denominator within pole_proximity of zero (relative to its scale) the value is the numerator."""
-    num, den, den_max, den_deg = R._coefficient_stacks
+    denominator within pole_proximity of zero the value is the numerator.
+
+    The scale of den(x) is sum_k |c_k| |x|^k, the bound on the rounding of its Horner value."""
+    num, den = R._coefficient_stacks
     X = np.asarray(points, dtype=complex).reshape(-1, 1, 1)
     dv = _horner(den, X)
-    near_pole = np.abs(dv) <= cfg.pole_proximity * den_max * np.maximum(1.0, np.abs(X)) ** den_deg
+    near_pole = np.abs(dv) <= cfg.pole_proximity * _horner(np.abs(den), np.abs(X))
     return _horner(num, X) / np.where(near_pole, 1.0, dv), near_pole
 
 
@@ -347,7 +347,8 @@ def rm_split_boundary(R: RationalMatrix, points, infinity=(), cfg: Config = DEFA
     factor with roots b and conj(b), the entry n/d splits as c/f**e + h/q,
     where q = d / f**e, c = n/q mod f**e and h = (n - c q) / f**e.  Both
     divisions drop their remainders, the rounding that moved the poles off b.
-    Simple poles and double real ones split; others stay in rest.  ``parts``
+    Simple poles and real poles of any multiplicity split; complex ones of
+    multiplicity two or more stay in rest.  ``parts``
     lists (b, [A1, A2, ...]) for b and conj(b), A_j the coefficient of
     (x - b)**-j.  A nonempty ``infinity`` lists the coefficients A_j of x**j
     of an improper CT R; they go to parts as (inf, infinity), the constant stays.
@@ -371,7 +372,7 @@ def rm_split_boundary(R: RationalMatrix, points, infinity=(), cfg: Config = DEFA
         left = [[[(loc, k) for loc, k in cl if min(abs(loc - b), abs(loc - np.conj(b))) > near] for cl in row]
                 for row in left]
         k = max(max(row) for row in mult)
-        if k > (2 if b.imag == 0 else 1):
+        if k > 1 and b.imag != 0:
             continue
         f = np.array([-b.real, 1.0]) if b.imag == 0 else np.array([abs(b) ** 2, -2.0 * b.real, 1.0])
         A = np.zeros((k, m, m), dtype=complex)
@@ -380,11 +381,11 @@ def rm_split_boundary(R: RationalMatrix, points, infinity=(), cfg: Config = DEFA
             fe = npp.polypow(f, e)
             q = npp.polydiv(den[i][j], fe)[0]
             t = RationalScalar(num[i][j], q, reduce=False).taylor(b, e)
-            if e == 2:  # b real: c = t0 + t1 (x - b)
-                A[1, i, j], A[0, i, j] = t[0], t[1]
-                c = [t[0].real - t[1].real * b.real, t[1].real]
-            elif b.imag == 0:
-                A[0, i, j], c = t[0], [t[0].real]
+            if b.imag == 0:  # c = sum_l t_l (x - b)**l
+                A[e - 1::-1, i, j] = t
+                c = [t[0].real]
+                for ell in range(1, e):
+                    c = polyadd(c, t[ell].real * npp.polypow([-b.real, 1.0], ell))
             else:  # c real and linear with c(b) = t0; f'(b) = 2i Im b
                 A[0, i, j] = t[0] / (2j * b.imag)
                 c = [t[0].real - t[0].imag * b.real / b.imag, t[0].imag / b.imag]
@@ -438,10 +439,11 @@ def generic_points():
     return points
 
 
-def full_rank_somewhere(vals, cfg: Config = DEFAULT) -> bool:
-    """At one of the (npts, m, m) values the smallest singular value exceeds rank_rel times the largest."""
+def full_rank_somewhere(vals, cfg: Config = DEFAULT, scale=0.0) -> bool:
+    """At one of the (npts, m, m) values the smallest singular value exceeds rank_rel times the largest
+    (or times scale, when that is larger)."""
     sv = np.linalg.svd(vals, compute_uv=False)
-    return bool(np.any(sv[:, -1] > cfg.rank_rel * sv[:, 0]))
+    return bool(np.any(sv[:, -1] > cfg.rank_rel * np.maximum(sv[:, 0], scale)))
 
 
 def rm_full_normal_rank(M: RationalMatrix, cfg: Config = DEFAULT) -> bool:

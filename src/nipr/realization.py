@@ -170,8 +170,37 @@ def _gilbert_blocks(R: RationalMatrix, pole_list, cfg: Config):
     return Ab, Bb, Cb
 
 
+def _balance(A, B, C):
+    """(D^-1 A D, D^-1 B, C D) with D diagonal, powers of 2, equalizing A's off-diagonal row and column sums.
+
+    The scaling of LAPACK's gebal (Parlett & Reinsch, Numer. Math. 13
+    (1969)), without its permutations.  A companion matrix carries the
+    denominator's coefficients, which span w^n for poles of size w; the
+    reductions decide ranks relative to the largest singular value, and on
+    the unbalanced form they drop states that are only small next to those
+    coefficients.
+    """
+    A = A.copy()
+    d = np.ones(A.shape[0])
+    changed = True
+    while changed:
+        changed = False
+        for i in range(A.shape[0]):
+            c = np.abs(A[:, i]).sum() - abs(A[i, i])
+            r = np.abs(A[i, :]).sum() - abs(A[i, i])
+            if c == 0.0 or r == 0.0:
+                continue
+            f = 2.0 ** np.round(0.5 * np.log2(r / c))
+            if c * f + r / f < 0.95 * (c + r):
+                A[:, i] *= f
+                A[i, :] /= f
+                d[i] *= f
+                changed = True
+    return A, B / d[:, None], C * d[None, :]
+
+
 def _block_companion(R: RationalMatrix, pole_list, cfg: Config):
-    """Controllable canonical form from a common scalar denominator."""
+    """Controllable canonical form from a common scalar denominator, balanced."""
     m = R.size
     rts = []
     for p, mult in pole_list:
@@ -198,7 +227,7 @@ def _block_companion(R: RationalMatrix, pole_list, cfg: Config):
     B = np.zeros((n * m, m))
     B[(n - 1) * m:, :] = np.eye(m)
     C = np.hstack(Ncoef) if n else np.zeros((m, 0))
-    return A, B, C
+    return _balance(A, B, C)
 
 
 def minimal_realization(R: RationalMatrix, cfg: Config = DEFAULT) -> StateSpace:
@@ -240,10 +269,15 @@ def minimal_realization(R: RationalMatrix, cfg: Config = DEFAULT) -> StateSpace:
 
 
 def require_no_eigenvalue_at(A, z0):
-    """Raise when A has an eigenvalue at z0 = 1 or -1, by |det(A - z0 I)| <= 1e-12 max(1, ||A - z0 I||)^n."""
-    n = A.shape[0]
-    M = A - z0 * np.eye(n)
-    if abs(np.linalg.det(M)) <= 1e-12 * max(1.0, np.linalg.norm(M, 2)) ** n:
+    """Raise when A has an eigenvalue at z0 = 1 or -1: A is within 1e-12 max(1, ||A - z0 I||) of a matrix that has.
+
+    That distance is the smallest singular value of A - z0 I.  Eigenvalues
+    near z0 but off it do not count, however many there are (they make the
+    determinant tiny); a Jordan block near z0 does, as its distance is the
+    square of its offset.
+    """
+    sv = np.linalg.svd(A - z0 * np.eye(A.shape[0]), compute_uv=False)
+    if sv.size and sv[-1] <= 1e-12 * max(1.0, sv[0]):
         exc = EigenvalueAtPlusOne if z0 == 1.0 else EigenvalueAtMinusOne
         raise exc(f"state matrix has an eigenvalue at {z0:+g}")
 

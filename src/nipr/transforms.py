@@ -29,12 +29,17 @@ def _require_symmetric_constant(M, what):
     return M
 
 
+def _minus_times(G: RationalMatrix, consts, cfg: Config, **factors) -> RationalMatrix:
+    """(G - consts) times (x - zero)/(x - pole), entry by entry and without finding roots (``times_factors``)."""
+    return RationalMatrix([[e.minus(consts[i, j]).times_factors(cfg=cfg, **factors) for j, e in enumerate(row)]
+                           for i, row in enumerate(G.entries)], G.domain)
+
+
 def ct_ni_to_pr(G: RationalMatrix, cfg: Config = DEFAULT) -> RationalMatrix:
     """F(s) = s * (G(s) - G(inf)); maps NI transfer matrices to PR ones."""
     if not G.is_proper():
         raise ImproperInput("the NI-to-PR map needs a proper matrix")
-    s = RationalScalar([0.0, 1.0])
-    return (G - RationalMatrix.constant(G.value_at_inf(), CT)).scalar_mul(s)
+    return _minus_times(G, G.value_at_inf(), cfg, zero=0.0)
 
 
 def ct_pr_to_ni(F: RationalMatrix, D, cfg: Config = DEFAULT) -> RationalMatrix:
@@ -74,9 +79,9 @@ def cssni_to_csspr(G: RationalMatrix, cfg: Config = DEFAULT):
     """F = (s + eps) * (G(s) - G(inf)) for a certified eps with F strongly strict PR (classify_csspr)."""
     if not G.is_proper():
         raise ImproperInput("the NI-to-PR map needs a proper matrix")
-    core = G - RationalMatrix.constant(G.value_at_inf(), CT)
+    core = _minus_times(G, G.value_at_inf(), cfg)
     return _certified_epsilon(
-        G, lambda eps: core.scalar_mul(RationalScalar([eps, 1.0])), classify_csspr, "PR", cfg)
+        G, lambda eps: _minus_times(core, np.zeros((G.size, G.size)), cfg, zero=-eps), classify_csspr, "PR", cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -94,14 +99,10 @@ def dt_ni_to_pr(G: RationalMatrix, cfg: Config = DEFAULT) -> RationalMatrix:
     if pole_at(G, (-1.0,), cfg) is not None:
         raise PoleAtMinusOne("G has a pole at z = -1")
     Gm1 = np.real(rm_eval(G, -1.0, cfg))
-    blaschke = RationalScalar([-1.0, 1.0], [1.0, 1.0])
-    F = (G - RationalMatrix.constant(Gm1, DT)).scalar_mul(blaschke)
-    for row in F.entries:
-        for e in row:
-            for r in e.den_roots:
-                if abs(r + 1.0) <= 1e-6:
-                    raise CancellationFailure("residual pole at z = -1 after the map")
-    return F
+    try:
+        return _minus_times(G, Gm1, cfg, zero=1.0, pole=-1.0)
+    except CancellationFailure as exc:
+        raise CancellationFailure("residual pole at z = -1 after the map") from exc
 
 
 def dt_pr_to_ni(F: RationalMatrix, offset, cfg: Config = DEFAULT) -> RationalMatrix:

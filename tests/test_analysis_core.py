@@ -2,9 +2,9 @@
 
 Classifiers run on one matrix share one lazily computed analysis per Config.
 These tests check that sharing never changes an answer and that it removes
-the repeated work: each boundary form is scanned and root-searched once per
-document, and no boundary form is built as a rational matrix, not even when G
-has a boundary pole.
+the repeated work: each boundary form gets one crossing search per document,
+no grid is scanned, and no boundary form is built as a rational matrix, not
+even when G has a boundary pole.
 """
 
 import gc
@@ -26,7 +26,7 @@ from nipr.poly import RationalScalar
 CT_CLASSES = ("cpr", "csspr", "cwspr", "cni", "cssni", "cwsni")
 DT_CLASSES = ("dpr", "dsspr", "dni", "dssni", "dwsni")
 # the rng-0 reference documents (three modes each) for every labelled generator, m = 1..3;
-# their CLI runs use a 400-point grid to keep the suite fast
+# their CLI runs override the sweep grid, which only the embedded config shows
 DOCS = [(gen, m) for gen in ("ct_ni", "dt_ni", "ct_pr", "dt_pr") for m in (1, 2, 3)]
 OTHER = DEFAULT.with_overrides(require_symmetry=False, grid_points_ct=500, grid_points_dt=500)
 
@@ -123,8 +123,8 @@ def test_class_all_scans_and_roots_each_boundary_matrix_once(tmp_path, capsys, m
     counts = count_calls(monkeypatch, ("boundary_det_zeros", "grid_psd_scan") + builders)
     main(["classify", path, "--class", "all", "--json"])
     capsys.readouterr()
-    # each form scanned and root-searched once, from G: no rational form is built
-    assert counts == {"boundary_det_zeros": 2, "grid_psd_scan": 2, builders[0]: 0, builders[1]: 0}
+    # one crossing search per form, from G: no grid scan, no rational form
+    assert counts == {"boundary_det_zeros": 2, "grid_psd_scan": 0, builders[0]: 0, builders[1]: 0}
 
 
 @pytest.mark.parametrize("gen,builders", list(BUILDERS.items()))
@@ -134,13 +134,13 @@ def test_a_boundary_pole_builds_no_rational_form(tmp_path, capsys, monkeypatch, 
     counts = count_calls(monkeypatch, ("boundary_det_zeros", "grid_psd_scan") + builders)
     main(["classify", str(path), "--class", "all", "--json"])
     capsys.readouterr()
-    assert counts == {"boundary_det_zeros": 2, "grid_psd_scan": 2, builders[0]: 0, builders[1]: 0}
+    assert counts == {"boundary_det_zeros": 2, "grid_psd_scan": 0, builders[0]: 0, builders[1]: 0}
 
 
 def test_single_class_stays_lazy(monkeypatch):
     counts = count_calls(monkeypatch, ("boundary_det_zeros", "grid_psd_scan", "ppart_dt", "defect_dt"))
     analysis_dt.classify_dni(reference("dt_ni", 2))
-    assert counts == {"boundary_det_zeros": 0, "grid_psd_scan": 1, "ppart_dt": 0, "defect_dt": 0}
+    assert counts == {"boundary_det_zeros": 1, "grid_psd_scan": 0, "ppart_dt": 0, "defect_dt": 0}
 
 
 @pytest.mark.parametrize("gen", ["ct_ni", "dt_ni"])
@@ -153,7 +153,10 @@ def test_class_all_realizes_the_matrix_once(tmp_path, capsys, monkeypatch, gen):
     assert counts == {"minimal_realization": 1}
 
 
-def test_plain_class_does_not_realize(monkeypatch):
+def test_plain_class_realizes_once_and_a_strict_class_reuses_it(monkeypatch):
     counts = count_calls(monkeypatch, ("minimal_realization",), owner="realization")
-    analysis_dt.classify_dni(reference("dt_ni", 2))
-    assert counts == {"minimal_realization": 0}
+    G = reference("dt_ni", 2)
+    analysis_dt.classify_dni(G)
+    assert counts == {"minimal_realization": 1}  # the crossings of the plain class come from a realization
+    analysis_dt.classify_dwsni(G)
+    assert counts == {"minimal_realization": 1}

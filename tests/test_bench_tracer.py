@@ -34,8 +34,9 @@ def test_tracer_installs_sees_a_classification_and_uninstalls(tmp_path, capsys, 
     assert json.loads(capsys.readouterr().out)[0]["verdict"] is True
     assert (cli.main, boundary.grid_psd_scan, dict(cli.CLASSIFIERS)) == originals
     assert tracer.calls["analysis_ct.cni"] == 1
-    assert tracer.calls["boundary.grid_psd_scan"] == 1
-    assert tracer.calls["boundary.defect_ct"] == 0  # the scan reads G: no rational form is built
+    assert tracer.calls["boundary.grid_psd_scan"] == 0  # the sign comes from the crossings
+    assert tracer.calls["boundary.boundary_det_zeros"] == 1
+    assert tracer.calls["boundary.defect_ct"] == 0  # the samples read G: no rational form is built
 
 
 def test_tracer_sees_the_crossing_test_of_class_all(tmp_path, capsys, monkeypatch):

@@ -154,11 +154,11 @@ CASES = [("ct_ni", "ni"), ("dt_pr", "pr"), ("ct_mixed", "pr"), ("ct_mixed", "ni"
 def test_grid_scan_matches_the_per_point_scan(gen, form, m):
     G = getattr(corpus, gen)(np.random.default_rng(0), m=m)
     dom = DOMAINS[G.domain]
-    R, extra = analysis_of(G, GRID).sign_terms(form)  # what Analysis.scan evaluates
+    R, extra = analysis_of(G, GRID).sign_terms(form)  # what the samples of the classifiers evaluate
     assert R is G and extra is None  # no boundary pole: G itself, nothing split off
     args = (R, dom.grid[form](GRID), dom.point, 2.0 * PREMUL[form], GRID)
     worst, tworst, n = grid_psd_scan(*args)
-    assert (worst, tworst, n) == analysis_of(G, GRID).scan(form)  # what the classifiers scan
+    assert (worst >= 0.0) == (analysis_of(G, GRID).sign_scan(form)[0] >= 0.0)  # the classifiers' verdict
     ref_worst, ref_tworst, ref_n = reference_scan(*args)
     assert (tworst, n) == (ref_tworst, ref_n)
     assert abs(worst - ref_worst) <= 1e-12

@@ -14,10 +14,11 @@ import pytest
 
 import corpus
 from nipr import analysis
-from nipr.analysis_ct import classify_cni, classify_csspr, classify_cwsni, classify_cwspr
+from nipr.analysis_ct import classify_cni, classify_cpr, classify_csspr, classify_cwsni, classify_cwspr
 from nipr.analysis_dt import classify_dpr, classify_dssni, classify_dsspr, classify_dwsni
 from nipr.poly import RationalScalar
 from nipr.ratmat import RationalMatrix
+from nipr.transforms import ct_ni_to_pr
 
 
 def reference(gen, m):
@@ -48,12 +49,14 @@ def test_weakly_strict_ni_is_decided_at_m5(gen, classify):
     assert classify(reference(gen, 5)).verdict
 
 
-@pytest.mark.xfail(strict=True, reason="the plain classes still read the sign off the grid, "
-                                       "and this dip is narrower than its spacing")
 def test_narrow_dip_fails_the_plain_ni_class():
     w = 10.37
     G = scalar([1.0], [1.0, 1.0]) - scalar([1e-3], [w * w, 2e-6 * w, 1.0])
-    assert not classify_cni(G).verdict
+    rep = classify_cni(G)
+    assert not rep.verdict and not rep.condition("boundary-sign").passed
+    # F = s (G(s) - G(inf)), the PR image of G, has the dip in its Hermitian part
+    rep = classify_cpr(ct_ni_to_pr(G))
+    assert not rep.verdict and not rep.condition("boundary-psd").passed
 
 
 def test_narrow_dip_is_a_pair_of_crossings():

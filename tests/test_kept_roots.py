@@ -4,8 +4,8 @@ A rational scalar keeps the denominator roots its reduction found; a rational
 matrix clusters its entry poles once per root_cluster value; and the minimal
 realization forms its strictly proper part over the entries' own
 denominators.  These tests check that the kept roots are exactly the roots
-that would be found again, and that parsing, realizing and classifying do
-not find them again.
+that would be found again, and that parsing, realizing, classifying and the
+NI-to-PR transforms do not find them again.
 """
 
 import sys
@@ -14,13 +14,15 @@ import numpy as np
 import pytest
 
 import corpus
-from nipr import poly
+from nipr import poly, transforms
 from nipr.cli import main
 from nipr.config import DEFAULT
 from nipr.docio import document_of, jsonable, parse_document, save_document
+from nipr.errors import CancellationFailure
 from nipr.poly import RationalScalar, roots
-from nipr.ratmat import RationalMatrix, rm_poles, rm_residues_at, rm_split_boundary
+from nipr.ratmat import RationalMatrix, rm_eval, rm_poles, rm_residues_at, rm_split_boundary
 from nipr.realization import minimal_realization
+from nipr.transforms import cssni_to_csspr, ct_ni_to_pr, dt_ni_to_pr
 
 GENERATORS = ("ct_ni", "ct_pr", "ct_mixed", "dt_ni", "dt_pr", "dt_mixed")
 
@@ -173,3 +175,59 @@ def test_classify_all_finds_each_denominators_roots_at_most_once(tmp_path, capsy
         times = sum(1 for c in seen if np.shape(c) == den.shape and np.array_equal(c, den))
         sharing = sum(1 for d in dens if np.array_equal(d, den))
         assert times <= sharing  # each entry's once, by the parse
+
+
+# ---------------------------------------------------------------------------
+# the NI-to-PR transforms subtract a constant and multiply by a factor without finding roots
+
+
+def old_ct_ni_to_pr(G):
+    """s (G(s) - G(inf)) through rational arithmetic, which reduces every entry again."""
+    return (G - RationalMatrix.constant(G.value_at_inf(), "ct")).scalar_mul(RationalScalar([0.0, 1.0]))
+
+
+def old_dt_ni_to_pr(G):
+    """(z - 1)/(z + 1) (G(z) - G(-1)) through rational arithmetic."""
+    Gm1 = np.real(rm_eval(G, -1.0))
+    return (G - RationalMatrix.constant(Gm1, "dt")).scalar_mul(RationalScalar([-1.0, 1.0], [1.0, 1.0]))
+
+
+def with_integrator(G):
+    """G plus 1/s or 1/(z - 1) times I: a pole that the factor s or z - 1 cancels."""
+    pole = [0.0, 1.0] if G.domain == "ct" else [-1.0, 1.0]
+    m = G.size
+    return G + RationalMatrix([[RationalScalar([float(i == j)], pole) for j in range(m)] for i in range(m)],
+                              G.domain)
+
+
+@pytest.mark.parametrize("gen", GENERATORS)
+@pytest.mark.parametrize("m", [1, 2, 3])
+@pytest.mark.parametrize("integrator", [False, True])
+def test_ni_to_pr_finds_no_roots_and_equals_the_rational_arithmetic(monkeypatch, gen, m, integrator):
+    G = parsed(reference(gen, m))
+    G = parsed(with_integrator(G)) if integrator else G
+    ct = G.domain == "ct"
+    want = old_ct_ni_to_pr(G) if ct else old_dt_ni_to_pr(G)
+    seen = record_calls(monkeypatch, "roots")
+    got = ct_ni_to_pr(G) if ct else dt_ni_to_pr(G)
+    assert seen == []
+    assert got.equals(want)
+    # a denominator that lost the cancelled root finds its roots again on first use; the others kept theirs
+    assert all(same_roots(e) for e in entries(got))
+
+
+def test_cssni_to_csspr_finds_no_roots_before_classifying(monkeypatch):
+    G = parsed(reference("ct_ni", 2))
+    seen = record_calls(monkeypatch, "roots")
+    monkeypatch.setattr(transforms, "_certified_epsilon", lambda R, make, *args: (make(0.25), 0.25))
+    F, eps = cssni_to_csspr(G)
+    assert seen == []
+    core = G - RationalMatrix.constant(G.value_at_inf(), "ct")
+    assert F.equals(core.scalar_mul(RationalScalar([eps, 1.0])))
+
+
+def test_a_missing_cancellation_at_minus_one_is_reported():
+    # G(z) - G(-1) vanishes at z = -1 by construction; a numerator without that root is refused
+    with pytest.raises(CancellationFailure):
+        RationalScalar([1.0], [-0.5, 1.0]).times_factors(pole=-1.0)
+    assert RationalScalar([1.0, 1.0], [-0.5, 1.0]).times_factors(pole=-1.0).equals(RationalScalar([1.0], [-0.5, 1.0]))

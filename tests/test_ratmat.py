@@ -1,4 +1,5 @@
 import numpy as np
+import numpy.polynomial.polynomial as npp
 import pytest
 
 from nipr.config import DEFAULT
@@ -152,3 +153,30 @@ def test_matrix_arithmetic_pointwise():
     assert np.allclose(rm_eval(P, z), rm_eval(R, z) @ rm_eval(R, z), atol=1e-10)
     T = R.transpose()
     assert np.allclose(rm_eval(T, z), rm_eval(R, z).T, atol=1e-10)
+
+
+def test_a_sharp_resonance_is_evaluated_up_to_its_pole():
+    # 1/(s^2 + 0.2 s + 1e6) peaks at w = 1000 with half-width 0.1; scaled by sum_k |c_k| |x|^k (Horner's
+    # rounding bound) |den| = 200 there is far from a pole, where max|c_k| max(1, |x|)^deg masked |w - 1000| <= 0.5
+    den = [1e6, 0.2, 1.0]
+    R = RationalMatrix([[RationalScalar([1.0], den), RationalScalar([1.0], [1.0, 1.0])],
+                        [RationalScalar([2.0]), RationalScalar([1.0], den)]], "ct")
+    w = 1000.0 + np.linspace(-0.6, 0.6, 121)
+    vals, ok = rm_eval_many(R, 1j * w)
+    assert ok.all()
+    want = npp.polyval(1j * w, [1.0]) / npp.polyval(1j * w, den)
+    np.testing.assert_array_equal(vals[:, 0, 0], want)
+    np.testing.assert_array_equal(vals[:, 1, 1], want)
+    # and the dip of 1/(s + 1) - 1e-5 s/(s^2 + 0.2 s + 1e6) that it gives the Hermitian part is seen
+    g = RationalMatrix([[RationalScalar([1.0], [1.0, 1.0]) - RationalScalar([0.0, 1e-5], den)]], "ct")
+    re = np.real(rm_eval_many(g, 1j * w)[0][:, 0, 0])
+    assert re.min() == pytest.approx(1.0 / (1.0 + 1e6) - 1e-5 / 0.2, rel=1e-3)
+
+
+def test_an_exact_pole_is_still_refused():
+    R = RationalMatrix([[RationalScalar([1.0], [1e6, 0.2, 1.0])]], "ct")
+    pole = np.roots([1.0, 0.2, 1e6])[0]
+    with pytest.raises(PoleProximity):
+        rm_eval(RationalMatrix([[RationalScalar([1.0], [-2.0, 1.0])]], "ct"), 2.0)
+    with pytest.raises(PoleProximity):
+        rm_eval(R, pole)

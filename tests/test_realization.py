@@ -111,3 +111,26 @@ def test_spectrum_matches_poles():
     lams = sorted(np.real(spectrum(ss)))
     poles = sorted(p.real for p, m in rm_poles(G) for _ in range(2))  # rank-2 weights
     assert np.allclose(lams, poles, atol=1e-7)
+
+
+def test_stable_eigenvalues_near_minus_one_are_not_at_it():
+    # two eigenvalues 5e-7 inside z = -1 make det(A + I) = 2.5e-13, but A is 5e-7 from a matrix with -1
+    A = np.diag([-0.9999995, -0.9999995])
+    ss = StateSpace(A, np.eye(2), np.eye(2), np.zeros((2, 2)), "dt")
+    assert cayley_ss(ss).order == 2
+    jordan = StateSpace(np.array([[-1.0, 1.0], [0.0, -1.0]]), np.eye(2), np.eye(2), np.zeros((2, 2)), "dt")
+    with pytest.raises(EigenvalueAtMinusOne):
+        cayley_ss(jordan)
+
+
+@pytest.mark.parametrize("w", [10.0, 100.0, 1000.0])
+def test_a_repeated_mode_of_a_large_frequency_keeps_its_states(w):
+    # the companion form of (s^2 + 0.02 w s + w^2)^2 carries w^4; unbalanced, the reductions dropped
+    # every state at w = 100
+    G = RationalMatrix([[RationalScalar([1.0], np.polynomial.polynomial.polypow([w * w, 0.02 * w, 1.0], 2))]], "ct")
+    ss = minimal_realization(G)
+    assert ss.order == 4 and is_minimal(ss)
+    s = np.array([0.5j * w, 1j * w, 2j * w, 1.0 + 0.0j])
+    direct = np.array([rm_eval(G, x)[0, 0] for x in s])
+    via = np.array([(ss.C @ np.linalg.solve(x * np.eye(4) - ss.A, ss.B))[0, 0] for x in s])
+    assert np.allclose(via, direct, rtol=1e-6, atol=0.0)

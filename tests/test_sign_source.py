@@ -151,9 +151,14 @@ def test_a_skew_residue_shows_in_the_form():
     K = [[1.0, 1e-3], [-1e-3, 1.0]]
     G = RationalMatrix([[RationalScalar([K[i][j]], [0.0, 1.0]) + RationalScalar([float(i == j)], [1.0, 1.0])
                          for j in range(2)] for i in range(2)], "ct")
+    # so 2/(1 + w^2) - 2e-3/w crosses zero near w = 1e-3 and w = 1e3 and is negative outside
     report = classify_cpr(G)
     assert {cid for cid, _ in failed(report)} == {"boundary-psd", "imaginary-axis-poles"}
-    assert report.condition("boundary-psd").witness["worst_margin"] < -1e3
+    wit = report.condition("boundary-psd").witness
+    assert wit["worst_margin"] < -1.0
+    near = [min((1e-3, 1e3), key=lambda w: abs(np.log(t / w))) for t in wit["crossings"]]
+    assert set(near) == {1e-3, 1e3}
+    assert all(t == pytest.approx(w, rel=1e-2) for t, w in zip(wit["crossings"], near))
 
 
 def ct(*terms):
@@ -221,13 +226,16 @@ def test_scan_reads_the_rest_of_g_on_the_boundary(monkeypatch, domain, form):
     orig = boundary.rm_eval_many
 
     def recording(R, points, cfg):
-        calls.append((R, points))
+        calls.append((R, np.asarray(points)))
         return orig(R, points, cfg)
 
     monkeypatch.setattr(boundary, "rm_eval_many", recording)
-    a.scan(form)
-    assert calls and all(R is rest for R, _ in calls)
-    np.testing.assert_array_equal(calls[0][1], dom.point(dom.grid[form](DEFAULT)))
+    worst, tworst, n, _ = a.sign_scan(form)
+    # G itself is read only off the boundary (the identically-zero test); the samples read the rest
+    samples = [(R, x) for R, x in calls if R is not G]
+    assert len(samples) == 1 and samples[0][0] is rest and samples[0][1].size == n
+    on_boundary = np.abs(samples[0][1].real) if domain == "ct" else np.abs(np.abs(samples[0][1]) - 1.0)
+    assert np.all(on_boundary <= 1e-15) and dom.point(tworst) in samples[0][1]
     assert not any(dom.on_boundary(p, DEFAULT.root_cluster) for p, _ in rm_poles(rest))
 
 
@@ -276,16 +284,25 @@ def reference_scan(G, form):
     return grid_psd_scan(BUILDERS[G.domain, form](G), dom.grid[form](DEFAULT), dom.point, PREMUL[form], DEFAULT)
 
 
+def grid_scan(G, form):
+    """The grid scan of the split form: the rest of G read on the sweep grid, plus the split-off shares."""
+    dom = DOMAINS[G.domain]
+    R, extra = analysis_of(G).sign_terms(form)
+    return grid_psd_scan(R, dom.grid[form](DEFAULT), dom.point, 2.0 * PREMUL[form], DEFAULT, extra)
+
+
 @pytest.mark.parametrize("gen", GENERATORS)
 @pytest.mark.parametrize("m", [1, 2, 3, 4])
 def test_scan_from_g_agrees_with_the_rational_form(gen, m):
+    """The split form read on the grid agrees with the rational form, and the crossings give the same sign."""
     for seed in range(3):
         G = getattr(corpus, gen)(np.random.default_rng([seed, m]), m=m)
         for form in ("pr", "ni"):
-            worst, _, _ = analysis_of(G).scan(form)
+            worst, _, _ = grid_scan(G, form)
             ref, _, _ = reference_scan(G, form)
             assert (worst >= 0.0) == (ref >= 0.0)
             assert abs(worst - ref) <= 1e-9 * (1.0 + abs(ref)), (seed, form, worst, ref)
+            assert (analysis_of(G).sign_scan(form)[0] >= 0.0) == (ref >= 0.0), (seed, form)
 
 
 @pytest.mark.parametrize("gen", GENERATORS)
@@ -299,6 +316,7 @@ def test_split_scan_agrees_with_the_rational_form_on_a_boundary_pole(gen):
             G = G + corpus.weighted_modes([corpus.psd(np.random.default_rng([seed, m, 1]), m)],
                                           [RationalScalar([1.0], pole)], np.zeros((m, m)), G.domain)
             for form in ("pr", "ni"):
-                worst, _, _ = analysis_of(G).scan(form)
+                worst, _, _ = grid_scan(G, form)
                 ref, _, _ = reference_scan(G, form)
                 assert (worst >= 0.0) == (ref >= 0.0), (m, seed, form, worst, ref)
+                assert (analysis_of(G).sign_scan(form)[0] >= 0.0) == (ref >= 0.0), (m, seed, form)
