@@ -137,7 +137,7 @@ def classify_cssni(G: RationalMatrix, cfg: Config = DEFAULT):
     decay, margin = _decay_at_infinity(G, "ni", 3)
     conds.append(decay)
     Q = None
-    if a.strictly_stable(0.0):
+    if a.strictly_stable(cfg.root_cluster):
         # the defect W(s) = G(s) - G(-s)^T has W(0) = G(0) - G(0)^T and W'(0) = G'(0) + G'(0)^T
         g = matrix_taylor(G, 0.0, 2)
         Q = -np.real(herm(g[1] + g[1].T))

@@ -128,7 +128,7 @@ def classify_dssni(G: RationalMatrix, cfg: Config = DEFAULT):
     a = analysis_of(G, cfg)
     conds = a.strict_conditions("ni", "dssni")
     lim = None
-    if a.strictly_stable(0.0):
+    if a.strictly_stable(cfg.root_cluster):
         lim = circle_limits(G, cfg)
         conds.append(Condition("slope-at-one", is_pd(lim.Q0, cfg.strict_rel), {"Q0": lim.Q0}))
         conds.append(Condition("slope-at-minus-one", is_pd(lim.Qpi, cfg.strict_rel), {"Qpi": lim.Qpi}))
@@ -153,5 +153,5 @@ def gain_order_check(G: RationalMatrix, cfg: Config = DEFAULT):
     p = pole_at(G, (1.0, -1.0), cfg)
     if p is not None:
         raise PoleAtPlusMinusOne(f"pole at {p} blocks the gain comparison")
-    M = np.real(rm_eval(G, 1.0, cfg) - rm_eval(G, -1.0, cfg))
+    M = np.real(rm_eval(G, 1.0) - rm_eval(G, -1.0))
     return M, is_psd(M, cfg.psd_rel), is_pd(M, cfg.strict_rel)

@@ -116,13 +116,13 @@ def dt_grid_full(cfg: Config):
     return np.linspace(0.0, 2.0 * np.pi, cfg.grid_points_dt, endpoint=False)
 
 
-def form_values(R: RationalMatrix, params, to_points, premul, cfg: Config, extra=None):
+def form_values(R: RationalMatrix, params, to_points, premul, extra=None):
     """(premul * R(to_points(params)) + extra(params), ok): a stack whose Hermitian part is the form.
 
-    ok is False where a point is near a pole of R or extra's share is not
+    ok is False where a point is at a pole of R or extra's share is not
     finite; extra(params) gives (a Hermitian stack, finite mask), or extra is None.
     """
-    vals, ok = rm_eval_many(R, to_points(params), cfg)
+    vals, ok = rm_eval_many(R, to_points(params))
     vals *= premul
     if extra is not None:
         add, finite = extra(params)
@@ -147,8 +147,8 @@ def grid_psd_scan(R: RationalMatrix, params, to_points, premul, cfg: Config, ext
     """
     params = np.asarray(params, dtype=float)
 
-    def margins(ts):  # inf where a point is near a pole or its margin is not finite
-        vals, ok = form_values(R, ts, to_points, premul, cfg, extra)
+    def margins(ts):  # inf where a point is at a pole or its margin is not finite
+        vals, ok = form_values(R, ts, to_points, premul, extra)
         marg = psd_margin(vals, cfg.psd_rel)
         return np.where(ok & np.isfinite(marg), marg, np.inf)
 
@@ -302,7 +302,7 @@ def identically_singular(G: RationalMatrix, form, cfg: Config = DEFAULT) -> bool
     sign = 1.0 if form == "pr" else -1.0
     x = generic_points()
     k = x.size
-    vals, ok = rm_eval_many(G, np.concatenate([x, -x if G.domain == CT else 1.0 / x]), cfg)
+    vals, ok = rm_eval_many(G, np.concatenate([x, -x if G.domain == CT else 1.0 / x]))
     ok = ok[:k] & ok[k:]
     R = (vals[:k] + sign * np.swapaxes(vals[k:], -1, -2))[ok]
     scale = np.linalg.norm(vals[np.concatenate([ok, ok])], 2, axis=(1, 2)).max(initial=0.0)
@@ -423,7 +423,7 @@ def crossing_scan(R: RationalMatrix, cuts, ends, from_freq, to_points, premul, c
     """
     params = np.concatenate([np.asarray(ends, dtype=float),
                              from_freq(_interval_samples(sorted(w for w in cuts if 0.0 < w < np.inf)))])
-    vals, ok = form_values(R, params, to_points, premul, cfg, extra)
+    vals, ok = form_values(R, params, to_points, premul, extra)
     marg = psd_margin(vals, cfg.psd_rel)
     marg = np.where(ok & np.isfinite(marg), marg, np.inf)
     k = int(np.argmin(marg))

@@ -137,7 +137,7 @@ def cmd_sweep(args):
     dom = DOMAINS[R.domain]
     params = dom.grid[mode](cfg)  # the sweep grid, w = 0 included in CT PR mode
     rest, extra = analysis_of(R, cfg).sign_terms(mode)  # the values the sign samples read
-    vals, ok = form_values(rest, params, dom.point, 2.0 * PREMUL[mode], cfg, extra)
+    vals, ok = form_values(rest, params, dom.point, 2.0 * PREMUL[mode], extra)
     params = params[ok]
     lam = np.linalg.eigvalsh(herm(vals[ok]))
     cols = [params, lam[:, 0], lam[:, -1]]

@@ -1,7 +1,10 @@
 """Tolerance and grid configuration shared by all classifiers.
 
 Every verdict-producing function accepts an optional ``Config``; reports embed
-the effective configuration so that verdicts are reproducible.
+the effective configuration so that verdicts are reproducible.  What the code
+can compute is not a field: a point is at a pole of a rational matrix when a
+denominator is zero within the rounding bound of its Horner value
+(``ratmat.rm_eval_many``).
 """
 
 from dataclasses import dataclass, asdict, replace
@@ -12,7 +15,6 @@ class Config:
     # polynomial / rational arithmetic
     root_cluster: float = 1e-7      # roots merge when |r1-r2| <= root_cluster*(1+|r|)
     coeff_rel: float = 1e-9         # coefficient comparisons after normalization
-    pole_proximity: float = 1e-9    # |den(p)| below this (relative) means "at a pole"
 
     # cone checks
     psd_rel: float = 1e-8           # non-strict: lambda_min >= -psd_rel*(1+||M||)

@@ -37,17 +37,41 @@ class InterconnectResult:
 
 
 def _stable(lams, domain, tol=1e-9):
-    if domain == DT:
-        return all(abs(l) < 1.0 - tol for l in lams)
-    return all(l.real < -tol for l in lams)
+    return all(abs(l) < 1.0 - tol if domain == DT else l.real < -tol for l in lams)
 
 
-def _coupling_inverse(K, cfg: Config, what):
-    """K^-1 for a well-posed loop: the smallest singular value of K exceeds rank_rel times its largest."""
-    sv = np.linalg.svd(K, compute_uv=False)
+def _coupling_inverse(K, p, cfg: Config, what):
+    """K^-1 for a well-posed loop, where P drives the fed signals p and Q the rest: the smallest singular
+    value of K exceeds rank_rel times its largest once P's signals are scaled by the power of two that
+    balances the norms of K's off-diagonal blocks (or sets the nonzero one to 1).  That similarity
+    leaves the loop as it is, and the test stays put when P is scaled by k and Q by 1/k."""
+    nP, nQ = np.linalg.norm(K[np.ix_(p, ~p)]), np.linalg.norm(K[np.ix_(~p, p)])
+    s = np.where(p, np.exp2(np.round(np.log2(np.sqrt(nQ / nP) if nP and nQ else (nQ or 1.0) / (nP or 1.0)))), 1.0)
+    sv = np.linalg.svd(s[:, None] * K / s, compute_uv=False)
     if not sv[-1] > cfg.rank_rel * sv[0]:
         raise IllPosed(what)
-    return np.linalg.inv(K)
+    return np.linalg.inv(s[:, None] * K / s) / s[:, None] * s
+
+
+def _diag(X, Y):
+    return np.block([[X, np.zeros((X.shape[0], Y.shape[1]))], [np.zeros((Y.shape[0], X.shape[1])), Y]])
+
+
+def _close(P: StateSpace, Q: StateSpace, ins, outs, fed_in, fed_out, cfg: Config, what) -> InterconnectResult:
+    """The loop around diag(P, Q) from the inputs ``ins`` to the outputs ``outs``.
+
+    Inputs and outputs are numbered P's first, then Q's.  Input fed_in[k] is
+    driven by output fed_out[k], plus the external input if it is also in
+    ``ins``.  The fed signals v = y[fed_out] solve (I - D_ff) v = C_f x + D_fw w.
+    """
+    A, B, C, D = _diag(P.A, Q.A), _diag(P.B, Q.B), _diag(P.C, Q.C), _diag(P.D, Q.D)
+    Kinv = _coupling_inverse(np.eye(len(fed_in)) - D[np.ix_(fed_out, fed_in)], np.asarray(fed_out) < P.size, cfg, what)
+    Vx, Vw = Kinv @ C[fed_out], Kinv @ D[np.ix_(fed_out, ins)]
+    Bf, Df = B[:, fed_in], D[np.ix_(outs, fed_in)]
+    closed = StateSpace(A + Bf @ Vx, B[:, ins] + Bf @ Vw, C[outs] + Df @ Vx,
+                        D[np.ix_(outs, ins)] + Df @ Vw, P.domain)
+    lams = spectrum(closed)
+    return InterconnectResult(closed, lams, _stable(lams, P.domain))
 
 
 def redheffer_star(S1: PartitionedSystem, S2: PartitionedSystem, cfg: Config = DEFAULT) -> InterconnectResult:
@@ -66,75 +90,22 @@ def redheffer_star(S1: PartitionedSystem, S2: PartitionedSystem, cfg: Config = D
     if P.domain != Q.domain:
         raise ValueError("domain mismatch")
     m1, m2 = P.size, Q.size
-    n1, n2 = P.order, Q.order
-    # S1 blocks: outputs (kept m1-a | fed a), inputs (kept m1-b | fed b)
-    C1t, C1b = P.C[: m1 - a, :], P.C[m1 - a:, :]
-    B1l, B1r = P.B[:, : m1 - b], P.B[:, m1 - b:]
-    D111, D112 = P.D[: m1 - a, : m1 - b], P.D[: m1 - a, m1 - b:]
-    D121, D122 = P.D[m1 - a:, : m1 - b], P.D[m1 - a:, m1 - b:]
-    # S2 blocks: outputs (fed b | kept m2-b), inputs (fed a | kept m2-a)
-    C2t, C2b = Q.C[:b, :], Q.C[b:, :]
-    B2l, B2r = Q.B[:, :a], Q.B[:, a:]
-    E11, E12 = Q.D[:b, :a], Q.D[:b, a:]
-    E21, E22 = Q.D[b:, :a], Q.D[b:, a:]
-
-    K = np.block([[np.eye(a), -D122], [-E11, np.eye(b)]])
-    Kinv = _coupling_inverse(K, cfg, "the interconnection coupling matrix is singular")
-    # internal signals [u_hat; u_tilde] = Kinv (Gx x + Gu u)
-    Gx = np.block([
-        [C1b, np.zeros((a, n2))],
-        [np.zeros((b, n1)), C2t],
-    ])
-    Gu = np.block([
-        [D121, np.zeros((a, m2 - a))],
-        [np.zeros((b, m1 - b)), E12],
-    ])
-    W = Kinv @ Gx
-    V = Kinv @ Gu
-    Wu, Wt = W[:a, :], W[a:, :]       # u_hat, u_tilde parts over states
-    Vu, Vt = V[:a, :], V[a:, :]
-    A = np.block([
-        [P.A, np.zeros((n1, n2))],
-        [np.zeros((n2, n1)), Q.A],
-    ]) + np.vstack([B1r @ Wt, B2l @ Wu])
-    B = np.block([
-        [B1l, np.zeros((n1, m2 - a))],
-        [np.zeros((n2, m1 - b)), B2r],
-    ]) + np.vstack([B1r @ Vt, B2l @ Vu])
-    C = np.block([
-        [C1t, np.zeros((m1 - a, n2))],
-        [np.zeros((m2 - b, n1)), C2b],
-    ]) + np.vstack([D112 @ Wt, E21 @ Wu])
-    D = np.block([
-        [D111, np.zeros((m1 - a, m2 - a))],
-        [np.zeros((m2 - b, m1 - b)), E22],
-    ]) + np.vstack([D112 @ Vt, E21 @ Vu])
-    star = StateSpace(A, B, C, D, P.domain)
-    lams = spectrum(star)
-    return InterconnectResult(star, lams, _stable(lams, P.domain))
+    ins = [*range(m1 - b), *range(m1 + a, m1 + m2)]
+    outs = [*range(m1 - a), *range(m1 + b, m1 + m2)]
+    fed_in = [*range(m1, m1 + a), *range(m1 - b, m1)]
+    fed_out = [*range(m1 - a, m1), *range(m1, m1 + b)]
+    return _close(P, Q, ins, outs, fed_in, fed_out, cfg, "the interconnection coupling matrix is singular")
 
 
 def internal_stability(P: StateSpace, Q: StateSpace, cfg: Config = DEFAULT) -> InterconnectResult:
-    """Positive feedback loop u_P = w1 + y_Q, u_Q = w2 + y_P."""
+    """Positive feedback loop u_P = w1 + y_Q, u_Q = w2 + y_P; its system is w1 -> y_P, (I - P Q)^-1 P."""
     if P.domain != Q.domain:
         raise ValueError("domain mismatch")
     if P.size != Q.size:
         raise ValueError("dimension mismatch")
     m = P.size
-    Kinv = _coupling_inverse(np.eye(m) - Q.D @ P.D, cfg, "I - D_Q D_P is singular")
-    n1, n2 = P.order, Q.order
-    # u_P = Kinv (D_Q C_P x_P + C_Q x_Q) + inputs
-    UP = np.hstack([Kinv @ Q.D @ P.C, Kinv @ Q.C])
-    A = np.block([
-        [P.A, np.zeros((n1, n2))],
-        [np.zeros((n2, n1)), Q.A],
-    ]) + np.vstack([P.B @ UP, Q.B @ (np.hstack([P.C, np.zeros((m, n2))]) + P.D @ UP)])
-    # only the closed-loop A matters for the stability verdict; expose the
-    # w1 -> y_P channel so the result is a square system
-    BP = np.vstack([P.B, np.zeros((n2, m))])
-    closed = StateSpace(A, BP, np.hstack([P.C, np.zeros((m, n2))]), P.D, P.domain)
-    lams = spectrum(closed)
-    return InterconnectResult(closed, lams, _stable(lams, P.domain))
+    p, q = [*range(m)], [*range(m, 2 * m)]
+    return _close(P, Q, p, p, p + q, q + p, cfg, "I - D_Q D_P is singular")
 
 
 def ni_stability_test(P: RationalMatrix, Q: RationalMatrix, cfg: Config = DEFAULT) -> dict:
@@ -155,8 +126,7 @@ def ni_stability_test(P: RationalMatrix, Q: RationalMatrix, cfg: Config = DEFAUL
     rep_q = classify_dwsni(Q, cfg)
     if not rep_q.verdict:
         raise PreconditionViolated("Q is not D-WSNI", witness=[c.cid for c in rep_q.failed()])
-    Pm1 = np.real(rm_eval(P, -1.0, cfg))
-    Qm1 = np.real(rm_eval(Q, -1.0, cfg))
+    Pm1, Qm1 = np.real(rm_eval(P, -1.0)), np.real(rm_eval(Q, -1.0))
     prod = Pm1 @ Qm1
     tol = 1e-7 * (1.0 + np.linalg.norm(Pm1, 2) * np.linalg.norm(Qm1, 2))
     if np.linalg.norm(prod, 2) > tol:
@@ -165,7 +135,7 @@ def ni_stability_test(P: RationalMatrix, Q: RationalMatrix, cfg: Config = DEFAUL
     if lamq[0] < -1e-8 * (1.0 + abs(lamq[-1])):
         raise PreconditionViolated("Q(-1) is not PSD", witness=Qm1)
 
-    M = np.real(rm_eval(P, 1.0, cfg)) @ np.real(rm_eval(Q, 1.0, cfg))
+    M = np.real(rm_eval(P, 1.0)) @ np.real(rm_eval(Q, 1.0))
     eigs = np.linalg.eigvals(M)
     scale = 1.0 + np.linalg.norm(M, 2)
     if np.max(np.abs(eigs.imag)) > 1e-8 * scale:
@@ -191,8 +161,7 @@ def star_class_preservation(S1: PartitionedSystem, S2: PartitionedSystem, class_
     if class_name not in _DT_CLASSIFIERS:
         raise ValueError(f"unknown class {class_name!r}")
     clf = _DT_CLASSIFIERS[class_name]
-    in1 = clf(tf_of(S1.sys), cfg).verdict
-    in2 = clf(tf_of(S2.sys), cfg).verdict
+    in1, in2 = clf(tf_of(S1.sys), cfg).verdict, clf(tf_of(S2.sys), cfg).verdict
     res = redheffer_star(S1, S2, cfg)
     star_tf = tf_of(res.system)
     membership = {name: c(star_tf, cfg).verdict for name, c in _DT_CLASSIFIERS.items()}

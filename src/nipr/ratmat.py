@@ -189,34 +189,36 @@ def _horner(C, X):
     return v
 
 
-def _eval_entries(R: RationalMatrix, points, cfg: Config):
+def _eval_entries(R: RationalMatrix, points):
     """(values, near_pole), both (npts, m, m): all entries at once; where near_pole flags a
-    denominator within pole_proximity of zero the value is the numerator.
+    denominator that is zero within its rounding the value is the numerator.
 
-    The scale of den(x) is sum_k |c_k| |x|^k, the bound on the rounding of its Horner value."""
+    With S(x) = sum_k |c_k| |x|^k, n the degree of the stacked denominators and u = eps / 2, Horner's
+    value of den at a complex x rounds by at most (2 sqrt 2 + 1) n u S(x), and x rounded by up to
+    4 u |x| moves it by at most 4 n u S(x) more; the mask is the sum rounded up, 4 (n + 1) eps S(x)."""
     num, den = R._coefficient_stacks
     X = np.asarray(points, dtype=complex).reshape(-1, 1, 1)
     dv = _horner(den, X)
-    near_pole = np.abs(dv) <= cfg.pole_proximity * _horner(np.abs(den), np.abs(X))
+    near_pole = np.abs(dv) <= 4 * den.shape[0] * np.finfo(float).eps * _horner(np.abs(den), np.abs(X))
     return _horner(num, X) / np.where(near_pole, 1.0, dv), near_pole
 
 
-def rm_eval(R: RationalMatrix, p, cfg: Config = DEFAULT) -> np.ndarray:
-    """Evaluate R at a point; raises PoleProximity near entry poles."""
-    vals, near_pole = _eval_entries(R, [p], cfg)
+def rm_eval(R: RationalMatrix, p) -> np.ndarray:
+    """Evaluate R at a point; raises PoleProximity at entry poles."""
+    vals, near_pole = _eval_entries(R, [p])
     if near_pole.any():
         i, j = np.argwhere(near_pole[0])[0]
         raise PoleProximity(f"evaluation at {p} is too close to a pole of entry ({i},{j})")
     return vals[0]
 
 
-def rm_eval_many(R: RationalMatrix, points, cfg: Config = DEFAULT):
+def rm_eval_many(R: RationalMatrix, points):
     """Vectorized evaluation: returns (values, ok_mask).
 
-    values has shape (npts, m, m); pole-proximate points are flagged False in
+    values has shape (npts, m, m); points at a pole are flagged False in
     ok_mask instead of raising.
     """
-    vals, near_pole = _eval_entries(R, points, cfg)
+    vals, near_pole = _eval_entries(R, points)
     return vals, ~near_pole.any(axis=(1, 2))
 
 
@@ -448,5 +450,5 @@ def full_rank_somewhere(vals, cfg: Config = DEFAULT, scale=0.0) -> bool:
 
 def rm_full_normal_rank(M: RationalMatrix, cfg: Config = DEFAULT) -> bool:
     """True iff det M is not identically zero: ``full_rank_somewhere`` at the ``generic_points()``."""
-    vals, ok = rm_eval_many(M, generic_points(), cfg)
+    vals, ok = rm_eval_many(M, generic_points())
     return full_rank_somewhere(vals[ok], cfg)

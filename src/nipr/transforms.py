@@ -98,7 +98,7 @@ def dt_ni_to_pr(G: RationalMatrix, cfg: Config = DEFAULT) -> RationalMatrix:
         raise ImproperInput("the NI-to-PR map needs a proper matrix")
     if pole_at(G, (-1.0,), cfg) is not None:
         raise PoleAtMinusOne("G has a pole at z = -1")
-    Gm1 = np.real(rm_eval(G, -1.0, cfg))
+    Gm1 = np.real(rm_eval(G, -1.0))
     try:
         return _minus_times(G, Gm1, cfg, zero=1.0, pole=-1.0)
     except CancellationFailure as exc:

@@ -45,6 +45,16 @@ def test_circle_limits_rejects_a_pole_at_plus_or_minus_one(num, den):
         circle_limits(scalar(num, den))
 
 
+@pytest.mark.parametrize("z0", [1.0, -1.0])
+def test_a_triple_pole_at_plus_or_minus_one_fails_dssni_cleanly(z0):
+    # the roots of (z - z0)^3 round inside the circle, yet the pole is at z0: no slope is taken
+    rep = classify_dssni(scalar([1.0], [-z0 ** 3, 3.0 * z0 ** 2, -3.0 * z0, 1.0]))
+    assert not rep.verdict and not rep.condition("schur-poles").passed
+    for cid in ("slope-at-one", "slope-at-minus-one"):
+        cond = rep.condition(cid)
+        assert not cond.passed and cond.witness == {"note": "boundary pole prevents the limit"}
+
+
 def test_unstable_dt_pole_fails():
     G = scalar([1.0], [-2.0, 1.0])  # 1/(z - 2)
     rep = classify_dni(G, COARSE)

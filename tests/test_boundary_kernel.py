@@ -14,6 +14,7 @@ import pytest
 
 import corpus
 from nipr.analysis import DOMAINS, PREMUL, analysis_of
+from nipr.analysis_dt import classify_dni
 from nipr.boundary import grid_psd_scan, herm, is_nsd, is_pd, is_psd, psd_margin
 from nipr.config import DEFAULT
 from nipr.errors import PoleProximity
@@ -59,7 +60,7 @@ def reference_scan(R, params, to_points, premul, cfg):
         out = np.full(ts.size, np.inf)
         for k, p in enumerate(to_points(ts)):
             try:
-                out[k] = reference_margin(premul * rm_eval(R, p, cfg), cfg.psd_rel)
+                out[k] = reference_margin(premul * rm_eval(R, p), cfg.psd_rel)
             except PoleProximity:
                 pass
         return out
@@ -123,6 +124,38 @@ def test_a_point_on_an_entry_pole_is_masked_and_has_infinite_margin():
     assert pole < min(finite.values())
     t_min = min(finite, key=finite.get)
     assert grid_psd_scan(R, params, to_points, 1.0, no_refine) == (finite[t_min], t_min, 3)
+
+
+def test_points_on_complex_boundary_poles_are_masked_and_points_near_them_are_read():
+    # the mask covers Horner's rounding at a complex point and a point rounded by up to 4 ulps
+    s = RationalScalar
+    with pytest.raises(PoleProximity):
+        rm_eval(RationalMatrix([[s([1.0], [1.0, 0.0, 1.0])]], "ct"), 1j)
+    rng = np.random.default_rng(5)
+    u = np.finfo(float).eps / 2
+    for t, w in zip(rng.uniform(0.3, np.pi - 0.3, 40), rng.uniform(0.1, 100.0, 40)):
+        for domain, pair, extra in [("dt", [np.exp(1j * t), np.exp(-1j * t)], [0.5, -0.3 + 0.2j, -0.3 - 0.2j, 0.9]),
+                                    ("ct", [1j * w, -1j * w], [-1.0, -2.0 + 1j, -2.0 - 1j])]:
+            for roots in (pair, pair + extra):
+                R = RationalMatrix([[s([1.0], np.real(npp.polyfromroots(roots)))]], domain)
+                for x in pair + [pair[0] * (1 + 4 * u * np.exp(2j * np.pi * rng.uniform()))]:
+                    with pytest.raises(PoleProximity):
+                        rm_eval(R, x)
+                # 1e-10 (relative) off the pole den is far above its rounding, so the value is read
+                x = pair[0] * (1 + 1e-10)
+                assert np.isclose(rm_eval(R, x)[0, 0], 1 / np.prod(x - np.array(roots)), rtol=1e-3)
+
+
+def test_a_sample_next_to_a_near_boundary_triple_pole_is_read():
+    # the poles near -1 cluster to a triple pole at -0.9999933, inside the circle; the sign interval
+    # next to it is sampled at pi - t = 7.5e-4, where the defect is about -7e4 and den is far above
+    # its rounding
+    g = (RationalScalar([10.0], [1.0, 1.0]) + RationalScalar([0.0, 0.0, 1.0], npp.polyfromroots([-1.0 + 1e-5] * 2))
+         + RationalScalar([1.0], [-0.5, 1.0]))
+    rep = classify_dni(RationalMatrix([[g]], "dt"))
+    cond = rep.condition("boundary-sign")
+    assert not rep.verdict and not cond.passed
+    assert cond.witness["worst_margin"] < -1e4 and np.pi - cond.witness["theta"] < 1e-3
 
 
 @pytest.mark.parametrize("m", [1, 2, 3, 6])

@@ -187,6 +187,18 @@ def test_interconnect_feedback(tmp_path, capsys):
                for l in data["closed_loop_spectrum"])
 
 
+def test_interconnect_ni_test(tmp_path, capsys):
+    # P = 0.05 (z + 1)/(z + 0.3) and Q = q0 + 1/(z - 0.2), q0 = 1/1.2: P(-1) = Q(-1) = 0
+    q0 = 1.0 / 1.2
+    p = write_tfm(tmp_path, "p", [[([0.05, 0.05], [0.3, 1.0])]], "dt")
+    q = write_tfm(tmp_path, "q", [[([-0.2 * q0 + 1.0, q0], [-0.2, 1.0])]], "dt")
+    code = main(["interconnect", p, q, "--mode", "ni-test"])
+    assert code == 0
+    data = json.loads(capsys.readouterr().out)
+    assert data["verdict"] is True and data["agree"] is True
+    assert data["lambda_bar"] < 1.0
+
+
 def test_star_command(tmp_path, capsys):
     s1doc = tmp_path / "s1.json"
     D1 = np.array([[1.0, 0.0, 1.0], [0.0, 1.0, 0.0], [1.0, 0.0, 0.0]])

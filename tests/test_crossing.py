@@ -13,11 +13,13 @@ import numpy as np
 import pytest
 
 import corpus
-from nipr import analysis
+from nipr import analysis, boundary
 from nipr.analysis_ct import classify_cni, classify_cpr, classify_csspr, classify_cwsni, classify_cwspr
 from nipr.analysis_dt import classify_dpr, classify_dssni, classify_dsspr, classify_dwsni
+from nipr.config import DEFAULT
 from nipr.poly import RationalScalar
 from nipr.ratmat import RationalMatrix
+from nipr.realization import minimal_realization
 from nipr.transforms import ct_ni_to_pr
 
 
@@ -101,3 +103,19 @@ def test_an_unstable_matrix_is_not_realized(monkeypatch):
     monkeypatch.setattr(analysis, "minimal_realization", refuse)
     rep = classify_cwspr(scalar([1.0], [-1.0, 1.0]))  # 1/(s - 1)
     assert not rep.verdict and not rep.condition("hurwitz-poles").passed
+
+
+@pytest.mark.parametrize("form", ["pr", "ni"])
+def test_a_form_singular_everywhere_is_searched_shifted(form):
+    # the form of diag(1/(z - 0.5), 0) has a zero block; its pencil is singular, so the search
+    # retries with det(form + psd_rel I), whose "pr" zeros are where 2 Re g = -psd_rel
+    g, zero = RationalScalar([1.0], [-0.5, 1.0]), RationalScalar([0.0], [1.0])
+    ss = minimal_realization(RationalMatrix([[g, zero], [zero, zero]], "dt"))
+    points, singular = boundary.boundary_det_zeros(ss, "dt", form, DEFAULT)
+    assert singular
+    assert points == boundary.boundary_det_zeros(ss, "dt", form, DEFAULT, None, True)[0]
+    if form == "pr":
+        assert len(points) == 2
+        for z in points:
+            assert abs(abs(z) - 1.0) <= 1e-12
+            assert 2.0 * (1.0 / (z - 0.5)).real == pytest.approx(-DEFAULT.psd_rel, rel=1e-3)

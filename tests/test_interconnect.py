@@ -168,7 +168,8 @@ def test_star_class_preservation_known_example():
 
 
 def test_loop_well_posedness_is_relative():
-    # I - D_Q D_P = 0.01 I has det 1e-10 but condition number 1
+    # the coupling matrix [[I, -D_Q], [-D_P, I]] = [[I, -cI], [-cI, I]] has det (1 - c^2)^5 = 1e-10
+    # but condition number (1 + c)/(1 - c), about 400
     D = np.sqrt(0.99) * np.eye(5)
     internal_stability(static_ss(D), static_ss(D))
     with pytest.raises(IllPosed):  # I - D_Q D_P = diag(0, 0.5, 0.5, 0.5, 0.5)
@@ -184,3 +185,94 @@ def test_star_well_posedness_is_relative():
     redheffer_star(S1, S2)
     with pytest.raises(IllPosed):
         redheffer_star(PartitionedSystem(static_ss(D1 / c), 5, 5), PartitionedSystem(static_ss(D1[::-1, ::-1] / c), 5, 5))
+
+
+def test_loop_well_posedness_does_not_move_with_the_scale_of_P_and_Q():
+    # the coupling matrix is balanced before its singular values are compared, so scaling P by k
+    # and Q by 1/k changes neither the decision nor the loop
+    Q = StateSpace(np.array([[0.5]]), np.array([[1.0]]), np.array([[1.0]]), np.zeros((1, 1)), "dt")
+    res = internal_stability(static_ss(np.array([[2e4]])), Q)  # Q strictly proper: always well posed
+    assert np.allclose(res.system.D, [[2e4]])
+    res = internal_stability(static_ss(np.array([[1e4]])), static_ss(np.array([[0.5e-4]])))  # loop gain 0.5
+    assert np.isclose(res.system.D[0, 0], 2e4)
+    D = np.sqrt(0.99) * np.eye(5)
+    for k in (1e-6, 3e-3, 1.0, 7e2, 1e6):
+        internal_stability(static_ss(k * D), static_ss(D / k))
+        with pytest.raises(IllPosed):
+            internal_stability(static_ss(k * np.diag([1.0, 0.5, 0.5, 0.5, 0.5])), static_ss(np.eye(5) / k))
+
+
+def test_star_well_posedness_does_not_move_with_the_scale_of_the_factors():
+    c = np.sqrt(0.99)
+    D1 = np.block([[np.zeros((5, 5)), np.zeros((5, 5))], [np.zeros((5, 5)), c * np.eye(5)]])
+    for k in (1e-6, 3e-3, 1.0, 7e2, 1e6):
+        redheffer_star(PartitionedSystem(static_ss(k * D1), 5, 5), PartitionedSystem(static_ss(D1[::-1, ::-1] / k), 5, 5))
+        with pytest.raises(IllPosed):
+            redheffer_star(PartitionedSystem(static_ss(k * D1 / c), 5, 5),
+                           PartitionedSystem(static_ss(D1[::-1, ::-1] / (c * k)), 5, 5))
+    # a strictly proper second factor: the star is well posed whatever the first factor's channel gain
+    S2 = StateSpace(0.5 * np.eye(2), np.eye(2), np.eye(2), np.zeros((2, 2)), "dt")
+    res = redheffer_star(PartitionedSystem(static_ss(2e4 * np.eye(2)), 1, 1), PartitionedSystem(S2, 1, 1))
+    assert res.system.size == 2
+
+
+def random_ss(rng, m, n, domain):
+    return StateSpace(rng.standard_normal((n, n)) / max(1.0, np.sqrt(n)), rng.standard_normal((n, m)),
+                      rng.standard_normal((m, n)), rng.standard_normal((m, m)), domain)
+
+
+def frequency_response(ss, x):
+    return ss.C @ np.linalg.solve(x * np.eye(ss.order) - ss.A, ss.B) + ss.D
+
+
+POINTS = (0.3 + 1.1j, -0.7 + 0.4j, 2.0 - 0.5j)
+
+
+@pytest.mark.parametrize("domain", ["ct", "dt"])
+def test_loop_system_is_the_w1_to_yP_map(domain):
+    rng = np.random.default_rng(81)
+    for m, n1, n2 in [(1, 2, 1), (2, 3, 2), (3, 1, 3)]:
+        P, Q = random_ss(rng, m, n1, domain), random_ss(rng, m, n2, domain)
+        res = internal_stability(P, Q)
+        for x in POINTS:
+            Px, Qx = frequency_response(P, x), frequency_response(Q, x)
+            want = np.linalg.solve(np.eye(m) - Px @ Qx, Px)  # (I - P Q)^-1 P
+            assert np.allclose(frequency_response(res.system, x), want, rtol=1e-10, atol=1e-10)
+
+
+def test_a_loop_with_D_Q_the_inverse_of_D_P_is_ill_posed():
+    # I - D_Q D_P is rounding noise, so only the full coupling matrix can tell it is singular
+    rng = np.random.default_rng(82)
+    for _ in range(10):
+        DP = rng.standard_normal((2, 2))
+        with pytest.raises(IllPosed):
+            internal_stability(static_ss(DP), static_ss(np.linalg.inv(DP)))
+
+
+def star_of_responses(S1, S2, x):
+    """The star product of the two transfer matrices at x, from their blocks."""
+    a, b = S1.a, S1.b
+    G, H = frequency_response(S1.sys, x), frequency_response(S2.sys, x)
+    m1 = G.shape[0]
+    G11, G12, G21, G22 = G[:m1 - a, :m1 - b], G[:m1 - a, m1 - b:], G[m1 - a:, :m1 - b], G[m1 - a:, m1 - b:]
+    H11, H12, H21, H22 = H[:b, :a], H[:b, a:], H[b:, :a], H[b:, a:]
+    # the fed signals: u = G21 w1 + G22 v, v = H11 u + H12 w2
+    K = np.block([[np.eye(a), -G22], [-H11, np.eye(b)]])
+    W = np.block([[G21, np.zeros((a, H12.shape[1]))], [np.zeros((b, G21.shape[1])), H12]])
+    u, v = np.split(np.linalg.solve(K, W), [a])
+    top = np.hstack([G11, np.zeros((m1 - a, H12.shape[1]))]) + G12 @ v
+    bottom = np.hstack([np.zeros((H21.shape[0], G21.shape[1])), H22]) + H21 @ u
+    return np.vstack([top, bottom])
+
+
+@pytest.mark.parametrize("domain", ["ct", "dt"])
+def test_star_is_the_transfer_level_star_product(domain):
+    rng = np.random.default_rng(83)
+    for m1, m2, a in [(1, 1, 1), (2, 3, 1), (3, 2, 2), (3, 3, 3), (2, 2, 1)]:
+        S1 = PartitionedSystem(random_ss(rng, m1, int(rng.integers(1, 4)), domain), a, a)
+        S2 = PartitionedSystem(random_ss(rng, m2, int(rng.integers(1, 4)), domain), a, a)
+        res = redheffer_star(S1, S2)
+        assert res.system.size == m1 + m2 - 2 * a
+        for x in POINTS:
+            assert np.allclose(frequency_response(res.system, x), star_of_responses(S1, S2, x),
+                               rtol=1e-10, atol=1e-10)

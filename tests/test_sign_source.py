@@ -225,9 +225,9 @@ def test_scan_reads_the_rest_of_g_on_the_boundary(monkeypatch, domain, form):
     calls = []
     orig = boundary.rm_eval_many
 
-    def recording(R, points, cfg):
+    def recording(R, points):
         calls.append((R, np.asarray(points)))
-        return orig(R, points, cfg)
+        return orig(R, points)
 
     monkeypatch.setattr(boundary, "rm_eval_many", recording)
     worst, tworst, n, _ = a.sign_scan(form)
@@ -254,8 +254,8 @@ def test_the_split_form_is_the_form_of_g_away_from_the_poles(domain, form):
     far = np.array([min(abs(x - b) for b, _ in parts) > 0.05 for x in dom.point(params)])
     assert params.size / 2 < far.sum() < params.size
     rest, extra = analysis_of(G).sign_terms(form)
-    split, ok = boundary.form_values(rest, params, dom.point, 2.0 * PREMUL[form], DEFAULT, extra)
-    direct, _ = rm_eval_many(G, dom.point(params), DEFAULT)
+    split, ok = boundary.form_values(rest, params, dom.point, 2.0 * PREMUL[form], extra)
+    direct, _ = rm_eval_many(G, dom.point(params))
     direct = boundary.herm(2.0 * PREMUL[form] * direct)
     assert ok[far].all()
     err = np.abs(boundary.herm(split) - direct)[far].max(axis=(1, 2))

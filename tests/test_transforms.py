@@ -67,7 +67,7 @@ def test_dt_round_trip():
     for _ in range(4):
         G = dt_ni(rng, m=2, nterms=2)
         F = dt_ni_to_pr(G, COARSE)
-        Gm1 = np.real(rm_eval(G, -1.0, COARSE))
+        Gm1 = np.real(rm_eval(G, -1.0))
         back = dt_pr_to_ni(F, 0.5 * (Gm1 + Gm1.T), COARSE)
         assert G.equals(back)
 
