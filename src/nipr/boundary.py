@@ -35,7 +35,7 @@ import numpy.polynomial.polynomial as npp
 from .config import DEFAULT, Config
 from .errors import RootFindingFailure
 from .ratmat import CT, RationalMatrix, full_rank_somewhere, generic_points, rm_eval_many, rm_mobius
-from .realization import StateSpace, cayley_ss
+from .realization import StateSpace, block_diag, cayley_ss
 
 # a zero s of the boundary form's realization is a crossing when |Re s| <= CROSSING_BAND (1 + |s|);
 # an "ni" crossing also needs Im s above that bound
@@ -232,12 +232,7 @@ def _times_matrix(a, b, c, d, M, unit):
 
 def _parallel(systems, m):
     """The sum of the (A, B, C, D) systems of size m."""
-    n = sum(A.shape[0] for A, _, _, _ in systems)
-    A = np.zeros((n, n), dtype=complex)
-    at = 0
-    for Ak, _, _, _ in systems:
-        A[at:at + Ak.shape[0], at:at + Ak.shape[0]] = Ak
-        at += Ak.shape[0]
+    A = block_diag(*(Ak for Ak, _, _, _ in systems))
     B = np.vstack([Bk.reshape(-1, m) for _, Bk, _, _ in systems])
     C = np.hstack([Ck.reshape(m, -1) for _, _, Ck, _ in systems])
     return A, B, C, sum(Dk for _, _, _, Dk in systems)

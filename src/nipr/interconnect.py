@@ -11,7 +11,7 @@ from .analysis_dt import classify_dni, classify_dssni, classify_dwsni
 from .config import DEFAULT, Config
 from .errors import IllPosed, PreconditionViolated
 from .ratmat import DT, RationalMatrix, rm_eval
-from .realization import StateSpace, minimal_realization, spectrum, tf_of
+from .realization import StateSpace, block_diag, minimal_realization, spectrum, tf_of
 
 
 @dataclass
@@ -53,10 +53,6 @@ def _coupling_inverse(K, p, cfg: Config, what):
     return np.linalg.inv(s[:, None] * K / s) / s[:, None] * s
 
 
-def _diag(X, Y):
-    return np.block([[X, np.zeros((X.shape[0], Y.shape[1]))], [np.zeros((Y.shape[0], X.shape[1])), Y]])
-
-
 def _close(P: StateSpace, Q: StateSpace, ins, outs, fed_in, fed_out, cfg: Config, what) -> InterconnectResult:
     """The loop around diag(P, Q) from the inputs ``ins`` to the outputs ``outs``.
 
@@ -64,7 +60,7 @@ def _close(P: StateSpace, Q: StateSpace, ins, outs, fed_in, fed_out, cfg: Config
     driven by output fed_out[k], plus the external input if it is also in
     ``ins``.  The fed signals v = y[fed_out] solve (I - D_ff) v = C_f x + D_fw w.
     """
-    A, B, C, D = _diag(P.A, Q.A), _diag(P.B, Q.B), _diag(P.C, Q.C), _diag(P.D, Q.D)
+    A, B, C, D = (block_diag(getattr(P, k), getattr(Q, k)) for k in "ABCD")
     Kinv = _coupling_inverse(np.eye(len(fed_in)) - D[np.ix_(fed_out, fed_in)], np.asarray(fed_out) < P.size, cfg, what)
     Vx, Vw = Kinv @ C[fed_out], Kinv @ D[np.ix_(fed_out, ins)]
     Bf, Df = B[:, fed_in], D[np.ix_(outs, fed_in)]

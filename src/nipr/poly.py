@@ -338,10 +338,6 @@ class RationalScalar:
             return RationalScalar.zero()
         return RationalScalar(num, self.den, reduce=False, den_roots=self._den_roots)
 
-    def strictly_proper_part(self) -> "RationalScalar":
-        """``minus(value_at_inf())``: the part that vanishes at infinity."""
-        return self.minus(self.value_at_inf())
-
     def times_factors(self, zero=None, pole=None, cfg: Config = DEFAULT) -> "RationalScalar":
         """self (x - zero) / (x - pole) for real zero and pole (None: no such factor), reduced without root finding.
 

@@ -8,7 +8,7 @@ import numpy as np
 
 from .config import DEFAULT, Config
 from .errors import CancellationFailure, EigenvalueAtMinusOne, EigenvalueAtPlusOne, ImproperInput
-from .poly import RationalScalar, poly_from_roots_real, polyadd, polydivmod, polymul
+from .poly import RationalScalar, poly_from_roots_real, polyadd, polydivmod, polymul, polysub
 from .ratmat import CT, DT, RationalMatrix, rm_poles, rm_residues_at
 
 
@@ -125,49 +125,49 @@ def is_minimal(ss: StateSpace, cfg: Config = DEFAULT) -> bool:
     return reach == n and obsv == n
 
 
-def _minreal_ss(A, B, C, D, domain, rel) -> StateSpace:
-    A, B, C = reachable_reduction(A, B, C, rel)
-    A, B, C = observable_reduction(A, B, C, rel)
-    return StateSpace(A, B, C, D, domain)
-
-
 # ---------------------------------------------------------------------------
 # realization from a rational matrix
 
 
+def block_diag(*Ms):
+    """The block-diagonal matrix of the blocks Ms, which may be rectangular or empty."""
+    dtype = complex if any(np.iscomplexobj(M) for M in Ms) else float
+    out = np.zeros((sum(M.shape[0] for M in Ms), sum(M.shape[1] for M in Ms)), dtype=dtype)
+    r = c = 0
+    for M in Ms:
+        out[r:r + M.shape[0], c:c + M.shape[1]] = M
+        r, c = r + M.shape[0], c + M.shape[1]
+    return out
+
+
 def _gilbert_blocks(R: RationalMatrix, pole_list, cfg: Config):
-    """Gilbert blocks for simple poles; returns (A, B, C) lists."""
-    Ab, Bb, Cb = [], [], []
+    """Gilbert's realization (A, B, C) of R - D from R's own residues at its simple poles.
+
+    Each residue is split as C_p B_p by one SVD, its rank decided at rank_rel;
+    a complex pair then takes the real form.  With distinct simple poles the
+    result is minimal by construction (Gilbert, SIAM J. Control 1(2), 1963).
+    """
+    m = R.size
+    Ab, Bb, Cb = [], [np.zeros((0, m))], [np.zeros((m, 0))]
     for p, _ in pole_list:
-        if p.imag < -cfg.root_cluster * (1.0 + abs(p)):
+        tol = cfg.root_cluster * (1.0 + abs(p))
+        if p.imag < -tol:
             continue  # conjugate handled with its partner
         res = rm_residues_at(R, p, cfg).residue_A1
-        if abs(p.imag) <= cfg.root_cluster * (1.0 + abs(p)):
-            Rm = np.real(res)
-            U, s, Vt = np.linalg.svd(Rm)
-            r = int(np.sum(s > cfg.rank_rel * max(s[0], 1e-300)))
-            if r == 0:
-                continue
-            sq = np.sqrt(s[:r])
+        real = abs(p.imag) <= tol
+        U, s, Vh = np.linalg.svd(np.real(res) if real else res)
+        r = int(np.sum(s > cfg.rank_rel * max(s[0], 1e-300)))
+        sq = np.sqrt(s[:r])
+        B1, C1 = sq[:, None] * Vh[:r, :], U[:, :r] * sq[None, :]
+        if real:
             Ab.append(p.real * np.eye(r))
-            Bb.append(sq[:, None] * Vt[:r, :])
-            Cb.append(U[:, :r] * sq[None, :])
+            Bb.append(B1)
+            Cb.append(C1)
         else:
-            U, s, Vh = np.linalg.svd(res)
-            r = int(np.sum(s > cfg.rank_rel * max(s[0], 1e-300)))
-            if r == 0:
-                continue
-            sq = np.sqrt(s[:r])
-            B1 = sq[:, None] * Vh[:r, :]
-            C1 = U[:, :r] * sq[None, :]
-            sg, om = p.real, p.imag
-            Ab.append(np.block([
-                [sg * np.eye(r), -om * np.eye(r)],
-                [om * np.eye(r), sg * np.eye(r)],
-            ]))
+            Ab.append(np.kron([[p.real, -p.imag], [p.imag, p.real]], np.eye(r)))
             Bb.append(np.sqrt(2.0) * np.vstack([np.real(B1), np.imag(B1)]))
             Cb.append(np.sqrt(2.0) * np.hstack([np.real(C1), -np.imag(C1)]))
-    return Ab, Bb, Cb
+    return block_diag(*Ab), np.vstack(Bb), np.hstack(Cb)
 
 
 def _balance(A, B, C):
@@ -199,8 +199,8 @@ def _balance(A, B, C):
     return A, B / d[:, None], C * d[None, :]
 
 
-def _block_companion(R: RationalMatrix, pole_list, cfg: Config):
-    """Controllable canonical form from a common scalar denominator, balanced."""
+def _block_companion(R: RationalMatrix, pole_list, D, cfg: Config):
+    """Controllable canonical form of R - D from a common scalar denominator, balanced."""
     m = R.size
     rts = []
     for p, mult in pole_list:
@@ -216,7 +216,7 @@ def _block_companion(R: RationalMatrix, pole_list, cfg: Config):
             q, r = polydivmod(den, e.den)
             if np.max(np.abs(r)) > cfg.root_cluster * np.max(np.abs(den)):
                 raise CancellationFailure(f"the common denominator does not clear entry ({i},{j})")
-            c = polymul(e.num, q)
+            c = polysub(polymul(e.num, q), D[i, j] * den)  # num_ij q_ij - D_ij den: R - D over den
             for k in range(min(c.size, n)):
                 Ncoef[k][i, j] = c[k]
     A = np.zeros((n * m, n * m))
@@ -226,42 +226,25 @@ def _block_companion(R: RationalMatrix, pole_list, cfg: Config):
         A[(n - 1) * m:, blk * m:(blk + 1) * m] = -den[blk] * np.eye(m)
     B = np.zeros((n * m, m))
     B[(n - 1) * m:, :] = np.eye(m)
-    C = np.hstack(Ncoef) if n else np.zeros((m, 0))
-    return _balance(A, B, C)
+    return _balance(A, B, np.hstack(Ncoef))
 
 
 def minimal_realization(R: RationalMatrix, cfg: Config = DEFAULT) -> StateSpace:
-    """Minimal state-space realization of a proper rational matrix.
+    """Minimal state-space realization of a proper rational matrix, from R's own pole data.
 
-    Gilbert's construction when all poles are simple, otherwise a block
-    controllable canonical form followed by staircase reduction.
+    The poles are R's clusters (``rm_poles``).  When all are simple, Gilbert's
+    blocks from R's residues, which are minimal as built; otherwise a block
+    controllable canonical form of R - D over the common denominator,
+    followed by staircase reduction.
     """
     if not R.is_proper():
         raise ImproperInput("minimal_realization requires a proper rational matrix")
     D = R.value_at_inf()
-    strict = R  # when D = 0, so that R's pole clusters serve both
-    if D.any():
-        strict = RationalMatrix([[e.strictly_proper_part() for e in row] for row in R.entries], R.domain)
-    pole_list = rm_poles(strict, cfg)
-    if not pole_list:
-        return StateSpace(np.zeros((0, 0)), np.zeros((0, R.size)), np.zeros((R.size, 0)), D, R.domain)
+    pole_list = rm_poles(R, cfg)
     if all(mult == 1 for _, mult in pole_list):
-        Ab, Bb, Cb = _gilbert_blocks(strict, pole_list, cfg)
-        if not Ab:
-            return StateSpace(np.zeros((0, 0)), np.zeros((0, R.size)), np.zeros((R.size, 0)), D, R.domain)
-        B, C = np.vstack(Bb), np.hstack(Cb)
-        A = np.zeros((B.shape[0], B.shape[0]))
-        at = 0
-        for a in Ab:
-            k = a.shape[0]
-            A[at:at + k, at:at + k] = a
-            at += k
-        ss = StateSpace(A, B, C, D, R.domain)
-        if is_minimal(ss, cfg):
-            return ss
-        return _minreal_ss(A, B, C, D, R.domain, cfg.rank_rel)
-    A, B, C = _block_companion(strict, pole_list, cfg)
-    return _minreal_ss(A, B, C, D, R.domain, cfg.rank_rel)
+        return StateSpace(*_gilbert_blocks(R, pole_list, cfg), D, R.domain)
+    A, B, C = reachable_reduction(*_block_companion(R, pole_list, D, cfg), cfg.rank_rel)
+    return StateSpace(*observable_reduction(A, B, C, cfg.rank_rel), D, R.domain)
 
 
 # ---------------------------------------------------------------------------

@@ -52,10 +52,13 @@ def ct_pr_to_ni(F: RationalMatrix, D, cfg: Config = DEFAULT) -> RationalMatrix:
 def _certified_epsilon(R: RationalMatrix, make, classify, what, cfg: Config):
     """(make(eps), eps) for the first eps that classify certifies.
 
-    eps starts at half the pole-abscissa margin of R and halves, at most 30 times.
+    eps starts at half the pole-abscissa margin of R and halves, at most 30 times.  A pole on the
+    imaginary axis (within root_cluster) leaves no margin, and no eps is tried.
     """
-    mags = [abs(p.real) for p, _ in rm_poles(R, cfg)]
-    eps = 0.5 * min(mags) if mags else 1.0
+    poles = [p for p, _ in rm_poles(R, cfg)]
+    if any(abs(p.real) <= cfg.root_cluster * (1.0 + abs(p)) for p in poles):
+        raise EpsilonSearchFailed(f"a pole on the imaginary axis leaves no eps for the {what} verdict")
+    eps = 0.5 * min(abs(p.real) for p in poles) if poles else 1.0
     history = []
     for _ in range(30):
         out = make(eps)

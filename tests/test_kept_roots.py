@@ -2,10 +2,10 @@
 
 A rational scalar keeps the denominator roots its reduction found; a rational
 matrix clusters its entry poles once per root_cluster value; and the minimal
-realization forms its strictly proper part over the entries' own
-denominators.  These tests check that the kept roots are exactly the roots
-that would be found again, and that parsing, realizing, classifying and the
-NI-to-PR transforms do not find them again.
+realization reads the matrix's own clusters and residues, D included.  These
+tests check that the kept roots are exactly the roots that would be found
+again, and that parsing, realizing, classifying and the NI-to-PR transforms do
+not find them again.
 """
 
 import sys
@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import corpus
-from nipr import poly, transforms
+from nipr import poly, realization, transforms
 from nipr.cli import main
 from nipr.config import DEFAULT
 from nipr.docio import document_of, jsonable, parse_document, save_document
@@ -103,7 +103,7 @@ def test_kept_roots_of_arithmetic_results():
     G = parsed(reference("ct_mixed", 2))
     a, b = G.entries[0][0], G.entries[1][1]
     results = [a + b, a - b, a * b, a / b, -a, 2.0 + a, 2.0 - a, 2.0 * a, 2.0 / a,
-               RationalScalar.constant(2.5), RationalScalar.zero(), a.derivative(), a.strictly_proper_part()]
+               RationalScalar.constant(2.5), RationalScalar.zero(), a.derivative(), a.minus(a.value_at_inf())]
     for r in results:
         assert same_roots(r)
 
@@ -114,7 +114,7 @@ def test_strictly_proper_part_is_g_minus_its_value_at_infinity(gen, m):
     G = reference(gen, m)
     old = G - RationalMatrix.constant(G.value_at_inf(), G.domain)
     for e, o in zip(entries(G), entries(old)):
-        part = e.strictly_proper_part()
+        part = e.minus(e.value_at_inf())
         assert part.is_strictly_proper()
         assert part.equals(o)
         assert np.array_equal(part.den, e.den) or part.den_degree == 0
@@ -122,7 +122,8 @@ def test_strictly_proper_part_is_g_minus_its_value_at_infinity(gen, m):
 
 
 def test_strictly_proper_part_of_a_constant_is_zero():
-    part = RationalScalar([3.0, 6.0], [1.0, 2.0]).strictly_proper_part()  # reduces to the constant 3
+    e = RationalScalar([3.0, 6.0], [1.0, 2.0])  # reduces to the constant 3
+    part = e.minus(e.value_at_inf())
     assert part.num_degree < 0 and part.den_degree == 0
 
 
@@ -133,9 +134,18 @@ def test_strictly_proper_part_of_a_constant_is_zero():
 @pytest.mark.parametrize("gen", GENERATORS)
 def test_realizing_a_parsed_document_finds_no_roots(monkeypatch, gen):
     G = parsed(reference(gen, 2))
+    # D != 0 on all but the strictly proper ct_ni, so a strictly proper copy would be clustered again
+    assert G.value_at_inf().any() == (gen != "ct_ni")
     seen = record_calls(monkeypatch, "roots")
     minimal_realization(G)
     assert seen == []
+    # after the analysis's rm_poles, the realization reads G's clusters and re-tests no minimality
+    H = parsed(reference(gen, 2))
+    rm_poles(H)
+    clustered = record_calls(monkeypatch, "cluster_roots")
+    tested = record_calls(monkeypatch, "is_minimal", owner=realization)
+    minimal_realization(H)
+    assert clustered == [] and tested == []
 
 
 def test_poles_and_residues_cluster_each_entry_once(monkeypatch):

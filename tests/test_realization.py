@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
 
-from corpus import ct_mixed, ct_ni, dt_mixed, dt_ni
+from corpus import ct_mixed, ct_ni, ct_pr, dt_mixed, dt_ni, dt_pr
 from nipr.errors import EigenvalueAtMinusOne, ImproperInput
 from nipr.poly import RationalScalar
 from nipr.ratmat import RationalMatrix, rm_cayley, rm_eval, rm_poles
-from nipr.realization import StateSpace, cayley_ss, is_minimal, minimal_realization, spectrum, tf_of
+from nipr.realization import StateSpace, block_diag, cayley_ss, is_minimal, minimal_realization, spectrum, tf_of
 
 
 def test_tf_of_known_system():
@@ -17,13 +17,21 @@ def test_tf_of_known_system():
 
 
 def test_minimal_realization_round_trip():
-    rng = np.random.default_rng(11)
-    for gen in (ct_ni, ct_mixed, dt_ni, dt_mixed):
-        for _ in range(5):
-            G = gen(rng, m=2, nterms=2)
-            ss = minimal_realization(G)
-            assert is_minimal(ss)
-            assert G.equals(tf_of(ss))
+    # Gilbert's realization is returned as built, so this is where its minimality is checked
+    for gen in (ct_ni, ct_pr, ct_mixed, dt_ni, dt_pr, dt_mixed):
+        for m in (1, 2, 3, 4):
+            for seed in range(6):
+                G = gen(np.random.default_rng([seed, m]), m=m)
+                ss = minimal_realization(G)
+                assert is_minimal(ss)
+                assert G.equals(tf_of(ss))
+
+
+def test_block_diag_takes_rectangular_and_empty_blocks():
+    M = block_diag(np.ones((1, 2)), np.zeros((0, 3)), np.zeros((0, 0)), 2j * np.ones((2, 1)))
+    assert M.shape == (3, 6) and M.dtype == complex
+    assert np.array_equal(M, [[1, 1, 0, 0, 0, 0], [0, 0, 0, 0, 0, 2j], [0, 0, 0, 0, 0, 2j]])
+    assert block_diag().shape == (0, 0) and block_diag(np.eye(2)).dtype == float
 
 
 def test_minimal_order_matches_pole_count():

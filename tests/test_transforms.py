@@ -5,7 +5,14 @@ from corpus import ct_ni, ct_pr, dt_ni, dt_pr, psd
 from nipr.analysis_ct import classify_cni, classify_cpr, classify_cssni, classify_csspr
 from nipr.analysis_dt import classify_dni, classify_dpr
 from nipr.config import DEFAULT
-from nipr.errors import AsymmetricD, AsymmetricOffset, EigenvalueAtMinusOne, ImproperInput, PoleAtMinusOne
+from nipr.errors import (
+    AsymmetricD,
+    AsymmetricOffset,
+    EigenvalueAtMinusOne,
+    EpsilonSearchFailed,
+    ImproperInput,
+    PoleAtMinusOne,
+)
 from nipr.poly import RationalScalar
 from nipr.ratmat import RationalMatrix, rm_eval
 from nipr.realization import minimal_realization, tf_of
@@ -113,6 +120,19 @@ def test_epsilon_search_both_directions():
     G2, eps2 = csspr_to_cssni(F, np.zeros((1, 1)), COARSE)
     assert eps2 > 0
     assert classify_cssni(G2, COARSE).verdict
+
+
+@pytest.mark.parametrize("fn,num,den", [
+    (cssni_to_csspr, [1.0], [0.0, 1.0, 1.0]),   # 1/(s(s + 1)), not SSNI: eps = 0 was "certified"
+    (cssni_to_csspr, [1.0], [1.0, 0.0, 1.0]),   # 1/(s^2 + 1)
+    (csspr_to_cssni, [1.0, 1.0], [0.0, 1.0]),   # (s + 1)/s
+])
+def test_epsilon_search_refuses_a_pole_on_the_imaginary_axis(fn, num, den):
+    R = RationalMatrix([[RationalScalar(num, den)]], "ct")
+    args = (R,) if fn is cssni_to_csspr else (R, np.zeros((1, 1)))
+    with pytest.raises(EpsilonSearchFailed) as err:
+        fn(*args, COARSE)
+    assert err.value.history == []  # refused before any classification
 
 
 def test_dt_ni_to_pr_ss_matches_tf_map():
