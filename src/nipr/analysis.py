@@ -3,11 +3,16 @@
 The paper defines PR and NI systems by a domain of analyticity and a sign
 condition on its boundary; continuous and discrete time differ only in that
 domain, the open right half-plane or the outside of the unit disc.  A
-``Domain`` holds everything the choice decides.  An ``Analysis`` computes the
-ingredients of the conditions (poles, a state-space realization, the boundary
-crossings and the sign samples, residues) lazily and at most once per matrix
-and ``Config``, so that classifiers run on one matrix share their work, and
-builds the conditions the classifiers of both domains share.
+``Domain`` holds everything the choice decides, as data: the boundary, the
+condition ids, the normalization of a PR boundary residue, and the real
+boundary points (s = 0; z = 1, -1) where an NI pole may be double, with its
+rule there, and the strong strict classes take their slopes.  An
+``Analysis`` computes the ingredients of the conditions (poles, a
+realization, the boundary crossings and sign samples, residues, expansions)
+lazily and at most once per matrix and ``Config``, so that classifiers run
+on one matrix share their work, and writes the conditions once for both
+domains (``pr_conditions``, ``ni_conditions``, ``strict_conditions``,
+``slopes``).
 
 A sign form is "pr" or "ni".  The "pr" form is the Hermitian part
 F(x) + F(mirror(x))^T, whose boundary values must be PSD; the "ni" form is the
@@ -46,13 +51,14 @@ from typing import Callable
 import numpy as np
 
 from . import boundary
-from .boundary import herm, is_psd
+from .boundary import herm, is_pd, is_psd
 from .config import DEFAULT, Config
 from .errors import ImproperInput
 from .ratmat import (CT, DT, RationalMatrix, rm_infinity_expansion, rm_is_symmetric, rm_poles, rm_residues_at,
                      rm_split_boundary)
 from .realization import minimal_realization
 from .report import Condition
+from .series import matrix_laurent_inf, matrix_taylor
 
 PREMUL = {"pr": 1.0, "ni": 1j}          # the boundary form is herm(PREMUL * R(point))
 SIGN_ID = {"pr": "boundary-psd", "ni": "boundary-sign"}
@@ -86,6 +92,11 @@ class Domain:
     grid: dict                # form -> builder of the ``nipr sweep`` parameter grid from a Config
     unstable_id: dict         # form -> id of the no-unstable-poles condition
     stable_id: str            # id of the strictly-stable-poles condition
+    pole_id: dict             # form -> id of the condition on the boundary poles (off the endpoints for "ni")
+    pr_residue: Callable      # (pole datum, pole) -> the residue a PR boundary pole must have Hermitian PSD
+    pr_residue_key: str       # its witness key
+    endpoints: dict           # real boundary point -> (id of its NI pole condition, id of its slope, slope key)
+    endpoint_psd: Callable    # (endpoint, A1, A2) -> the two matrices an NI pole there must have PSD
 
 
 def _ct_expand(b, j):
@@ -129,6 +140,11 @@ CT_DOMAIN = Domain(
           "ni": lambda cfg: boundary.ct_grid(cfg)},
     unstable_id={"pr": "no-rhp-poles", "ni": "no-rhp-poles"},
     stable_id="hurwitz-poles",
+    pole_id={"pr": "imaginary-axis-poles", "ni": "imaginary-axis-poles"},
+    pr_residue=lambda pd, p: pd.residue_A1,
+    pr_residue_key="residue",
+    endpoints={0.0: ("pole-at-origin", "slope-at-origin", "Q")},
+    endpoint_psd=lambda z0, A1, A2: (A2, A1),
 )
 
 DT_DOMAIN = Domain(
@@ -145,6 +161,12 @@ DT_DOMAIN = Domain(
     grid={"pr": lambda cfg: boundary.dt_grid_full(cfg), "ni": lambda cfg: boundary.dt_grid_half(cfg)},
     unstable_id={"pr": "analytic-outside-disc", "ni": "no-outside-poles"},
     stable_id="schur-poles",
+    pole_id={"pr": "circle-poles", "ni": "arc-poles"},
+    pr_residue=lambda pd, p: pd.residue_A1 / p,
+    pr_residue_key="K0",
+    endpoints={1.0: ("pole-at-plus-one", "slope-at-one", "Q0"),
+               -1.0: ("pole-at-minus-one", "slope-at-minus-one", "Qpi")},
+    endpoint_psd=lambda z0, A1, A2: (z0 * A2, A1 - z0 * A2),  # CT's (A2, A1) through z = (1 + s)/(1 - s) at z0 = 1
 )
 
 DOMAINS = {CT: CT_DOMAIN, DT: DT_DOMAIN}
@@ -155,16 +177,9 @@ def hermitian_enough(M, rel=1e-7):
     return np.linalg.norm(M - M.conj().T, 2) <= rel * (1.0 + np.linalg.norm(M, 2))
 
 
-def hermitian_psd(M, cfg: Config):
-    return hermitian_enough(M) and is_psd(M, cfg.psd_rel)
-
-
 def near(p, points, cfg: Config):
-    """The first of the points within 2 * root_cluster of p, or None."""
-    for z0 in points:
-        if abs(p - z0) <= cfg.root_cluster * 2.0:
-            return z0
-    return None
+    """The first of the points within root_cluster (1 + |point|) of p, the radius of a pole cluster, or None."""
+    return next((z0 for z0 in points if abs(p - z0) <= cfg.root_cluster * (1.0 + abs(z0))), None)
 
 
 class Analysis:
@@ -296,8 +311,23 @@ class Analysis:
             return unstable, upper
         return self._once("split", split)
 
-    def strictly_stable(self, margin):
-        return all(self.domain.inside(p, margin) for p, _ in self.poles())
+    def laurent(self):
+        """The first eight coefficients of G at infinity (``series.matrix_laurent_inf``; G proper)."""
+        return self._once("laurent", lambda: matrix_laurent_inf(self.G, 8))
+
+    def slope(self, z0):
+        """(Q, vanishes) at the endpoint z0: Q = -(G'(z0) + G'(z0)^T) is the limit of i(G - G*) on the
+        boundary over w (over sin theta in discrete time), from the Taylor expansion of G, and it
+        exists when the defect G(z0) - G(z0)^T vanishes."""
+        def compute():
+            g = matrix_taylor(self.G, z0, 2)
+            Q = -np.real(herm(g[1] + g[1].T))
+            return Q, np.linalg.norm(g[0] - g[0].T, 2) <= 1e-7 * (1.0 + np.linalg.norm(Q, 2))
+        return self._once(("slope", z0), compute)
+
+    def strictly_stable(self):
+        """Every pole lies in the stable region, at least root_cluster inside it."""
+        return all(self.domain.inside(p, self.cfg.root_cluster) for p, _ in self.poles())
 
     # -- conditions ----------------------------------------------------------
     def require_proper(self, class_id):
@@ -326,22 +356,43 @@ class Analysis:
         wit = self.sign_witness(form)
         return Condition(SIGN_ID[form], wit["worst_margin"] >= 0.0, wit)
 
-    def simple_pole_witness(self, p, mult, pole_data, residue=lambda pd, p: pd.normalized_K0, key="K0"):
-        """None when the boundary pole p is simple with a Hermitian PSD residue(datum, p), else a witness."""
-        if mult > 1:
-            return {"pole": p, "multiplicity": mult}
+    def pole_witness(self, p, mult, pole_data, end=None, residue=lambda pd, p: pd.normalized_K0, key="K0"):
+        """None when the boundary pole p meets its rule, else a witness: off the endpoints, simple with
+        a Hermitian PSD residue(datum, p); at the endpoint ``end``, at most double with Hermitian A1
+        and A2 and both matrices of ``Domain.endpoint_psd(end, A1, A2)`` PSD."""
+        if mult > (1 if end is None else 2):
+            return {"pole": p, "multiplicity": mult} if end is None else {"multiplicity": mult}
         pd = self.residue(p)
         pole_data.append(pd)
-        K = residue(pd, p)
-        return None if hermitian_psd(K, self.cfg) else {"pole": p, key: K}
+        if end is None:
+            K = residue(pd, p)
+            return None if hermitian_enough(K) and is_psd(K, self.cfg.psd_rel) else {"pole": p, key: K}
+        A1, A2 = np.real(pd.residue_A1), np.real(pd.quad_residue_A2)
+        ok = hermitian_enough(pd.residue_A1) and hermitian_enough(pd.quad_residue_A2) and all(
+            is_psd(M, self.cfg.psd_rel) for M in self.domain.endpoint_psd(end, A1, A2))
+        return None if ok else {"A1": A1, "A2": A2}
 
-    def pr_boundary_poles(self, cid, residue, key, pole_data):
-        """PR boundary poles: simple with a Hermitian PSD residue(datum, p); stops at the first failure."""
+    def pr_conditions(self, pole_data):
+        """No unstable poles, the boundary sign, and the boundary poles simple with a Hermitian PSD
+        ``Domain.pr_residue`` (up to the first failing pole)."""
+        d = self.domain
+        conds = [self.no_unstable_poles("pr"), self.boundary_sign("pr")]
+        wit = next(filter(None, (self.pole_witness(p, mult, pole_data, None, d.pr_residue, d.pr_residue_key)
+                                 for p, mult in self.pole_split()[1])), None)
+        return conds + [Condition(d.pole_id["pr"], wit is None, wit or {})]
+
+    def ni_conditions(self, pole_data):
+        """Symmetry, no unstable poles, the boundary sign, and the boundary poles: one condition for the
+        poles off the endpoints and one per endpoint (``near`` it), each with the witness of its last
+        failing pole."""
+        d = self.domain
+        conds = self.symmetry() + [self.no_unstable_poles("ni"), self.boundary_sign("ni")]
+        wit = dict.fromkeys([None, *d.endpoints])
         for p, mult in self.pole_split()[1]:
-            wit = self.simple_pole_witness(p, mult, pole_data, residue, key)
-            if wit:
-                return Condition(cid, False, wit)
-        return Condition(cid, True, {})
+            end = near(p, d.endpoints, self.cfg)
+            wit[end] = self.pole_witness(p, mult, pole_data, end) or wit[end]
+        ids = [d.pole_id["ni"]] + [pole_id for pole_id, _, _ in d.endpoints.values()]
+        return conds + [Condition(cid, w is None, w or {}) for cid, w in zip(ids, wit.values())]
 
     def strict_conditions(self, form, class_id):
         """The weakly strict class: proper, symmetric for NI, strictly stable, strict boundary sign.
@@ -354,7 +405,7 @@ class Analysis:
         """
         self.require_proper(class_id)
         conds = self.symmetry() if form == "ni" else []
-        stable = self.strictly_stable(self.cfg.root_cluster)
+        stable = self.strictly_stable()
         conds.append(Condition(self.domain.stable_id, stable, {} if stable else {"poles": self.poles()}))
         if not stable:
             return conds
@@ -364,6 +415,21 @@ class Analysis:
         conds.append(Condition("strict-boundary-sign", wit["worst_margin"] >= 0.0 and not zeros and not ident_zero,
                                wit))
         return conds
+
+    def slopes(self):
+        """(conditions, limits): at each endpoint the defect vanishes and the ``slope`` Q is positive
+        definite; limits maps each slope's witness key to its Q.  As in ``strict_conditions``, a G that
+        is not strictly stable fails them all: a boundary pole prevents the limits."""
+        ends = self.domain.endpoints
+        if not self.strictly_stable():
+            note = "boundary pole prevents the limit"
+            return [Condition(cid, False, {"note": note}) for _, cid, _ in ends.values()], {}
+        conds, limits = [], {}
+        for z0, (_, cid, key) in ends.items():
+            Q, vanishes = self.slope(z0)
+            conds.append(Condition(cid, vanishes and is_pd(Q, self.cfg.strict_rel), {key: Q}))
+            limits[key] = Q
+        return conds, limits
 
     def full_normal_rank(self, form):
         """det of the boundary matrix is not identically zero."""
@@ -389,8 +455,5 @@ def analysis_of(G: RationalMatrix, cfg: Config = DEFAULT) -> Analysis:
 
 
 def pole_at(G: RationalMatrix, points, cfg: Config = DEFAULT):
-    """The first pole of G within 2 * root_cluster of one of the points, or None."""
-    for p, _ in analysis_of(G, cfg).poles():
-        if near(p, points, cfg) is not None:
-            return p
-    return None
+    """The first pole of G ``near`` one of the points, or None."""
+    return next((p for p, _ in analysis_of(G, cfg).poles() if near(p, points, cfg) is not None), None)

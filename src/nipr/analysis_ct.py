@@ -1,33 +1,33 @@
 """Continuous-time classifiers: C-PR / C-SSPR / C-WSPR and C-NI / C-SSNI / C-WSNI.
 
 Each classifier lists its conditions over the shared analysis of the matrix
-(``analysis.analysis_of``).  What only continuous time has is the pole at
-infinity, the decay at infinity and the slope at the origin.
+(``analysis.analysis_of``), which writes them once for both domains.  Only
+continuous time has the pole at infinity and the decay at infinity.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .analysis import PREMUL, analysis_of, hermitian_enough, hermitian_psd
-from .boundary import herm, is_nsd, is_pd
+from .analysis import PREMUL, analysis_of, hermitian_enough
+from .boundary import herm, is_nsd, is_psd
 from .config import DEFAULT, Config
 from .poly import RationalScalar, cluster_roots, degree, roots
 from .ratmat import RationalMatrix
 from .report import Condition, StrictnessLimits, finish_report
-from .series import decay_condition, matrix_laurent_inf, matrix_taylor
+from .series import decay_condition
 
 
-def _decay_at_infinity(G, form, order):
+def _decay_at_infinity(a, form, order):
     """The form's boundary value herm(PREMUL * R(i w)) vanishes no faster than w**-order, in every
     eigenvalue direction positively.
 
-    G(s) = sum_k c_k s**-k at infinity (G proper), so G(-s)^T has the
-    coefficients (-1)**k c_k^T and R the coefficients c_k +- (-1)**k c_k^T.
-    Returns the condition and its sigma0 margin.
+    G(s) = sum_k c_k s**-k at infinity (G proper, ``Analysis.laurent``), so
+    G(-s)^T has the coefficients (-1)**k c_k^T and R the coefficients
+    c_k +- (-1)**k c_k^T.  Returns the condition and its sigma0 margin.
     """
     sign = 1.0 if form == "pr" else -1.0
-    laurent = [c + sign * (-1.0) ** k * c.T for k, c in enumerate(matrix_laurent_inf(G, 8))]
+    laurent = [c + sign * (-1.0) ** k * c.T for k, c in enumerate(a.laurent())]
     coeffs = [np.real(herm(PREMUL[form] * (1j) ** -k * c.astype(complex))) for k, c in enumerate(laurent)]
     scale = 1.0 + max(np.linalg.norm(c, 2) for c in coeffs)
     ok, margin, worst_order = decay_condition(coeffs, order, 1e-11 * scale)
@@ -50,18 +50,15 @@ def classify_cpr(F: RationalMatrix, cfg: Config = DEFAULT):
     """
     a = analysis_of(F, cfg)
     pole_data = []
-    conds = [
-        a.no_unstable_poles("pr"),
-        a.boundary_sign("pr"),
-        a.pr_boundary_poles("imaginary-axis-poles", lambda pd, p: pd.residue_A1, "residue", pole_data),
-    ]
+    conds = a.pr_conditions(pole_data)
     ix = a.infinity()
     K_inf = None
     if ix.polynomial_degree == 0:
         conds.append(Condition("pole-at-infinity", True, {}))
     elif ix.polynomial_degree == 1:
         K_inf = ix.poly_coeffs[0]
-        conds.append(Condition("pole-at-infinity", hermitian_psd(K_inf, cfg), {"K_inf": K_inf}))
+        conds.append(Condition("pole-at-infinity", hermitian_enough(K_inf) and is_psd(K_inf, cfg.psd_rel),
+                               {"K_inf": K_inf}))
     else:
         conds.append(Condition("pole-at-infinity", False, {"degree": ix.polynomial_degree}))
     return finish_report("cpr", conds, cfg, limits=StrictnessLimits(K_inf=K_inf), pole_data=pole_data)
@@ -81,7 +78,7 @@ def classify_csspr(F: RationalMatrix, cfg: Config = DEFAULT):
     """
     a = analysis_of(F, cfg)
     conds = a.strict_conditions("pr", "csspr")
-    decay, margin = _decay_at_infinity(F, "pr", 2)
+    decay, margin = _decay_at_infinity(a, "pr", 2)
     conds += [decay, a.full_normal_rank("pr")]
     return finish_report("csspr", conds, cfg, limits=StrictnessLimits(sigma0_margin=margin))
 
@@ -94,21 +91,7 @@ def classify_cni(G: RationalMatrix, cfg: Config = DEFAULT):
     """Negative imaginary classification via the five boundary conditions."""
     a = analysis_of(G, cfg)
     pole_data = []
-    conds = a.symmetry() + [a.no_unstable_poles("ni"), a.boundary_sign("ni")]
-    axis_wit, origin_wit = None, None
-    for p, mult in a.pole_split()[1]:
-        if abs(p) > cfg.root_cluster:
-            axis_wit = a.simple_pole_witness(p, mult, pole_data) or axis_wit
-        elif mult > 2:
-            origin_wit = {"multiplicity": mult}
-        else:
-            pd = a.residue(0.0)
-            pole_data.append(pd)
-            if not (hermitian_psd(pd.residue_A1, cfg) and hermitian_psd(pd.quad_residue_A2, cfg)):
-                origin_wit = {"A1": pd.residue_A1, "A2": pd.quad_residue_A2}
-    conds.append(Condition("imaginary-axis-poles", axis_wit is None, axis_wit or {}))
-    conds.append(Condition("pole-at-origin", origin_wit is None, origin_wit or {}))
-
+    conds = a.ni_conditions(pole_data)
     ix = a.infinity()
     if ix.polynomial_degree == 0:
         conds.append(Condition("pole-at-infinity", True, {}))
@@ -134,20 +117,10 @@ def classify_cssni(G: RationalMatrix, cfg: Config = DEFAULT):
     """
     a = analysis_of(G, cfg)
     conds = a.strict_conditions("ni", "cssni")
-    decay, margin = _decay_at_infinity(G, "ni", 3)
-    conds.append(decay)
-    Q = None
-    if a.strictly_stable(cfg.root_cluster):
-        # the defect W(s) = G(s) - G(-s)^T has W(0) = G(0) - G(0)^T and W'(0) = G'(0) + G'(0)^T
-        g = matrix_taylor(G, 0.0, 2)
-        Q = -np.real(herm(g[1] + g[1].T))
-        # the limit (1/w) i[G - G*] only exists when the defect vanishes at 0
-        vanishes = np.linalg.norm(g[0] - g[0].T, 2) <= 1e-7 * (1.0 + np.linalg.norm(Q, 2))
-        conds.append(Condition("slope-at-origin", vanishes and is_pd(Q, cfg.strict_rel), {"Q": Q}))
-    else:
-        conds.append(Condition("slope-at-origin", False, {"note": "boundary pole prevents the limit"}))
-    conds.append(a.full_normal_rank("ni"))
-    return finish_report("cssni", conds, cfg, limits=StrictnessLimits(Q=Q, sigma0_margin=margin))
+    decay, margin = _decay_at_infinity(a, "ni", 3)
+    slopes, limits = a.slopes()
+    conds += [decay, *slopes, a.full_normal_rank("ni")]
+    return finish_report("cssni", conds, cfg, limits=StrictnessLimits(Q=limits.get("Q"), sigma0_margin=margin))
 
 
 # ---------------------------------------------------------------------------

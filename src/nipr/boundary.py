@@ -131,46 +131,20 @@ def form_values(R: RationalMatrix, params, to_points, premul, extra=None):
     return vals, ok
 
 
+def _worst_margin(R, params, to_points, premul, cfg, extra):
+    """(worst_margin, worst_param, params.size): the minimum relative PSD margin of the form of
+    ``form_values`` over the parameter array; a point at a pole, or of a margin not finite, reads inf."""
+    vals, ok = form_values(R, params, to_points, premul, extra)
+    marg = psd_margin(vals, cfg.psd_rel)
+    marg = np.where(ok & np.isfinite(marg), marg, np.inf)
+    k = int(np.argmin(marg))
+    return float(marg[k]), float(params[k]), params.size
+
+
 def grid_psd_scan(R: RationalMatrix, params, to_points, premul, cfg: Config, extra=None):
-    """Minimum relative PSD margin of premul * R(point) (+ extra) over a parameter grid.
-
-    Parameters
-    ----------
-    params : real array of grid parameters (w or theta)
-    to_points : callable mapping the parameter array to boundary points
-    premul : complex scalar applied to the evaluated matrices (1 or i)
-    extra : None, or the share of the form that R leaves out (see ``form_values``)
-
-    Returns
-    -------
-    worst_margin : float (>= 0 passes), worst_param : float, evaluated : int
-    """
-    params = np.asarray(params, dtype=float)
-
-    def margins(ts):  # inf where a point is at a pole or its margin is not finite
-        vals, ok = form_values(R, ts, to_points, premul, extra)
-        marg = psd_margin(vals, cfg.psd_rel)
-        return np.where(ok & np.isfinite(marg), marg, np.inf)
-
-    marg = margins(params)
-    kworst = int(np.argmin(marg))
-    worst, tworst = float(marg[kworst]), float(params[kworst])
-    evaluated = params.size
-    if worst == np.inf:
-        return worst, tworst, evaluated
-    lo = params[max(kworst - 1, 0)]
-    hi = params[min(kworst + 1, params.size - 1)]
-    for _ in range(cfg.refine_rounds):
-        ts = np.linspace(lo, hi, 5)[1:-1]
-        sub = margins(ts)
-        evaluated += ts.size
-        k = int(np.argmin(sub))
-        if sub[k] < worst:
-            worst, tworst = float(sub[k]), float(ts[k])
-        width = hi - lo
-        lo = max(lo, tworst - width / 4)
-        hi = min(hi, tworst + width / 4)
-    return worst, tworst, evaluated
+    """(worst_margin (>= 0 passes), worst_param, evaluated) of premul * R(point) (+ extra) over the grid
+    parameters params (w or theta); to_points, premul and extra as for ``form_values``."""
+    return _worst_margin(R, np.asarray(params, dtype=float), to_points, premul, cfg, extra)
 
 
 # ---------------------------------------------------------------------------
@@ -418,8 +392,4 @@ def crossing_scan(R: RationalMatrix, cuts, ends, from_freq, to_points, premul, c
     """
     params = np.concatenate([np.asarray(ends, dtype=float),
                              from_freq(_interval_samples(sorted(w for w in cuts if 0.0 < w < np.inf)))])
-    vals, ok = form_values(R, params, to_points, premul, extra)
-    marg = psd_margin(vals, cfg.psd_rel)
-    marg = np.where(ok & np.isfinite(marg), marg, np.inf)
-    k = int(np.argmin(marg))
-    return float(marg[k]), float(params[k]), params.size
+    return _worst_margin(R, params, to_points, premul, cfg, extra)

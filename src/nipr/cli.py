@@ -167,7 +167,7 @@ def cmd_transform(args):
     if name in ("prni", "ct_ni_to_pr"):
         out_sys = ct_ni_to_pr(R, cfg)
     elif name in ("prni-inverse", "ct_pr_to_ni"):
-        out_sys = ct_pr_to_ni(R, np.zeros((m, m)), cfg)
+        out_sys = ct_pr_to_ni(R, np.zeros((m, m)))
     elif name == "csspr_to_cssni":
         out_sys, eps = csspr_to_cssni(R, np.zeros((m, m)), cfg)
     elif name == "cssni_to_csspr":
@@ -175,7 +175,7 @@ def cmd_transform(args):
     elif name in ("lem3", "dt_ni_to_pr"):
         out_sys = dt_ni_to_pr(R, cfg)
     elif name in ("lem3-inverse", "dt_pr_to_ni"):
-        out_sys = dt_pr_to_ni(R, np.zeros((m, m)), cfg)
+        out_sys = dt_pr_to_ni(R, np.zeros((m, m)))
     elif name == "cayley":
         out_sys = rm_cayley(R)
     else:

@@ -28,7 +28,6 @@ class Config:
     grid_points_dt: int = 4096      # uniform on the relevant arc
     omega_min: float = 1e-6
     omega_max: float = 1e6
-    refine_rounds: int = 30         # bisection refinement around the worst point of grid_psd_scan
 
     # classification policy
     require_symmetry: bool = True   # enforce symmetric transfer matrices for NI

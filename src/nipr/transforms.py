@@ -42,7 +42,7 @@ def ct_ni_to_pr(G: RationalMatrix, cfg: Config = DEFAULT) -> RationalMatrix:
     return _minus_times(G, G.value_at_inf(), cfg, zero=0.0)
 
 
-def ct_pr_to_ni(F: RationalMatrix, D, cfg: Config = DEFAULT) -> RationalMatrix:
+def ct_pr_to_ni(F: RationalMatrix, D) -> RationalMatrix:
     """G(s) = (1/s) F(s) + D; maps PR transfer matrices to NI ones."""
     D = _require_symmetric_constant(D, "D")
     inv_s = RationalScalar([1.0], [0.0, 1.0])
@@ -108,7 +108,7 @@ def dt_ni_to_pr(G: RationalMatrix, cfg: Config = DEFAULT) -> RationalMatrix:
         raise CancellationFailure("residual pole at z = -1 after the map") from exc
 
 
-def dt_pr_to_ni(F: RationalMatrix, offset, cfg: Config = DEFAULT) -> RationalMatrix:
+def dt_pr_to_ni(F: RationalMatrix, offset) -> RationalMatrix:
     """G0(z) = (z+1)/(z-1) F(z) + offset; inverse of the discrete NI-to-PR map."""
     offset = _require_symmetric_constant(offset, "offset")
     inv_blaschke = RationalScalar([1.0, 1.0], [-1.0, 1.0])

@@ -47,8 +47,6 @@ from nipr.ratmat import (
 )
 from nipr.realization import StateSpace, minimal_realization, tf_of
 
-COARSE = DEFAULT.with_overrides(grid_points_ct=400, grid_points_dt=512, refine_rounds=8)
-
 
 def check(cid, ok, detail=""):
     import conftest
@@ -83,9 +81,9 @@ def ss_eval(ss, z):
 
 def test_1a_pr_hierarchy():
     F = ct_scalar([3.0, 1.0], [2.0, 3.0, 1.0])  # (s+3)/((s+1)(s+2))
-    pr = classify_cpr(F, COARSE).verdict
-    ws = classify_cwspr(F, COARSE).verdict
-    rep = classify_csspr(F, COARSE)
+    pr = classify_cpr(F, DEFAULT).verdict
+    ws = classify_cwspr(F, DEFAULT).verdict
+    rep = classify_csspr(F, DEFAULT)
     w = 1e4
     Fi = rm_eval(F, 1j * w)
     Fmi = rm_eval(F, -1j * w)
@@ -96,9 +94,9 @@ def test_1a_pr_hierarchy():
 
 def test_1b_ni_with_zero_Q():
     G = ct_scalar([1.0, 2.0], [1.0, 2.0, 1.0])  # (2s+1)/(s+1)^2
-    ni = classify_cni(G, COARSE).verdict
-    ws = classify_cwsni(G, COARSE).verdict
-    rep = classify_cssni(G, COARSE)
+    ni = classify_cni(G, DEFAULT).verdict
+    ws = classify_cwsni(G, DEFAULT).verdict
+    rep = classify_cssni(G, DEFAULT)
     Q = float(rep.limits.Q[0, 0]) if rep.limits is not None else np.nan
     ok = ni and ws and not rep.verdict and abs(Q) <= 1e-6
     check("1b", ok, f"Q = {Q:.2e}")
@@ -106,8 +104,8 @@ def test_1b_ni_with_zero_Q():
 
 def test_1c_wsni_with_Q_16():
     G = ct_scalar([3.0, 1.0], [1.0, 3.0, 3.0, 1.0])  # (s+3)/(s+1)^3
-    ws = classify_cwsni(G, COARSE).verdict
-    rep = classify_cssni(G, COARSE)
+    ws = classify_cwsni(G, DEFAULT).verdict
+    rep = classify_cssni(G, DEFAULT)
     Q = float(rep.limits.Q[0, 0]) if rep.limits is not None else np.nan
     coercivity = rep.condition("decay-at-infinity")
     ok = (ws and abs(Q - 16.0) <= 1e-6 and not rep.verdict
@@ -116,14 +114,14 @@ def test_1c_wsni_with_Q_16():
 
 
 def test_1d_integrators():
-    ok = (classify_cni(ct_scalar([1.0], [0.0, 1.0]), COARSE).verdict
-          and classify_cni(ct_scalar([1.0], [0.0, 0.0, 1.0]), COARSE).verdict
-          and not classify_cni(ct_scalar([-1.0], [0.0, 0.0, 1.0]), COARSE).verdict)
+    ok = (classify_cni(ct_scalar([1.0], [0.0, 1.0]), DEFAULT).verdict
+          and classify_cni(ct_scalar([1.0], [0.0, 0.0, 1.0]), DEFAULT).verdict
+          and not classify_cni(ct_scalar([-1.0], [0.0, 0.0, 1.0]), DEFAULT).verdict)
     check("1d", ok)
 
 
 def test_1e_lead_lag_ssni():
-    ok = classify_cssni(ct_scalar([1.0, -1.0], [1.0, 1.0]), COARSE).verdict
+    ok = classify_cssni(ct_scalar([1.0, -1.0], [1.0, 1.0]), DEFAULT).verdict
     check("1e", ok)
 
 
@@ -157,8 +155,8 @@ def test_1g_star_example():
         [RationalScalar([0.0], [1.0]), RationalScalar([1.0], [1.0])],
     ], "dt")
     ok = (star_tf.equals(expect)
-          and classify_dni(star_tf, COARSE).verdict
-          and not classify_dwsni(star_tf, COARSE).verdict)
+          and classify_dni(star_tf, DEFAULT).verdict
+          and not classify_dwsni(star_tf, DEFAULT).verdict)
     check("1g", ok)
 
 
@@ -173,9 +171,9 @@ def test_2a_lemma_matches_classifier():
     disagreements = 0
     inconclusive = 0
     for G in systems:
-        verdict = classify_dni(G, COARSE).verdict
+        verdict = classify_dni(G, DEFAULT).verdict
         ss = minimal_realization(G)
-        cert = dni_lemma_check(ss, COARSE)
+        cert = dni_lemma_check(ss, DEFAULT)
         if cert.status == INCONCLUSIVE:
             inconclusive += 1
             continue
@@ -204,8 +202,8 @@ def test_2b_cayley_bridge():
             G = dt_mixed(rng, m=2, nterms=1)
         else:
             G = dt_pr(rng, m=1, nterms=1)
-        dni = classify_dni(G, COARSE).verdict
-        cni = classify_cni(rm_cayley(G), COARSE).verdict
+        dni = classify_dni(G, DEFAULT).verdict
+        cni = classify_cni(rm_cayley(G), DEFAULT).verdict
         if dni != cni:
             disagreements += 1
     check("2b", disagreements == 0, f"{count} systems, {disagreements} disagreements")
@@ -217,19 +215,19 @@ def test_2c_transform_equivalences():
     bad = []
     for _ in range(3):
         G = ct_ni(rng, m=2, nterms=2)
-        if not classify_cpr(ct_ni_to_pr(G, COARSE), COARSE).verdict:
+        if not classify_cpr(ct_ni_to_pr(G, DEFAULT), DEFAULT).verdict:
             bad.append("ct-forward")
         F = ct_pr(rng, m=2, nterms=2)
-        if not classify_cni(ct_pr_to_ni(F, psd(rng, 2), COARSE), COARSE).verdict:
+        if not classify_cni(ct_pr_to_ni(F, psd(rng, 2)), DEFAULT).verdict:
             bad.append("ct-converse")
         Gd = dt_ni(rng, m=2, nterms=2)
-        if not classify_dni(Gd, COARSE).verdict:
+        if not classify_dni(Gd, DEFAULT).verdict:
             continue
         from nipr.analysis_dt import classify_dpr
-        if not classify_dpr(dt_ni_to_pr(Gd, COARSE), COARSE).verdict:
+        if not classify_dpr(dt_ni_to_pr(Gd, DEFAULT), DEFAULT).verdict:
             bad.append("dt-forward")
         Fd = dt_pr(rng, m=2, nterms=2)
-        if not classify_dni(dt_pr_to_ni(Fd, psd(rng, 2), COARSE), COARSE).verdict:
+        if not classify_dni(dt_pr_to_ni(Fd, psd(rng, 2)), DEFAULT).verdict:
             bad.append("dt-converse")
     check("2c", not bad, f"failures: {bad}" if bad else "12 maps verified")
 
@@ -250,7 +248,7 @@ def test_2d_ni_stability_oracle():
     pairs = 0
     while pairs < 50:
         P, Q = _admissible_pair(rng)
-        out = ni_stability_test(P, Q, COARSE)
+        out = ni_stability_test(P, Q, DEFAULT)
         pairs += 1
         if not out["agree"]:
             disagreements += 1
@@ -273,18 +271,18 @@ def test_3_containment_and_gain():
     gain_ok = True
     for k in range(6):
         G = ct_mixed(rng, m=2, nterms=2) if k % 2 else ct_ni(rng, m=2, nterms=2)
-        ssni = classify_cssni(G, COARSE).verdict
-        wsni = classify_cwsni(G, COARSE).verdict
-        ni = classify_cni(G, COARSE).verdict
+        ssni = classify_cssni(G, DEFAULT).verdict
+        wsni = classify_cwsni(G, DEFAULT).verdict
+        ni = classify_cni(G, DEFAULT).verdict
         chain_ok &= ((not ssni) or wsni) and ((not wsni) or ni)
     for k in range(6):
         G = dt_mixed(rng, m=2, nterms=2) if k % 2 else dt_ni(rng, m=2, nterms=2)
-        ssni = classify_dssni(G, COARSE).verdict
-        wsni = classify_dwsni(G, COARSE).verdict
-        ni = classify_dni(G, COARSE).verdict
+        ssni = classify_dssni(G, DEFAULT).verdict
+        wsni = classify_dwsni(G, DEFAULT).verdict
+        ni = classify_dni(G, DEFAULT).verdict
         chain_ok &= ((not ssni) or wsni) and ((not wsni) or ni)
         if ni:
-            _M, is_psd, _pd = gain_order_check(G, COARSE)
+            _M, is_psd, _pd = gain_order_check(G, DEFAULT)
             gain_ok &= bool(is_psd)
     check("3-containment-gain", chain_ok and gain_ok)
 
@@ -295,7 +293,7 @@ def test_3_certificate_reverification():
         rng = np.random.default_rng(12)
         for _ in range(10):
             ss = minimal_realization(dt_ni(rng, m=2, nterms=2))
-            cert = dni_lemma_check(ss, COARSE)
+            cert = dni_lemma_check(ss, DEFAULT)
             if cert.status == FEASIBLE:
                 certs.append((ss, cert))
     bad = 0
@@ -409,10 +407,10 @@ def test_4_residues_and_limits():
     ]
     # residues A1, A2 and normalized K0 at every pole of multiplicity <= 2
     for G in systems:
-        for p, mult in rm_poles(G, COARSE):
+        for p, mult in rm_poles(G, DEFAULT):
             if mult > 2:
                 continue
-            pd = rm_residues_at(G, p, COARSE)
+            pd = rm_residues_at(G, p, DEFAULT)
             A1b, A2b = _brute_A1_A2(G, p)
             worst = max(worst, _rel(A1b, pd.residue_A1), _rel(A2b, pd.quad_residue_A2))
             if G.domain == "ct" and abs(p.real) < 1e-9:
@@ -427,14 +425,14 @@ def test_4_residues_and_limits():
     # Q at the origin for CT strictness reports
     for G, _qexp in [(ct_scalar([1.0, 2.0], [1.0, 2.0, 1.0]), 0.0),
                      (ct_scalar([3.0, 1.0], [1.0, 3.0, 3.0, 1.0]), 16.0)]:
-        rep = classify_cssni(G, COARSE)
+        rep = classify_cssni(G, DEFAULT)
         w = 1e-4
         M = rm_eval(G, 1j * w)
         Qb = np.real(herm(1j * (M - M.conj().T))) / w
         worst = max(worst, _rel(Qb, rep.limits.Q))
     # Q0 and Qpi endpoint slopes for DT systems without poles at z = +-1
     for G in [dt_scalar([1.0], [-0.5, 1.0]), dt_ni(rng, m=2, nterms=2)]:
-        lim = circle_limits(G, COARSE)
+        lim = circle_limits(G, DEFAULT)
         th = 1e-4
 
         def defect(theta):

@@ -160,3 +160,19 @@ def test_plain_class_realizes_once_and_a_strict_class_reuses_it(monkeypatch):
     assert counts == {"minimal_realization": 1}  # the crossings of the plain class come from a realization
     analysis_dt.classify_dwsni(G)
     assert counts == {"minimal_realization": 1}
+
+
+@pytest.mark.parametrize("gen", ["ct_ni", "dt_ni"])
+def test_the_strict_classes_share_one_expansion_at_infinity_and_one_per_endpoint(monkeypatch, gen):
+    G = reference(gen, 2)
+    counts = count_calls(monkeypatch, ("matrix_laurent_inf", "matrix_taylor"), owner="series")
+    if gen == "ct_ni":
+        for cls in CT_CLASSES:
+            getattr(analysis_ct, f"classify_{cls}")(G)
+        # csspr and cssni read one expansion at infinity; cssni its slope at s = 0
+        assert counts == {"matrix_laurent_inf": 1, "matrix_taylor": 1}
+    else:
+        for cls in DT_CLASSES:
+            getattr(analysis_dt, f"classify_{cls}")(G)
+        analysis_dt.circle_limits(G)
+        assert counts == {"matrix_laurent_inf": 0, "matrix_taylor": 2}  # z = 1 and z = -1, once each

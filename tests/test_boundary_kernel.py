@@ -55,35 +55,14 @@ def reference_margin(M, rel):
 def reference_scan(R, params, to_points, premul, cfg):
     """grid_psd_scan evaluated one point at a time with the entrywise rm_eval and a per-matrix margin."""
     params = np.asarray(params, dtype=float)
-
-    def margins(ts):
-        out = np.full(ts.size, np.inf)
-        for k, p in enumerate(to_points(ts)):
-            try:
-                out[k] = reference_margin(premul * rm_eval(R, p), cfg.psd_rel)
-            except PoleProximity:
-                pass
-        return out
-
-    marg = margins(params)
-    if not np.any(np.isfinite(marg)):
-        return np.inf, float(params[0]), params.size
+    marg = np.full(params.size, np.inf)
+    for k, p in enumerate(to_points(params)):
+        try:
+            marg[k] = reference_margin(premul * rm_eval(R, p), cfg.psd_rel)
+        except PoleProximity:
+            pass
     kworst = int(np.argmin(marg))
-    worst, tworst = float(marg[kworst]), float(params[kworst])
-    evaluated = params.size
-    lo = params[max(kworst - 1, 0)]
-    hi = params[min(kworst + 1, params.size - 1)]
-    for _ in range(cfg.refine_rounds):
-        ts = np.linspace(lo, hi, 5)[1:-1]
-        sub = margins(ts)
-        evaluated += ts.size
-        k = int(np.argmin(sub))
-        if sub[k] < worst:
-            worst, tworst = float(sub[k]), float(ts[k])
-        width = hi - lo
-        lo = max(lo, tworst - width / 4)
-        hi = min(hi, tworst + width / 4)
-    return worst, tworst, evaluated
+    return float(marg[kworst]), float(params[kworst]), params.size
 
 
 @pytest.mark.parametrize("m", [1, 3, 6])
@@ -118,12 +97,11 @@ def test_a_point_on_an_entry_pole_is_masked_and_has_infinite_margin():
     worst, tworst, n = grid_psd_scan(R, [0.5], to_points, 1.0, DEFAULT)
     assert (worst, tworst, n) == (np.inf, 0.5, 1)
     # unmasked, the pole point would hold the undivided numerators and the most negative margin
-    no_refine = DEFAULT.with_overrides(refine_rounds=0)
     finite = {t: reference_margin(rm_eval(R, t + 0j), DEFAULT.psd_rel) for t in (2.0, 3.0)}
     pole = reference_margin(rm_eval_many(R, [0.5])[0][0], DEFAULT.psd_rel)
     assert pole < min(finite.values())
     t_min = min(finite, key=finite.get)
-    assert grid_psd_scan(R, params, to_points, 1.0, no_refine) == (finite[t_min], t_min, 3)
+    assert grid_psd_scan(R, params, to_points, 1.0, DEFAULT) == (finite[t_min], t_min, 3)
 
 
 def test_points_on_complex_boundary_poles_are_masked_and_points_near_them_are_read():

@@ -16,8 +16,6 @@ from nipr.poly import RationalScalar
 from nipr.ratmat import RationalMatrix
 from nipr.realization import StateSpace, minimal_realization, tf_of
 
-COARSE = DEFAULT.with_overrides(grid_points_dt=512, refine_rounds=8)
-
 
 def scalar_dt(num, den):
     return RationalMatrix([[RationalScalar(num, den)]], "dt")
@@ -66,9 +64,9 @@ def test_star_known_example():
         [RationalScalar([0.0], [1.0]), RationalScalar([1.0], [1.0])],
     ], "dt")
     assert star_tf.equals(expect)
-    rep = classify_dni(star_tf, COARSE)
+    rep = classify_dni(star_tf, DEFAULT)
     assert rep.verdict
-    assert not classify_dwsni(star_tf, COARSE).verdict
+    assert not classify_dwsni(star_tf, DEFAULT).verdict
 
 
 def test_star_zero_feedback_keeps_first_block():
@@ -130,10 +128,10 @@ def admissible_pair(c, a=0.2, beta=0.3):
 
 def test_ni_stability_agrees_both_verdicts():
     P, Q = admissible_pair(0.05)
-    out = ni_stability_test(P, Q, COARSE)
+    out = ni_stability_test(P, Q, DEFAULT)
     assert out["verdict"] and out["internal_stability_verdict"] and out["agree"]
     P2, Q2 = admissible_pair(2.0)
-    out2 = ni_stability_test(P2, Q2, COARSE)
+    out2 = ni_stability_test(P2, Q2, DEFAULT)
     assert not out2["verdict"] and out2["agree"]
     assert out2["lambda_bar"] > 1.0
 
@@ -143,23 +141,23 @@ def test_ni_stability_preconditions():
     bad = scalar_dt([-1.0], [-0.5, 1.0])
     _, Q = admissible_pair(0.05)
     with pytest.raises(PreconditionViolated):
-        ni_stability_test(bad, Q, COARSE)
+        ni_stability_test(bad, Q, DEFAULT)
     # P with a pole at z = 1
     pole1 = scalar_dt([1.0], [-1.0, 1.0])
     with pytest.raises(PreconditionViolated):
-        ni_stability_test(pole1, Q, COARSE)
+        ni_stability_test(pole1, Q, DEFAULT)
     # P(-1) Q(-1) != 0
     P = scalar_dt([1.0], [-0.5, 1.0])
     Qbig = scalar_dt([2.0, 1.0], [-0.2, 1.0])  # Q(-1) = -1/(-1.2) > 0... checked below
     with pytest.raises(PreconditionViolated):
-        ni_stability_test(P, Qbig, COARSE)
+        ni_stability_test(P, Qbig, DEFAULT)
 
 
 def test_star_class_preservation_known_example():
     D1 = np.array([[1.0, 0.0, 1.0], [0.0, 1.0, 0.0], [1.0, 0.0, 0.0]])
     S1 = PartitionedSystem(static_ss(D1), 1, 1)
     delay = minimal_realization(scalar_dt([1.0], [0.0, 1.0]))
-    out = star_class_preservation(S1, PartitionedSystem(delay, 1, 1), "dni", COARSE)
+    out = star_class_preservation(S1, PartitionedSystem(delay, 1, 1), "dni", DEFAULT)
     assert out["inputs_in_class"] == (True, True)
     assert out["preserved"]
     assert out["star_membership"]["dni"]

@@ -13,8 +13,6 @@ from nipr.config import DEFAULT
 from nipr.nilemma import FEASIBLE, INFEASIBLE, dni_lemma_check, dual_dni_lemma_check
 from nipr.realization import minimal_realization
 
-COARSE = DEFAULT.with_overrides(grid_points_dt=512, refine_rounds=8)
-
 
 def assert_lemma_holds(ss, X, form):
     A, B, C = ss.A, ss.B, ss.C
@@ -42,9 +40,9 @@ def test_lemma_decides_larger_systems_like_the_classifier(gen, m, nterms):
         G = gen(rng, m=m, nterms=nterms)
         ss = minimal_realization(G)
         assert ss.order <= 8
-        verdict = classify_dni(G, COARSE).verdict
+        verdict = classify_dni(G, DEFAULT).verdict
         for form, check in (("primal", dni_lemma_check), ("dual", dual_dni_lemma_check)):
-            cert = check(ss, COARSE)
+            cert = check(ss, DEFAULT)
             assert cert.status in (FEASIBLE, INFEASIBLE)
             assert (cert.status == FEASIBLE) == verdict
             if cert.status == FEASIBLE:
@@ -62,7 +60,7 @@ def test_far_points_of_a_non_ni_family_are_not_certified(seed):
     for m, nterms in ((2, 4), (3, 2), (3, 1), (1, 6)):
         dt_ni(rng, m=m, nterms=nterms)
         G = dt_mixed(rng, m=m, nterms=nterms)
-    assert not classify_dni(G, COARSE).verdict
+    assert not classify_dni(G, DEFAULT).verdict
     ss = minimal_realization(G)
     for check in (dni_lemma_check, dual_dni_lemma_check):
-        assert check(ss, COARSE).status == INFEASIBLE
+        assert check(ss, DEFAULT).status == INFEASIBLE

@@ -17,8 +17,6 @@ from nipr.ratmat import RationalMatrix
 from nipr.realization import StateSpace, minimal_realization
 from nipr.transforms import dt_ni_to_pr
 
-COARSE = DEFAULT.with_overrides(grid_points_dt=512, refine_rounds=8)
-
 
 def scalar_dt(num, den):
     return RationalMatrix([[RationalScalar(num, den)]], "dt")
@@ -71,7 +69,7 @@ def test_certificate_reverification():
 def test_pr_lemma_on_transformed_system():
     rng = np.random.default_rng(53)
     G = dt_ni(rng, m=2, nterms=2)
-    F = dt_ni_to_pr(G, COARSE)
+    F = dt_ni_to_pr(G, DEFAULT)
     cert = dpr_lemma_check(minimal_realization(F))
     assert cert.status == FEASIBLE
     # the recovered factor reproduces the LMI block
@@ -121,7 +119,7 @@ def test_static_system_feasible():
 
 def test_lemma_matches_classifier_on_small_corpus():
     for G in dt_lemma_corpus(seed=54, count=12):
-        rep = classify_dni(G, COARSE)
-        cert = dni_lemma_check(minimal_realization(G), COARSE)
+        rep = classify_dni(G, DEFAULT)
+        cert = dni_lemma_check(minimal_realization(G), DEFAULT)
         assert cert.status in (FEASIBLE, INFEASIBLE)
         assert (cert.status == FEASIBLE) == rep.verdict

@@ -26,15 +26,13 @@ from nipr.transforms import (
     dt_pr_to_ni,
 )
 
-COARSE = DEFAULT.with_overrides(grid_points_ct=400, grid_points_dt=512, refine_rounds=8)
-
 
 def test_ct_round_trip():
     rng = np.random.default_rng(41)
     for _ in range(4):
         G = ct_ni(rng, m=2, nterms=2, strictly_proper=False)
-        F = ct_ni_to_pr(G, COARSE)
-        back = ct_pr_to_ni(F, G.value_at_inf(), COARSE)
+        F = ct_ni_to_pr(G, DEFAULT)
+        back = ct_pr_to_ni(F, G.value_at_inf())
         assert G.equals(back)
 
 
@@ -42,40 +40,40 @@ def test_ct_forward_maps_ni_to_pr():
     rng = np.random.default_rng(42)
     for _ in range(3):
         G = ct_ni(rng, m=2, nterms=2)
-        assert classify_cni(G, COARSE).verdict
-        F = ct_ni_to_pr(G, COARSE)
-        assert classify_cpr(F, COARSE).verdict
+        assert classify_cni(G, DEFAULT).verdict
+        F = ct_ni_to_pr(G, DEFAULT)
+        assert classify_cpr(F, DEFAULT).verdict
 
 
 def test_ct_converse_maps_pr_to_ni():
     rng = np.random.default_rng(43)
     for _ in range(3):
         F = ct_pr(rng, m=2, nterms=2)
-        assert classify_cpr(F, COARSE).verdict
-        G = ct_pr_to_ni(F, psd(rng, 2), COARSE)
-        assert classify_cni(G, COARSE).verdict
+        assert classify_cpr(F, DEFAULT).verdict
+        G = ct_pr_to_ni(F, psd(rng, 2))
+        assert classify_cni(G, DEFAULT).verdict
 
 
 def test_ct_ni_to_pr_rejects_improper():
     G = RationalMatrix([[RationalScalar([0.0, 1.0], [1.0])]], "ct")
     with pytest.raises(ImproperInput):
-        ct_ni_to_pr(G, COARSE)
+        ct_ni_to_pr(G, DEFAULT)
 
 
 def test_ct_pr_to_ni_rejects_asymmetric_offset():
     rng = np.random.default_rng(44)
     F = ct_pr(rng, m=2, nterms=1)
     with pytest.raises(AsymmetricD):
-        ct_pr_to_ni(F, np.array([[0.0, 1.0], [0.0, 0.0]]), COARSE)
+        ct_pr_to_ni(F, np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
 def test_dt_round_trip():
     rng = np.random.default_rng(45)
     for _ in range(4):
         G = dt_ni(rng, m=2, nterms=2)
-        F = dt_ni_to_pr(G, COARSE)
+        F = dt_ni_to_pr(G, DEFAULT)
         Gm1 = np.real(rm_eval(G, -1.0))
-        back = dt_pr_to_ni(F, 0.5 * (Gm1 + Gm1.T), COARSE)
+        back = dt_pr_to_ni(F, 0.5 * (Gm1 + Gm1.T))
         assert G.equals(back)
 
 
@@ -83,43 +81,43 @@ def test_dt_forward_maps_ni_to_pr():
     rng = np.random.default_rng(46)
     for _ in range(3):
         G = dt_ni(rng, m=2, nterms=2)
-        assert classify_dni(G, COARSE).verdict
-        F = dt_ni_to_pr(G, COARSE)
-        assert classify_dpr(F, COARSE).verdict
+        assert classify_dni(G, DEFAULT).verdict
+        F = dt_ni_to_pr(G, DEFAULT)
+        assert classify_dpr(F, DEFAULT).verdict
 
 
 def test_dt_converse_maps_pr_to_ni():
     rng = np.random.default_rng(47)
     for _ in range(3):
         F = dt_pr(rng, m=2, nterms=2)
-        assert classify_dpr(F, COARSE).verdict
-        G = dt_pr_to_ni(F, psd(rng, 2), COARSE)
-        assert classify_dni(G, COARSE).verdict
+        assert classify_dpr(F, DEFAULT).verdict
+        G = dt_pr_to_ni(F, psd(rng, 2))
+        assert classify_dni(G, DEFAULT).verdict
 
 
 def test_dt_ni_to_pr_rejects_pole_at_minus_one():
     G = RationalMatrix([[RationalScalar([1.0], [1.0, 1.0])]], "dt")  # 1/(z + 1)
     with pytest.raises(PoleAtMinusOne):
-        dt_ni_to_pr(G, COARSE)
+        dt_ni_to_pr(G, DEFAULT)
 
 
 def test_dt_pr_to_ni_rejects_asymmetric_offset():
     rng = np.random.default_rng(48)
     F = dt_pr(rng, m=2, nterms=1)
     with pytest.raises(AsymmetricOffset):
-        dt_pr_to_ni(F, np.array([[0.0, 1.0], [0.0, 0.0]]), COARSE)
+        dt_pr_to_ni(F, np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
 def test_epsilon_search_both_directions():
     # (1 - s)/(1 + s) is strongly strict NI; the shifted image must be SSPR
     G = RationalMatrix([[RationalScalar([1.0, -1.0], [1.0, 1.0])]], "ct")
-    assert classify_cssni(G, COARSE).verdict
-    F, eps = cssni_to_csspr(G, COARSE)
+    assert classify_cssni(G, DEFAULT).verdict
+    F, eps = cssni_to_csspr(G, DEFAULT)
     assert eps > 0
-    assert classify_csspr(F, COARSE).verdict
-    G2, eps2 = csspr_to_cssni(F, np.zeros((1, 1)), COARSE)
+    assert classify_csspr(F, DEFAULT).verdict
+    G2, eps2 = csspr_to_cssni(F, np.zeros((1, 1)), DEFAULT)
     assert eps2 > 0
-    assert classify_cssni(G2, COARSE).verdict
+    assert classify_cssni(G2, DEFAULT).verdict
 
 
 @pytest.mark.parametrize("fn,num,den", [
@@ -131,16 +129,16 @@ def test_epsilon_search_refuses_a_pole_on_the_imaginary_axis(fn, num, den):
     R = RationalMatrix([[RationalScalar(num, den)]], "ct")
     args = (R,) if fn is cssni_to_csspr else (R, np.zeros((1, 1)))
     with pytest.raises(EpsilonSearchFailed) as err:
-        fn(*args, COARSE)
+        fn(*args, DEFAULT)
     assert err.value.history == []  # refused before any classification
 
 
 def test_dt_ni_to_pr_ss_matches_tf_map():
     rng = np.random.default_rng(49)
     G = dt_ni(rng, m=2, nterms=2)
-    ss = minimal_realization(G, COARSE)
-    out, minimal = dt_ni_to_pr_ss(ss, COARSE)
-    F = dt_ni_to_pr(G, COARSE)
+    ss = minimal_realization(G, DEFAULT)
+    out, minimal = dt_ni_to_pr_ss(ss, DEFAULT)
+    F = dt_ni_to_pr(G, DEFAULT)
     assert tf_of(out).equals(F)
     assert isinstance(minimal, (bool, np.bool_))
 
@@ -149,4 +147,4 @@ def test_dt_ni_to_pr_ss_rejects_eigenvalue_at_minus_one():
     from nipr.realization import StateSpace
     ss = StateSpace(np.array([[-1.0]]), np.array([[1.0]]), np.array([[1.0]]), np.array([[0.0]]), "dt")
     with pytest.raises(EigenvalueAtMinusOne):
-        dt_ni_to_pr_ss(ss, COARSE)
+        dt_ni_to_pr_ss(ss, DEFAULT)
