@@ -6,7 +6,7 @@ import json
 
 import numpy as np
 
-from .poly import RationalScalar
+from .poly import degree, reduced_scalars
 from .ratmat import RationalMatrix
 from .realization import StateSpace
 
@@ -64,8 +64,9 @@ def parse_document(doc: dict):
         entries = doc.get("entries")
         if not isinstance(entries, list) or not all(isinstance(row, list) for row in entries):
             raise ValueError(f"document entries must be a list of rows, got {entries!r}")
-        return RationalMatrix([[_cell(cell, i, j) for j, cell in enumerate(row)] for i, row in enumerate(entries)],
-                              domain)
+        cells = [[_cell(cell, i, j) for j, cell in enumerate(row)] for i, row in enumerate(entries)]
+        scalars = iter(reduced_scalars([pair for row in cells for pair in row]))
+        return RationalMatrix([[next(scalars) for _ in row] for row in cells], domain)
     if form == "ss":
         try:
             A, B, C, D = (np.array(doc[k], dtype=float) for k in "ABCD")
@@ -79,8 +80,8 @@ def parse_document(doc: dict):
     raise ValueError(f"document form must be 'tfm' or 'ss', got {form!r}")
 
 
-def _cell(cell, i, j) -> RationalScalar:
-    """Entry (i, j) of a tfm document; a malformed cell raises ValueError naming it."""
+def _cell(cell, i, j):
+    """(num, den) of entry (i, j) of a tfm document; a malformed cell raises ValueError naming it."""
     try:
         if not isinstance(cell, dict):
             raise ValueError("a cell must be an object with 'num' and 'den'")
@@ -90,10 +91,12 @@ def _cell(cell, i, j) -> RationalScalar:
             raise ValueError("'num' and 'den' must be lists of numbers")
         if not (np.isfinite(num).all() and np.isfinite(den).all()):
             raise ValueError("coefficients must be finite")
-        return RationalScalar(num, den)
+        if degree(den) < 0:
+            raise ValueError("denominator is identically zero")
+        return num, den
     except KeyError as exc:
         raise ValueError(f"entry ({i}, {j}): missing {exc}") from exc
-    except (TypeError, ValueError, ZeroDivisionError) as exc:
+    except (TypeError, ValueError) as exc:
         raise ValueError(f"entry ({i}, {j}): {exc}") from exc
 
 

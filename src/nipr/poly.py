@@ -7,7 +7,9 @@ matched numerator/denominator roots within the documented clustering
 tolerance and leaves the denominator monic.  A rational scalar keeps its
 denominator roots (``den_roots``): the ones reduction found when it cancelled
 nothing, otherwise found on first use; so num and den must not change after
-construction.
+construction.  Roots are found by ``roots_many``, one stacked companion
+eigensolve per degree, bitwise ``np.roots``; ``reduced_scalars`` builds a
+whole document's scalars from one such call.
 """
 
 from __future__ import annotations
@@ -26,9 +28,11 @@ from .errors import CancellationFailure, DegenerateMap, RootFindingFailure
 def trim(c, rel=0.0):
     """Drop trailing (leading-degree) coefficients that are zero.
 
-    With rel > 0 coefficients below rel*max|c| count as zero.
+    With rel > 0 coefficients below rel*max|c| count as zero.  Returns a copy.
     """
     c = np.atleast_1d(np.asarray(c))
+    if rel == 0.0 and c.size and c[-1] != 0:
+        return np.array(c)  # nothing to drop, so no max|c| to find
     if c.size == 0:
         return np.zeros(1, dtype=c.dtype if c.dtype.kind == "c" else float)
     scale = np.max(np.abs(c))
@@ -42,6 +46,9 @@ def trim(c, rel=0.0):
 
 
 def degree(c) -> int:
+    c = np.atleast_1d(np.asarray(c))
+    if c.size and c[-1] != 0:
+        return c.size - 1
     c = trim(c)
     if c.size == 1 and c[0] == 0:
         return -1  # the zero polynomial
@@ -82,14 +89,46 @@ def polydivmod(n, d):
 
 def roots(c):
     """Roots via the companion-matrix eigensolve (ascending input)."""
-    c = trim(c)
-    if degree(c) <= 0:
-        return np.zeros(0, dtype=complex)
-    try:
-        r = np.roots(c[::-1])
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - rare
-        raise RootFindingFailure(str(exc)) from exc
-    return np.asarray(r, dtype=complex)
+    return roots_many([c])[0]
+
+
+def roots_many(polys):
+    """[roots(c) for c in polys], with one stacked eigensolve per degree.
+
+    Each polynomial is rooted as ``np.roots`` roots it: its exactly-zero
+    low-order coefficients become roots at 0, appended last, and the rest
+    goes through the companion matrix np.roots builds.  numpy's eigvals runs
+    the same LAPACK geev on every matrix of a stack, so the roots are bitwise
+    np.roots', as complex arrays.  (eigvals returns a real array when all the
+    stack's eigenvalues are real, np.roots when all of one matrix's are; geev
+    gives a real eigenvalue a +0.0 imaginary part, so both read the same as
+    complex.)  A failed eigensolve raises RootFindingFailure for the whole
+    batch.
+    """
+    out = [None] * len(polys)
+    groups = {}  # (degree, dtype) -> [(index, descending coefficients, roots at 0)]
+    for k, c in enumerate(polys):
+        c = trim(c)
+        z = int(np.flatnonzero(c)[0]) if c.size > 1 else 0
+        p = c[z:][::-1]
+        if p.size == 1:  # a constant, the zero polynomial or a monomial
+            out[k] = np.zeros(z, dtype=complex)
+            continue
+        if p.dtype.kind not in "fc":
+            p = p.astype(float)
+        groups.setdefault((p.size - 1, p.dtype), []).append((k, p, z))
+    for (n, dtype), members in groups.items():
+        P = np.array([p for _, p, _ in members])
+        A = np.zeros((len(members), n, n), dtype=dtype)
+        A.reshape(len(members), n * n)[:, n::n + 1] = 1.0  # the subdiagonal
+        A[:, 0, :] = -P[:, 1:] / P[:, :1]
+        try:
+            w = np.linalg.eigvals(A)
+        except np.linalg.LinAlgError as exc:
+            raise RootFindingFailure(str(exc)) from exc
+        for row, (k, _, z) in enumerate(members):
+            out[k] = np.concatenate((w[row], np.zeros(z, dtype=complex)))
+    return out
 
 
 def cluster_roots(rts, tol=DEFAULT.root_cluster):
@@ -105,16 +144,16 @@ def cluster_roots(rts, tol=DEFAULT.root_cluster):
     for i in order:
         if used[i]:
             continue
-        group = [i]
         used[i] = True
-        for j in order:
-            if used[j]:
-                continue
-            if abs(rts[j] - rts[i]) <= tol * (1.0 + abs(rts[i])):
-                group.append(j)
-                used[j] = True
-        loc = np.mean(rts[group])
-        out.append([loc, len(group)])
+        # np.hypot is bitwise the scalar abs(complex); np.abs of a complex array is not
+        d = rts - rts[i]
+        near = ~used & (np.hypot(d.real, d.imag) <= tol * (1.0 + abs(rts[i])))
+        if not near.any():
+            out.append([rts[i] + 0.0, 1])  # np.mean of one root: the root, with -0.0 parts made +0.0
+            continue
+        group = [i, *order[near[order]]]
+        used[near] = True
+        out.append([np.mean(rts[group]), len(group)])
     # a multiplicity-m root scatters by ~eps**(1/m) under rounding, which for
     # m >= 3 exceeds tol.  Merge connected groups of clusters that fall within
     # the scatter radius of a root of their combined multiplicity, but only
@@ -226,18 +265,20 @@ def shift_poly(c, p):
 class RationalScalar:
     """A reduced real-coefficient rational function num/den with monic den.
 
-    A ``den_roots`` given with reduce=False must be ``roots`` of the monic den.
+    A ``den_roots`` given must be ``roots`` of the monic den.  With reduce=True
+    a ``num_roots`` given with it must be ``roots(num)``, or empty when den is
+    a constant; the reduction then finds no roots itself (``reduced_scalars``).
     """
 
     __slots__ = ("num", "den", "_den_roots")
 
-    def __init__(self, num, den=(1.0,), reduce=True, cfg: Config = DEFAULT, den_roots=None):
+    def __init__(self, num, den=(1.0,), reduce=True, cfg: Config = DEFAULT, den_roots=None, num_roots=None):
         num = trim(np.asarray(num, dtype=float))
         den = trim(np.asarray(den, dtype=float))
         if degree(den) < 0:
             raise ZeroDivisionError("denominator is identically zero")
         if reduce:
-            num, den, den_roots = _reduce(num, den, cfg)
+            num, den, den_roots = _reduce(num, den, cfg, num_roots, den_roots)
         lead = den[-1]
         self.num = num / lead
         self.den = den / lead
@@ -448,18 +489,32 @@ def _read_only(a):
     return a
 
 
-def _reduce(num, den, cfg: Config):
+def reduced_scalars(pairs, cfg: Config = DEFAULT):
+    """[RationalScalar(num, den, cfg=cfg) for num, den in pairs], with one ``roots_many`` call for all their roots."""
+    pairs = [(trim(np.asarray(n, dtype=float)), trim(np.asarray(d, dtype=float))) for n, d in pairs]
+    if any(degree(d) < 0 for _, d in pairs):
+        raise ZeroDivisionError("denominator is identically zero")
+    # over a constant den nothing cancels, so the constant den stands in for num
+    rts = roots_many([p for n, d in pairs for p in (n if d.size > 1 else d, d / d[-1])])
+    return [RationalScalar(n, d, cfg=cfg, num_roots=rts[2 * k], den_roots=rts[2 * k + 1])
+            for k, (n, d) in enumerate(pairs)]
+
+
+def _reduce(num, den, cfg: Config, num_roots=None, den_roots=None):
     """(num, den, den_roots): matched numerator/denominator roots cancelled (float-safe GCD).
 
-    den_roots are the roots of the monic den when nothing was cancelled and
-    they were found; None otherwise.
+    num_roots and den_roots, if given, are the roots of num and of the monic
+    den.  The den_roots returned are those when nothing was cancelled and they
+    were found; None otherwise.
     """
     if degree(num) < 0:
         return np.zeros(1), np.ones(1), None
-    if degree(num) == 0 or degree(den) == 0:
-        return num, den, None
-    rn = list(roots(num))
-    den_roots = _read_only(roots(den / den[-1]))  # the monic den's, which np.roots also builds
+    if num_roots is None:
+        if degree(num) == 0 or degree(den) == 0:
+            return num, den, None
+        num_roots, den_roots = roots(num), roots(den / den[-1])  # the monic den's, which np.roots also builds
+    rn = list(num_roots)
+    den_roots = _read_only(den_roots)
     rd = list(den_roots)
     keep_n, cancelled = [], 0
     for r in rn:

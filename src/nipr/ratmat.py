@@ -304,13 +304,17 @@ def rm_residues_at(R: RationalMatrix, p, cfg: Config = DEFAULT) -> PoleDatum:
                 q = deflate(q, p)
             nv = polyval(np.asarray(e.num, dtype=complex), p)
             qv = polyval(q, p)
-            if k == 1:
-                A1[i, j] = nv / qv
-            else:
-                A2[i, j] = nv / qv
-                ndv = polyval(np.polynomial.polynomial.polyder(np.asarray(e.num, dtype=complex)), p)
-                qdv = polyval(np.polynomial.polynomial.polyder(q), p)
-                A1[i, j] = (ndv * qv - nv * qdv) / (qv * qv)
+            with np.errstate(all="ignore"):  # a zero or tiny qv is reported below
+                if k == 1:
+                    A1[i, j] = nv / qv
+                else:
+                    A2[i, j] = nv / qv
+                    ndv = polyval(np.polynomial.polynomial.polyder(np.asarray(e.num, dtype=complex)), p)
+                    qdv = polyval(np.polynomial.polynomial.polyder(q), p)
+                    A1[i, j] = (ndv * qv - nv * qdv) / (qv * qv)
+            if not (np.isfinite(A1[i, j]) and np.isfinite(A2[i, j])):
+                raise PoleProximity(f"entry ({i}, {j}): no finite residue at the pole {p}: "
+                                    "another of the entry's poles is too close to it")
     if R.domain == CT:
         K0 = 1j * A1
     else:

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import numpy.polynomial.polynomial as npp
 import pytest
@@ -13,8 +15,10 @@ from nipr.analysis_dt import (
     gain_order_check,
 )
 from nipr.analysis_ct import classify_cni, classify_cssni
+from nipr.cli import main
 from nipr.config import DEFAULT
-from nipr.errors import ImproperInput, PoleAtPlusMinusOne
+from nipr.docio import document_of, save_document
+from nipr.errors import ImproperInput, PoleAtPlusMinusOne, PoleProximity
 from nipr.poly import RationalScalar
 from nipr.ratmat import RationalMatrix, rm_cayley
 
@@ -174,3 +178,18 @@ def test_an_exact_common_factor_at_a_triple_root_cancels():
     G = scalar(npp.polymul(num, [-1.0, 1.0]), npp.polymul(den, [-1.0, 1.0]))
     assert G.entries[0][0].den.size == 4  # the factor cancelled
     assert classify_dni(G, DEFAULT).verdict
+
+
+def test_a_resonance_just_off_plus_one_is_refused_with_a_typed_error(tmp_path, capsys):
+    # z/((z - e^{it})(z - e^{-it})), t = 1.5e-7: both poles of the pair cluster apart but snap onto the
+    # same real point near 1, so the deflated denominator vanishes there and no residue is finite
+    t = 1.5e-7
+    G = scalar([0.0, 1.0], [1.0, -2.0 * np.cos(t), 1.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(PoleProximity, match=r"^entry \(0, 0\): .* pole \(0\.99999"):
+            classify_dni(G, DEFAULT)
+    path = tmp_path / "g.json"
+    save_document(document_of(G), path)
+    assert main(["classify", str(path), "--class", "dni"]) == 2
+    assert capsys.readouterr().err.startswith("error: entry (0, 0): ")

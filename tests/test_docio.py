@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
+import corpus
 from corpus import dt_ni
+from nipr import poly
 from nipr.docio import document_of, jsonable, load_document, parse_document, save_document
 from nipr.poly import RationalScalar
 from nipr.ratmat import RationalMatrix
@@ -111,3 +113,44 @@ def test_number_round_trip_is_lossless(tmp_path):
     back = parse_document(load_document(path))
     assert back.entries[0][0].num[1] == np.pi
     assert back.entries[0][0].den[0] == 1e-17
+
+
+def counted_eigvals(monkeypatch):
+    """The shape of every np.linalg.eigvals argument."""
+    calls = []
+    eigvals = np.linalg.eigvals
+
+    def counted(a):
+        calls.append(np.shape(a))
+        return eigvals(a)
+
+    monkeypatch.setattr(np.linalg, "eigvals", counted)
+    return calls
+
+
+@pytest.mark.parametrize("gen", ["ct_ni", "ct_pr", "ct_mixed", "dt_ni", "dt_pr", "dt_mixed"])
+def test_a_document_is_rooted_with_one_eigensolve_per_degree(monkeypatch, gen):
+    G = getattr(corpus, gen)(np.random.default_rng(6), m=6, nterms=3)
+    doc = jsonable(document_of(G))
+    cells = [cell for row in doc["entries"] for cell in row]
+    degrees = {np.trim_zeros(np.asarray(c[key])).size - 1 for c in cells for key in ("num", "den")} - {0}
+    assert len(degrees) == (2 if gen == "ct_ni" else 1)  # 36 entries, 72 polynomials
+    calls = counted_eigvals(monkeypatch)
+    rooted = []
+    real_roots = poly.roots
+    monkeypatch.setattr(poly, "roots", lambda c: rooted.append(c) or real_roots(c))
+    back = parse_document(doc)
+    assert len(calls) == len(degrees) and all(len(shape) == 3 for shape in calls)
+    assert rooted == []
+    assert back.equals(G)
+
+
+@pytest.mark.parametrize("bad", [{"num": [1.0], "den": [0.0, -0.0]}, {"num": [1.0, float("nan")], "den": [1.0, 1.0]},
+                                 {"den": [1.0, 1.0]}])
+def test_a_bad_cell_is_named_before_any_root_is_found(monkeypatch, bad):
+    good = {"num": [1.0, 2.0], "den": [1.0, 3.0, 1.0]}
+    entries = [[good] * 3, [good] * 3, [good, bad, good]]
+    calls = counted_eigvals(monkeypatch)
+    with pytest.raises(ValueError, match=r"^entry \(2, 1\): "):
+        parse_document({"domain": "ct", "form": "tfm", "entries": entries})
+    assert calls == []

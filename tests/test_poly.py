@@ -1,6 +1,9 @@
 import numpy as np
+import numpy.polynomial.polynomial as npp
 import pytest
 
+from nipr import poly
+from nipr.errors import RootFindingFailure
 from nipr.poly import (
     RationalScalar,
     cluster_roots,
@@ -111,3 +114,200 @@ def test_laurent_rejects_improper():
     with pytest.raises(ValueError):
         r.laurent_at_inf(3)
     assert polyval(r.num, 2.0) == 4.0
+
+
+# ---------------------------------------------------------------------------
+# the kernels against the per-call code they replaced, which the tests keep as the reference
+
+
+def reference_trim(c, rel=0.0):
+    c = np.atleast_1d(np.asarray(c))
+    if c.size == 0:
+        return np.zeros(1, dtype=c.dtype if c.dtype.kind == "c" else float)
+    scale = np.max(np.abs(c))
+    if scale == 0.0:
+        return np.zeros(1, dtype=float)
+    cut = rel * scale
+    k = c.size
+    while k > 1 and abs(c[k - 1]) <= cut:
+        k -= 1
+    return np.array(c[:k])
+
+
+def reference_degree(c):
+    c = reference_trim(c)
+    if c.size == 1 and c[0] == 0:
+        return -1
+    return c.size - 1
+
+
+def reference_roots(c):
+    c = reference_trim(c)
+    if reference_degree(c) <= 0:
+        return np.zeros(0, dtype=complex)
+    return np.asarray(np.roots(c[::-1]), dtype=complex)
+
+
+def reference_cluster_roots(rts, tol=1e-7):
+    rts = np.asarray(rts, dtype=complex)
+    out = []
+    used = np.zeros(rts.size, dtype=bool)
+    order = np.argsort(np.abs(rts))
+    for i in order:
+        if used[i]:
+            continue
+        group = [i]
+        used[i] = True
+        for j in order:
+            if used[j]:
+                continue
+            if abs(rts[j] - rts[i]) <= tol * (1.0 + abs(rts[i])):
+                group.append(j)
+                used[j] = True
+        loc = np.mean(rts[group])
+        out.append([loc, len(group)])
+    changed = True
+    while changed:
+        changed = False
+        for i in range(len(out)):
+            group = [i]
+            total = out[i][1]
+            for j in range(len(out)):
+                if j == i or j in group:
+                    continue
+                radius = max(tol, 1e-13 ** (1.0 / max(3, total + out[j][1])))
+                if any(abs(out[j][0] - out[g][0]) <= radius * (1.0 + abs(out[j][0])) for g in group):
+                    group.append(j)
+                    total += out[j][1]
+            if len(group) > 1 and total >= 3:
+                loc = sum(out[g][1] * out[g][0] for g in group) / total
+                out = [c for g, c in enumerate(out) if g not in group]
+                out.append([loc, total])
+                changed = True
+                break
+    for item in out:
+        loc = item[0]
+        if abs(loc.imag) <= tol * (1.0 + abs(loc)):
+            item[0] = complex(loc.real, 0.0)
+    done = [False] * len(out)
+    for i, (loc, mult) in enumerate(out):
+        if done[i] or loc.imag == 0.0:
+            continue
+        for j, (loc2, mult2) in enumerate(out):
+            if j == i or done[j]:
+                continue
+            if abs(np.conj(loc) - loc2) <= tol * (1.0 + abs(loc)) and mult2 == mult:
+                mid = 0.5 * (loc + np.conj(loc2))
+                out[i][0] = mid
+                out[j][0] = np.conj(mid)
+                done[i] = done[j] = True
+                break
+    return [(complex(l), int(m)) for l, m in out]
+
+
+def bitwise(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def same_clusters(a, b):
+    return [m for _, m in a] == [m for _, m in b] and bitwise([l for l, _ in a], [l for l, _ in b])
+
+
+def root_cases():
+    rng = np.random.default_rng(13)
+    fixed = [
+        [1.0, 0.0, 1.0],                                  # x^2 + 1: a conjugate pair
+        npp.polypow([-1.0, 1.0], 2),                      # a double root
+        npp.polypow([-2.0, 1.0], 3),                      # a triple root, scattered by rounding
+        npp.polypow([5.0, 2.0, 1.0], 2),                  # a repeated conjugate pair
+        [0.0, 0.0, 2.0, 1.0],                             # roots at 0 (np.roots' trailing zeros)
+        [0.0, 0.0, 0.0, 3.0],                             # a monomial: roots at 0 only
+        [0.0, 1.0],
+        [1.0, 0.0, 0.0, 1.0],                             # zero coefficients inside
+        [1.0, 2.0, 0.0, -0.0],                            # zero leading coefficients, -0.0 among them
+        [4.0],                                            # degree 0
+        [0.0], [-0.0], [], [0.0, 0.0],                    # the zero polynomial
+        [1, 3, 2],                                        # integer coefficients
+        np.array([1.0 + 2.0j, 0.5j, 1.0]),                # complex coefficients
+        np.array([0.0, 1.0 - 1.0j, 2.0 + 0.0j, 1.0j]),
+        np.array([2.0, -3.0, 1.0], dtype=complex),       # real roots of a complex polynomial stay complex
+        np.array([-1.0, 0.0, 1.0], dtype=complex),
+    ]
+    drawn = [rng.standard_normal(rng.integers(1, 9)) for _ in range(40)]
+    return fixed + drawn
+
+
+def test_roots_many_is_bitwise_np_roots_in_one_batch_and_one_by_one():
+    cases = root_cases()
+    want = [reference_roots(c) for c in cases]
+    for got, ref in zip(poly.roots_many(cases), want):
+        assert bitwise(got, ref)
+    for c, ref in zip(cases, want):
+        assert bitwise(poly.roots_many([c])[0], ref)
+        assert bitwise(roots(c), ref)
+    assert poly.roots_many([]) == []
+
+
+def test_roots_many_stacks_one_eigensolve_per_degree(monkeypatch):
+    calls = []
+    eigvals = np.linalg.eigvals
+
+    def counted(a):
+        calls.append(a.shape)
+        return eigvals(a)
+
+    monkeypatch.setattr(np.linalg, "eigvals", counted)
+    cases = root_cases()
+    poly.roots_many(cases)
+    sizes = {(np.trim_zeros(np.asarray(c)).size - 1, np.asarray(c).dtype.kind == "c") for c in cases}
+    assert len(calls) == len({s for s in sizes if s[0] > 0})
+
+
+def test_a_failed_batch_raises_root_finding_failure():
+    with pytest.raises(RootFindingFailure):
+        poly.roots_many([[1.0, 2.0, 1.0], [1.0, float("nan"), 1.0]])
+
+
+TRIM_CASES = [
+    ([], 0.0), ([0.0], 0.0), ([0.0, 0.0, 0.0], 0.0), ([-0.0], 0.0), ([1.0, -0.0], 0.0), ([1.0, 2.0, 0.0, 0.0], 0.0),
+    ([1.0, 2.0, 3.0], 0.0), ([1.0 + 1.0j, 0.0j], 0.0), ([1.0j], 0.0), (np.zeros(0, dtype=complex), 0.0),
+    ([float("nan")], 0.0), ([1.0, float("nan")], 0.0), ([float("nan"), 0.0], 0.0), ([1.0, float("inf")], 0.0),
+    ([1.0, 1e-15], 1e-13), ([1.0, 2.0, 1e-20, 1e-30], 1e-13), ([1.0, 2.0, 3.0], 0.5), ([0.0, 0.0], 1e-13),
+    ([1, 2, 0], 0.0), ([3, 4], 0.0), (7.0, 0.0), (np.array([1.0, 2.0, 3.0])[::-1], 0.0),
+]
+
+
+@pytest.mark.parametrize("c,rel", TRIM_CASES)
+def test_trim_and_degree_match_the_loop(c, rel):
+    with np.errstate(invalid="ignore"):  # the loop's rel * max|c| is 0 * inf on [1, inf]
+        want, want_degree = reference_trim(c, rel), reference_degree(c)
+    got = trim(c, rel)
+    assert bitwise(got, want)
+    assert not np.shares_memory(got, np.atleast_1d(np.asarray(c)))
+    if rel == 0.0:
+        assert degree(c) == want_degree
+
+
+def cluster_cases():
+    rng = np.random.default_rng(29)
+    triple = [np.roots(np.poly([r] * 3)) for r in (1.0, -2.0, 0.5 + 1.0j, 7.0)]
+    cases = [
+        roots(npp.polypow([-1.0, 1.0], 3)),                                          # scattered triple root
+        roots(npp.polymul(npp.polypow([-2.0, 1.0], 3), [1.0, 1.0])),
+        roots(npp.polypow([5.0, 2.0, 1.0], 2)),                                      # repeated conjugate pair
+        roots([1.0, 0.0, 1.0]), roots([2.0, 0.0, 0.0, 1.0]),                         # conjugate pairs
+        np.array([1.0 + 1e-9j, 1.0 - 1e-9j, 3.0 + 5e-8j, -2.0 - 1e-12j]),           # near-real roots
+        np.array([complex(-0.0, 1.0), complex(-0.0, -1.0), complex(2.0, -0.0), 0.0]),  # signed zeros
+        np.array([1.0, 1.0 + 1e-8, 1.0 + 3e-7, 5.0]),                                # a chain of near roots
+        np.zeros(0, dtype=complex),
+    ] + triple
+    cases += [rng.standard_normal(k) + 1j * rng.standard_normal(k) * (rng.uniform() < 0.5)
+              for k in rng.integers(1, 9, size=30)]
+    return cases
+
+
+def test_cluster_roots_matches_the_loop():
+    for rts in cluster_cases():
+        for tol in (1e-7, 1e-6, 1e-3):
+            assert same_clusters(cluster_roots(rts, tol=tol), reference_cluster_roots(rts, tol=tol))
