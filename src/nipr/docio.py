@@ -3,10 +3,11 @@
 from __future__ import annotations
 
 import json
+import math
 
 import numpy as np
 
-from .poly import degree, reduced_scalars
+from .poly import reduced_scalars, trim
 from .ratmat import RationalMatrix
 from .realization import StateSpace
 
@@ -91,8 +92,12 @@ def _cell(cell, i, j):
             raise ValueError("'num' and 'den' must be lists of numbers")
         if not (np.isfinite(num).all() and np.isfinite(den).all()):
             raise ValueError("coefficients must be finite")
-        if degree(den) < 0:
+        lead = abs(float(trim(den)[-1]))
+        if lead == 0:
             raise ValueError("denominator is identically zero")
+        # the largest |coefficient| / lead overflows if any quotient does, and a float / float gives inf, not a warning
+        if math.isinf(max(map(abs, num.tolist() + den.tolist())) / lead):
+            raise ValueError("coefficients over the leading denominator coefficient must be finite")
         return num, den
     except KeyError as exc:
         raise ValueError(f"entry ({i}, {j}): missing {exc}") from exc

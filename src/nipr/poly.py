@@ -266,8 +266,8 @@ class RationalScalar:
     """A reduced real-coefficient rational function num/den with monic den.
 
     A ``den_roots`` given must be ``roots`` of the monic den.  With reduce=True
-    a ``num_roots`` given with it must be ``roots(num)``, or empty when den is
-    a constant; the reduction then finds no roots itself (``reduced_scalars``).
+    a ``num_roots`` given with it must be the first of ``roots_many(_to_root(num,
+    den))``; the reduction then finds no roots itself (``reduced_scalars``).
     """
 
     __slots__ = ("num", "den", "_den_roots")
@@ -489,30 +489,36 @@ def _read_only(a):
     return a
 
 
-def reduced_scalars(pairs, cfg: Config = DEFAULT):
-    """[RationalScalar(num, den, cfg=cfg) for num, den in pairs], with one ``roots_many`` call for all their roots."""
-    pairs = [(trim(np.asarray(n, dtype=float)), trim(np.asarray(d, dtype=float))) for n, d in pairs]
-    if any(degree(d) < 0 for _, d in pairs):
-        raise ZeroDivisionError("denominator is identically zero")
-    # over a constant den nothing cancels, so the constant den stands in for num
-    rts = roots_many([p for n, d in pairs for p in (n if d.size > 1 else d, d / d[-1])])
-    return [RationalScalar(n, d, cfg=cfg, num_roots=rts[2 * k], den_roots=rts[2 * k + 1])
-            for k, (n, d) in enumerate(pairs)]
+def reduced_scalars(pairs):
+    """[RationalScalar(num, den) for num, den in pairs], with one ``roots_many`` call for all their roots.
+
+    No den may be identically zero.
+    """
+    pairs = [(n, trim(np.asarray(d, dtype=float))) for n, d in pairs]
+    rts = roots_many([p for n, d in pairs for p in _to_root(n, d)])
+    return [RationalScalar(n, d, num_roots=rts[2 * k], den_roots=rts[2 * k + 1]) for k, (n, d) in enumerate(pairs)]
+
+
+def _to_root(num, den):
+    """The two polynomials whose roots ``_reduce`` matches: num and the monic den (which np.roots also builds).
+
+    den must be trimmed.  Over a constant den nothing cancels, so den stands in for both.
+    """
+    if den.size == 1:
+        return den, den
+    return num, den / den[-1]
 
 
 def _reduce(num, den, cfg: Config, num_roots=None, den_roots=None):
     """(num, den, den_roots): matched numerator/denominator roots cancelled (float-safe GCD).
 
-    num_roots and den_roots, if given, are the roots of num and of the monic
-    den.  The den_roots returned are those when nothing was cancelled and they
-    were found; None otherwise.
+    num_roots and den_roots, if given, are ``roots_many(_to_root(num, den))``.
+    The den_roots returned are those when nothing was cancelled; None otherwise.
     """
     if degree(num) < 0:
         return np.zeros(1), np.ones(1), None
     if num_roots is None:
-        if degree(num) == 0 or degree(den) == 0:
-            return num, den, None
-        num_roots, den_roots = roots(num), roots(den / den[-1])  # the monic den's, which np.roots also builds
+        num_roots, den_roots = roots_many(_to_root(num, den))
     rn = list(num_roots)
     den_roots = _read_only(den_roots)
     rd = list(den_roots)

@@ -146,7 +146,8 @@ def test_a_document_is_rooted_with_one_eigensolve_per_degree(monkeypatch, gen):
 
 
 @pytest.mark.parametrize("bad", [{"num": [1.0], "den": [0.0, -0.0]}, {"num": [1.0, float("nan")], "den": [1.0, 1.0]},
-                                 {"den": [1.0, 1.0]}])
+                                 {"den": [1.0, 1.0]}, {"num": [1.0], "den": [1e300, 1e-10]},
+                                 {"num": [1e300, 1.0], "den": [1.0, 1e-10]}])
 def test_a_bad_cell_is_named_before_any_root_is_found(monkeypatch, bad):
     good = {"num": [1.0, 2.0], "den": [1.0, 3.0, 1.0]}
     entries = [[good] * 3, [good] * 3, [good, bad, good]]

@@ -311,3 +311,18 @@ def test_cluster_roots_matches_the_loop():
     for rts in cluster_cases():
         for tol in (1e-7, 1e-6, 1e-3):
             assert same_clusters(cluster_roots(rts, tol=tol), reference_cluster_roots(rts, tol=tol))
+
+
+@pytest.mark.parametrize("num, den", [
+    ([2.0], [1.0, 3.0, 1.0]),  # constant numerator
+    ([1.0, 2.0, 1.0], [4.0]),  # constant denominator
+    ([0.0], [1.0, 1.0]),  # zero numerator
+    ([2.0, 3.0, 1.0], [0.0, 2.0, 3.0, 1.0, 0.0]),  # (s + 1)(s + 2) over s(s + 1)(s + 2), zero-padded: cancels
+    ([1.0, 0.0, 1.0], [6.0, 5.0, 1.0]),  # nothing cancels
+])
+def test_reduced_scalars_equal_one_scalar_at_a_time(num, den):
+    (batched,) = poly.reduced_scalars([(np.array(num), np.array(den))])
+    single = RationalScalar(num, den)
+    assert np.array_equal(batched.num, single.num) and np.array_equal(batched.den, single.den)
+    assert (batched._den_roots is None) == (single._den_roots is None) == (len(den) == 5)
+    assert np.array_equal(batched.den_roots, single.den_roots) and batched.den_roots.dtype == single.den_roots.dtype
