@@ -2,11 +2,12 @@
 
 Both lemmas ask whether an affine family of symmetric matrices
 X = X0 + sum_k theta_k N_k meets a product of semidefinite cones: X itself
-and a Lyapunov-type block, each shifted by a small floor.  One interior-point
-search answers it for the PR lemma and for both forms of the NI lemma (the
-primal X form and the dual Y = X^-1 form, ``form="primal"`` / ``"dual"`` of
-the same routine).  It follows the log-det barrier path of
-max t  s.t.  every block minus its floor >= t I  (Vandenberghe & Boyd,
+and a Lyapunov-type block, each shifted by a small floor.  That product is
+the PSD cone of block-diagonal matrices, so one slack matrix holds every
+block.  One interior-point search answers it for the PR lemma and for both
+forms of the NI lemma (the primal X form and the dual Y = X^-1 form,
+``form="primal"`` / ``"dual"`` of the same routine).  It follows the log-det
+barrier path of max t  s.t.  slack - floors >= t I  (Vandenberghe & Boyd,
 "Semidefinite programming", SIAM Review 38(1), 1996).  The answers:
 
 - Feasible: X passed ``_certify``, the independent re-verification of the
@@ -49,16 +50,11 @@ class FeasibilityCertificate:
 
 
 def _sym_basis(n):
-    """An orthonormal basis of the symmetric n x n matrices."""
-    basis = []
-    for i in range(n):
-        E = np.zeros((n, n))
-        E[i, i] = 1.0
-        basis.append(E)
-        for j in range(i + 1, n):
-            E = np.zeros((n, n))
-            E[i, j] = E[j, i] = 1.0 / np.sqrt(2.0)
-            basis.append(E)
+    """An orthonormal basis of the symmetric n x n matrices, stacked (n(n+1)/2, n, n)."""
+    i, j = np.nonzero(np.arange(n)[:, None] <= np.arange(n))  # the upper triangle, row by row
+    k = np.arange(len(i))
+    basis = np.zeros((len(i), n, n))
+    basis[k, i, j] = basis[k, j, i] = np.where(i == j, 1.0, 1.0 / np.sqrt(2.0))
     return basis
 
 
@@ -69,16 +65,20 @@ _MAX_NEWTON = 400  # Newton steps before the search gives up
 
 
 def _search_affine_cones(X0, Ns, cone_maps, verify):
-    """Search X = X0 + sum theta_k N_k with every f_j(X) >= floor_j I.
+    """Search X = X0 + sum theta_k Ns[k] with every f_j(X) >= floor_j I.
 
-    cone_maps: list of (affine function of X returning a symmetric matrix,
-    floor); the first map is X itself.  With S_j = f_j(X) - floor_j I - t I,
-    damped Newton steps in x = (theta, t) minimize the log-det barrier
-    -w t - sum_j log det S_j, and w grows tenfold at each centered point, so
-    the path climbs to max t while the duality gap bound sum_j size_j / w
-    shrinks.  Each Newton step also gives a dual point,
-    Z_j = S_j^-1 (S_j - dS_j) S_j^-1 / w, orthogonal to the affine directions
-    and PSD once the squared Newton decrement is below 1; while t < 0 it goes
+    cone_maps: list of (affine map from X to a symmetric matrix that also
+    maps a stack of X to the stack of images, floor); the first map is X
+    itself.  A product of PSD cones is the PSD cone of block-diagonal
+    matrices, so the blocks S_j = f_j(X) - floor_j I - t I form one slack
+    S = F + sum_a x_a D[a] of size N = sum_j size_j, with x = (theta, t).
+    Damped Newton steps in x minimize the log-det barrier -w t - log det S,
+    and w grows tenfold at each centered point, so the path climbs to max t
+    while the duality gap bound N / w shrinks.  Each step takes one Cholesky
+    factor L of S, its inverse, the product L^-1 D L^-T read on the entries
+    of the blocks (``cols``) and one SVD.  It also gives a dual point,
+    Z = S^-1 (S - dS) S^-1 / w, orthogonal to the affine directions and PSD
+    once the squared Newton decrement is below 1; while t < 0 its blocks go
     to ``_farkas_infeasible``.
 
     ``verify`` is the caller's independent check of X.  It sees an iterate
@@ -89,63 +89,65 @@ def _search_affine_cones(X0, Ns, cone_maps, verify):
     Newton steps, the gap bound, whether a separating functional was
     validated).
     """
-    vals = [f(X0) for f, _fl in cone_maps]
-    F0 = [v - fl * np.eye(len(v)) for v, (_f, fl) in zip(vals, cone_maps)]
-    if not Ns:
+    if not len(Ns):
         # the affine set is a single point: verification is decisive
         return X0, 0, 0.0, False
-    G = [np.array([f(X0 + N) - v for N in Ns]) for v, (f, _fl) in zip(vals, cone_maps)]
-    # S_j moves by sum_a x_a D_j[a]: theta along G_j, t along -I
-    D = [np.concatenate([Gj, -np.eye(len(F))[None]]) for Gj, F in zip(G, F0)]
-    vec_eye = np.concatenate([np.eye(len(F)).ravel() for F in F0])
-
-    def point(x):
-        return X0 + sum(th * N for th, N in zip(x, Ns))
+    k = len(Ns)
+    vals = [f(X0) for f, _fl in cone_maps]
+    sizes = np.array([len(v) for v in vals])
+    size = int(sizes.sum())
+    F, D = np.zeros((size, size)), np.zeros((k + 1, size, size))
+    for v, (f, fl), end, s in zip(vals, cone_maps, np.cumsum(sizes), sizes):
+        blk = slice(end - s, end)
+        F[blk, blk] = v - fl * np.eye(s)
+        D[:k, blk, blk] = f(X0 + Ns) - v  # theta moves block j along f_j(N_k)
+    D[k] = -np.eye(size)  # t moves every block along -I
+    owner = np.repeat(np.arange(len(sizes)), sizes)
+    cols = np.flatnonzero(owner[:, None] == owner)  # the entries of the blocks, block by block
+    Dflat = D.reshape(k + 1, -1)
+    vec_eye = np.eye(size).ravel()[cols]
 
     def factor(x):
-        """Cholesky factors of every S_j at x, or None if one is not PD."""
+        """The Cholesky factor of S at x, or None if S is not PD."""
         try:
-            return [np.linalg.cholesky(F + np.tensordot(x, Dj, 1)) for F, Dj in zip(F0, D)]
+            return np.linalg.cholesky(F + (x @ Dflat).reshape(size, size))
         except np.linalg.LinAlgError:
             return None
 
-    def barrier(x, Ls):
-        return -w * x[-1] - 2.0 * sum(np.log(np.diag(L)).sum() for L in Ls)
+    def barrier(x, L):
+        return -w * x[-1] - 2.0 * np.log(np.diag(L)).sum()
 
-    spread = max(np.linalg.norm(F, 2) for F in F0) or 1.0
-    size = sum(len(F) for F in F0)
-    margin = min(np.linalg.eigvalsh(F)[0] for F in F0)
-    x = np.zeros(len(Ns) + 1)
-    x[-1] = margin - spread
-    Ls = factor(x)
+    eig = np.linalg.eigvalsh(F)
+    spread, margin = max(-eig[0], eig[-1]) or 1.0, eig[0]  # ||F||_2 and lambda_min(F)
+    x = np.append(np.zeros(k), margin - spread)
+    L = factor(x)
+    Li = np.linalg.inv(L)
     # the weight that centers the start in t, so the gap bound starts near spread
-    w = float(sum(np.sum(np.linalg.inv(L) ** 2) for L in Ls))
+    w = float(np.sum(Li ** 2))
     X, steps = X0, 0
     ok = margin >= 0.0 and verify(X)
     while not ok and steps < _MAX_NEWTON:
-        Li = [np.linalg.inv(L) for L in Ls]
-        W = [(Lj @ Dj @ Lj.T).reshape(len(Dj), -1) for Lj, Dj in zip(Li, D)]  # L^-1 D L^-T
-        # The Hessian is M M' with M = [W_1 ... W_J] and the negated gradient
-        # is M vec(I) + w e_t.  Far along a direction that keeps the cones
+        W = (Li @ D @ Li.T).reshape(k + 1, -1)  # L^-1 D L^-T
+        # The Hessian is M M' with M = W[:, cols] and the negated gradient is
+        # M vec(I) + w e_t.  Far along a direction that keeps the cones
         # (nearly) PSD, M M' is too ill-conditioned to factor, but the SVD of
         # M still resolves the step.
-        U, sv, Vt = np.linalg.svd(np.concatenate(W, axis=1), full_matrices=False)
+        U, sv, Vt = np.linalg.svd(W[:, cols], full_matrices=False)
         if sv[-1] <= 1e-15 * sv[0]:
             break
         y = sv * (Vt @ vec_eye) + w * U[-1]
         dx = U @ (y / sv ** 2)
         dec = np.sum((y / sv) ** 2)  # squared Newton decrement
         if dec < 1.0 and x[-1] < 0.0:
-            Z = [Lj.T @ (np.eye(len(Lj)) - (Wj.T @ dx).reshape(Lj.shape)) @ Lj / w
-                 for Lj, Wj in zip(Li, W)]
-            if _farkas_infeasible(Z, G, F0):
+            Z = Li.T @ (np.eye(size) - (dx @ W).reshape(size, size)) @ Li / w
+            if _farkas_infeasible(Z.ravel()[cols], Dflat[:k, cols].T, F.ravel()[cols], sizes):
                 return None, steps, size / w, True
         if dec < 1e-8:
             if size / w <= 1e-12 * spread:
                 break
             w *= 10.0
             continue
-        f0, alpha = barrier(x, Ls), 1.0
+        f0, alpha = barrier(x, L), 1.0
         while True:
             Lc = factor(x + alpha * dx)
             if Lc is not None and barrier(x + alpha * dx, Lc) <= f0 - 0.25 * alpha * dec:
@@ -153,27 +155,27 @@ def _search_affine_cones(X0, Ns, cone_maps, verify):
             alpha *= 0.5
             if alpha < 1e-12:
                 return None, steps, size / w, False
-        x, Ls = x + alpha * dx, Lc
-        X, steps = point(x), steps + 1
+        x, L = x + alpha * dx, Lc
+        Li = np.linalg.inv(L)
+        X, steps = X0 + (x[:-1] @ Ns.reshape(k, -1)).reshape(X0.shape), steps + 1
         ok = x[-1] >= 0.0 and verify(X)
     return (X if ok else None), steps, size / w, False
 
 
-def _farkas_infeasible(Z, G, F0):
+def _farkas_infeasible(z, J, f, sizes):
     """Validate a separating functional proving the affine set misses the cones.
 
-    Z holds one candidate matrix per cone block, G[j][k] the change of block j
-    along the k-th affine direction and F0[j] block j at the base point, floor
-    subtracted.  Z is projected exactly onto the orthogonal complement of the
-    directions.  If every projected block is PSD and sum_j <Z_j, F0_j> < 0,
-    then sum_j <Z_j, F_j> < 0 at every point of the affine family, which no
-    point with every F_j PSD can give.
+    Each vector holds the entries of the cone blocks, block by block, each
+    block row-major: z those of the candidate, J[:, k] those of the change
+    along the k-th affine direction and f those of the blocks at the base
+    point, floors subtracted; ``sizes`` are the block sizes.  z is projected
+    exactly onto the orthogonal complement of the directions.  If every
+    projected block is PSD and <z, f> < 0, then sum_j <Z_j, F_j> < 0 at every
+    point of the affine family, which no point with every F_j PSD can give.
     """
-    J = np.concatenate([Gj.reshape(len(Gj), -1) for Gj in G], axis=1).T
-    c = np.linalg.lstsq(J, np.concatenate([Zj.ravel() for Zj in Z]), rcond=None)[0]
-    Z = [Zj - np.tensordot(c, Gj, 1) for Zj, Gj in zip(Z, G)]
-    return bool(all(np.linalg.eigvalsh(Zj)[0] >= 0.0 for Zj in Z)
-                and sum(np.sum(Zj * Fj) for Zj, Fj in zip(Z, F0)) < 0.0)
+    z = z - J @ np.linalg.lstsq(J, z, rcond=None)[0]
+    blocks = zip(np.split(z, np.cumsum(sizes ** 2)[:-1]), sizes)
+    return bool(z @ f < 0.0 and all(np.linalg.eigvalsh(b.reshape(s, s))[0] >= 0.0 for b, s in blocks))
 
 
 def _certify(X, lyap_fn, eq_residual_fn, iterations, infeasible, extras=None):
@@ -218,21 +220,20 @@ def dpr_lemma_check(ss: StateSpace, cfg: Config = DEFAULT) -> FeasibilityCertifi
         return FeasibilityCertificate(np.zeros((0, 0)), 0.0, np.inf, lam, 0, status)
 
     def block(X):
-        return np.block([
-            [X - A.T @ X @ A, C.T - A.T @ X @ B],
-            [C - B.T @ X @ A, D.T + D - B.T @ X @ B],
-        ])
+        return np.concatenate([
+            np.concatenate([X - A.T @ X @ A, C.T - A.T @ X @ B], axis=-1),
+            np.concatenate([C - B.T @ X @ A, D.T + D - B.T @ X @ B], axis=-1),
+        ], axis=-2)
 
     mu = 1e-7
     X0 = np.eye(n)
-    Ns = _sym_basis(n)
     eta = 5e-9 * (1.0 + np.linalg.norm(block(X0), 2))
     cone_maps = [(lambda X: X, mu), (block, -eta)]
 
     def verify(X):
         return _certify(X, block, lambda _x: 0.0, 0, False).status == FEASIBLE
 
-    X, iters, gap, farkas = _search_affine_cones(X0, Ns, cone_maps, verify)
+    X, iters, gap, farkas = _search_affine_cones(X0, _sym_basis(n), cone_maps, verify)
     cert = _certify(X, block, lambda _x: 0.0, iters, farkas,
                     extras={"gap": gap, "farkas": farkas})
     if cert.status == FEASIBLE:
@@ -260,21 +261,17 @@ def _check_the2_preconditions(ss: StateSpace, cfg: Config):
     require_no_eigenvalue_at(A, 1.0)
 
 
-def _affine_solution_set(Smap_cols, rhs_vec, n):
-    """Solve the linear system over symmetric X; return (X0, nullbasis, residual)."""
+def _affine_solution_set(S, R):
+    """Solve S X = R over symmetric X; return (X0, stacked null basis, residual)."""
+    n = S.shape[1]
     basis = _sym_basis(n)
-    Amat = np.stack([Smap_cols(E) for E in basis], axis=1)
-    x, *_rest = np.linalg.lstsq(Amat, rhs_vec, rcond=None)
-    residual = float(np.linalg.norm(Amat @ x - rhs_vec))
-    X0 = sum(xk * E for xk, E in zip(x, basis))
-    U, s, Vt = np.linalg.svd(Amat)
-    smax = s[0] if s.size else 0.0
-    null = [
-        sum(vk * E for vk, E in zip(Vt[r], basis))
-        for r in range(len(basis))
-        if r >= s.size or s[r] <= 1e-10 * max(smax, 1.0)
-    ]
-    return X0, null, residual
+    flat = basis.reshape(len(basis), -1)
+    Amat = (S @ basis).reshape(len(basis), -1).T
+    x, *_rest = np.linalg.lstsq(Amat, R.ravel(), rcond=None)
+    residual = float(np.linalg.norm(Amat @ x - R.ravel()))
+    _U, s, Vt = np.linalg.svd(Amat)
+    rank = np.count_nonzero(s > 1e-10 * max(s[0], 1.0))
+    return (x @ flat).reshape(n, n), (Vt[rank:] @ flat).reshape(-1, n, n), residual
 
 
 def _dni_lemma(ss: StateSpace, cfg: Config, form: str) -> FeasibilityCertificate:
@@ -284,22 +281,25 @@ def _dni_lemma(ss: StateSpace, cfg: Config, form: str) -> FeasibilityCertificate
     symmetric X > 0 with Q X = P and X - A'XA >= 0, the dual form for Y > 0
     with P Y = Q (that is, B = -(A-I) Y (A'+I)^-1 C') and Y - AYA' >= 0.
     The equation is affine, so its solution set is parametrized exactly and
-    only the cone search is iterative.
+    only the cone search is iterative.  When no search runs (n = 0, or the
+    equation has no symmetric solution) the extras say so: no free
+    parameters, gap 0 and no Farkas functional.
     """
     _check_the2_preconditions(ss, cfg)
     A, B, C = ss.A, ss.B, ss.C
     n = ss.order
+    unsearched = {"free_parameters": 0, "form": form, "gap": 0.0, "farkas": False}
     if n == 0:
-        return FeasibilityCertificate(np.zeros((0, 0)), 0.0, np.inf, np.inf, 0, FEASIBLE)
+        return FeasibilityCertificate(np.zeros((0, 0)), 0.0, np.inf, np.inf, 0, FEASIBLE, unsearched)
     I = np.eye(n)
     P = C @ np.linalg.inv(A + I)           # m x n
     Q = -B.T @ np.linalg.inv(A.T - I)      # m x n
     S, R, Ad = (Q, P, A) if form == "primal" else (P, Q, A.T)
 
     scale_eq = 1.0 + np.linalg.norm(R) + np.linalg.norm(S)
-    X0, null, residual = _affine_solution_set(lambda E: (S @ E).ravel(), R.ravel(), n)
+    X0, null, residual = _affine_solution_set(S, R)
     if residual > 1e-7 * scale_eq:
-        return FeasibilityCertificate(None, residual, -np.inf, -np.inf, 0, INFEASIBLE)
+        return FeasibilityCertificate(None, residual, -np.inf, -np.inf, 0, INFEASIBLE, unsearched)
 
     def lyap(X):
         return X - Ad.T @ X @ Ad
@@ -307,8 +307,8 @@ def _dni_lemma(ss: StateSpace, cfg: Config, form: str) -> FeasibilityCertificate
     def eq_residual(X):
         return np.linalg.norm(S @ X - R)
 
-    mu = 1e-9 * (1.0 + np.linalg.norm(X0, 2))
-    eta = 5e-9 * (1.0 + np.linalg.norm(X0, 2))
+    scale = 1.0 + np.linalg.norm(X0, 2)
+    mu, eta = 1e-9 * scale, 5e-9 * scale
     cone_maps = [(lambda X: X, mu), (lyap, -eta)]
 
     def verify(X):
@@ -316,7 +316,7 @@ def _dni_lemma(ss: StateSpace, cfg: Config, form: str) -> FeasibilityCertificate
 
     X, iters, gap, farkas = _search_affine_cones(X0, null, cone_maps, verify)
     return _certify(
-        X, lyap, eq_residual, iters, farkas or not null,
+        X, lyap, eq_residual, iters, farkas or not len(null),
         extras={"free_parameters": len(null), "form": form, "gap": gap, "farkas": farkas},
     )
 

@@ -172,6 +172,20 @@ def test_lemma_json_records_gap_and_farkas(tmp_path, capsys):
     assert data["extras"]["gap"] > 0.0
 
 
+def test_lemma_json_names_the_form_when_no_search_runs(tmp_path, capsys):
+    # a static system (n = 0), and 1/(z - 0.5) in entry (0, 1) alone, whose
+    # lemma equation has no symmetric solution
+    zero = ([0.0], [1.0])
+    static = write_tfm(tmp_path, "static", [[([2.0], [1.0])]], "dt")
+    unsolvable = write_tfm(tmp_path, "unsolvable", [[zero, ([1.0], [-0.5, 1.0])], [zero, zero]], "dt")
+    for path, code, status in ((static, 0, "Feasible"), (unsolvable, 1, "Infeasible")):
+        for form in ("primal", "dual"):
+            assert main(["lemma", path, "--form", form]) == code
+            data = json.loads(capsys.readouterr().out)
+            assert data["status"] == status
+            assert data["extras"] == {"form": form, "free_parameters": 0, "gap": 0.0, "farkas": False}
+
+
 def test_interconnect_feedback(tmp_path, capsys):
     pdoc = tmp_path / "p.json"
     P = StateSpace(np.zeros((0, 0)), np.zeros((0, 2)), np.zeros((2, 0)),
