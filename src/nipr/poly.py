@@ -8,8 +8,9 @@ tolerance and leaves the denominator monic.  A rational scalar keeps its
 denominator roots (``den_roots``): the ones reduction found when it cancelled
 nothing, otherwise found on first use; so num and den must not change after
 construction.  Roots are found by ``roots_many``, one stacked companion
-eigensolve per degree, bitwise ``np.roots``; ``reduced_scalars`` builds a
-whole document's scalars from one such call.
+eigensolve per degree and one companion matrix per distinct polynomial,
+bitwise ``np.roots``; ``reduced_scalars`` builds a whole document's scalars
+from one such call.
 """
 
 from __future__ import annotations
@@ -93,20 +94,23 @@ def roots(c):
 
 
 def roots_many(polys):
-    """[roots(c) for c in polys], with one stacked eigensolve per degree.
+    """[roots(c) for c in polys], with one stacked eigensolve per degree and one companion matrix per
+    distinct polynomial.
 
     Each polynomial is rooted as ``np.roots`` roots it: its exactly-zero
     low-order coefficients become roots at 0, appended last, and the rest
-    goes through the companion matrix np.roots builds.  numpy's eigvals runs
-    the same LAPACK geev on every matrix of a stack, so the roots are bitwise
-    np.roots', as complex arrays.  (eigvals returns a real array when all the
-    stack's eigenvalues are real, np.roots when all of one matrix's are; geev
-    gives a real eigenvalue a +0.0 imaginary part, so both read the same as
-    complex.)  A failed eigensolve raises RootFindingFailure for the whole
-    batch.
+    goes through the companion matrix np.roots builds.  Polynomials whose rest
+    has the same degree, dtype and coefficient bytes share one companion
+    matrix (a document's cells over one denominator share its monic copy), and
+    each gets its own array of roots.  numpy's eigvals runs the same LAPACK
+    geev on every matrix of a stack, so the roots are bitwise np.roots', as
+    complex arrays.  (eigvals returns a real array when all the stack's
+    eigenvalues are real, np.roots when all of one matrix's are; geev gives a
+    real eigenvalue a +0.0 imaginary part, so both read the same as complex.)
+    A failed eigensolve raises RootFindingFailure for the whole batch.
     """
     out = [None] * len(polys)
-    groups = {}  # (degree, dtype) -> [(index, descending coefficients, roots at 0)]
+    groups = {}  # (degree, dtype) -> {coefficient bytes: (descending coefficients, [(index, roots at 0)])}
     for k, c in enumerate(polys):
         c = trim(c)
         z = int(np.flatnonzero(c)[0]) if c.size > 1 else 0
@@ -116,18 +120,20 @@ def roots_many(polys):
             continue
         if p.dtype.kind not in "fc":
             p = p.astype(float)
-        groups.setdefault((p.size - 1, p.dtype), []).append((k, p, z))
-    for (n, dtype), members in groups.items():
-        P = np.array([p for _, p, _ in members])
-        A = np.zeros((len(members), n, n), dtype=dtype)
-        A.reshape(len(members), n * n)[:, n::n + 1] = 1.0  # the subdiagonal
+        group = groups.setdefault((p.size - 1, p.dtype), {})
+        group.setdefault(p.tobytes(), (p, []))[1].append((k, z))
+    for (n, dtype), distinct in groups.items():
+        P = np.array([p for p, _ in distinct.values()])
+        A = np.zeros((len(P), n, n), dtype=dtype)
+        A.reshape(len(P), n * n)[:, n::n + 1] = 1.0  # the subdiagonal
         A[:, 0, :] = -P[:, 1:] / P[:, :1]
         try:
             w = np.linalg.eigvals(A)
         except np.linalg.LinAlgError as exc:
             raise RootFindingFailure(str(exc)) from exc
-        for row, (k, _, z) in enumerate(members):
-            out[k] = np.concatenate((w[row], np.zeros(z, dtype=complex)))
+        for row, (_, members) in enumerate(distinct.values()):
+            for k, z in members:
+                out[k] = np.concatenate((w[row], np.zeros(z, dtype=complex)))
     return out
 
 

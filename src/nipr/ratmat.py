@@ -148,15 +148,17 @@ class RationalMatrix:
 
     @cached_property
     def _coefficient_stacks(self):
-        """(num, den): the entries' ascending coefficients zero-padded to (deg + 1, m, m) stacks; built on
-        first use, so entries must not change after."""
-        flat = [e for row in self.entries for e in row]
-        shape = (self.size, self.size)
+        """(num, den): the entries' ascending coefficients zero-padded to (deg + 1, m, m) stacks, each
+        filled into one preallocated array; built on first use, so entries must not change after."""
+        m = self.size
 
         def stack(coeffs):
-            n = max(c.size for c in coeffs)
-            return np.array([np.pad(c, (0, n - c.size)) for c in coeffs]).T.reshape(n, *shape)
+            out = np.zeros((max(c.size for c in coeffs), m * m))
+            for k, c in enumerate(coeffs):
+                out[:c.size, k] = c
+            return out.reshape(-1, m, m)
 
+        flat = [e for row in self.entries for e in row]
         return stack([e.num for e in flat]), stack([e.den for e in flat])
 
     def coeff_scale(self) -> float:
@@ -222,21 +224,23 @@ def rm_eval_many(R: RationalMatrix, points):
     return vals, ~near_pole.any(axis=(1, 2))
 
 
-def _merge_poles(entry_poles, cfg: Config):
-    """``rm_poles`` from the clusters of each entry."""
+def _merge_poles(cluster_sets, cfg: Config):
+    """``rm_poles`` from the entries' distinct cluster sets, in the order the entries first have them.
+
+    A set merged again would find, for each of its poles, the item it found or made the first time, so
+    merging each distinct set once gives the merge of every entry's."""
     found = []  # list of [location, mult]
-    for row in entry_poles:
-        for clusters in row:
-            for loc, mult in clusters:
-                hit = None
-                for item in found:
-                    if abs(item[0] - loc) <= cfg.root_cluster * (1.0 + abs(loc)):
-                        hit = item
-                        break
-                if hit is None:
-                    found.append([loc, mult])
-                else:
-                    hit[1] = max(hit[1], mult)
+    for clusters in cluster_sets:
+        for loc, mult in clusters:
+            hit = None
+            for item in found:
+                if abs(item[0] - loc) <= cfg.root_cluster * (1.0 + abs(loc)):
+                    hit = item
+                    break
+            if hit is None:
+                found.append([loc, mult])
+            else:
+                hit[1] = max(hit[1], mult)
     # exact conjugate pairing
     for item in found:
         loc = item[0]
@@ -252,12 +256,29 @@ def _merge_poles(entry_poles, cfg: Config):
 
 
 def _pole_clusters(R: RationalMatrix, cfg: Config):
-    """(entry_poles, poles): each entry's clustered (location, multiplicity) poles as an m x m grid of
-    tuples, and ``rm_poles``; clustered once per root_cluster value, so entries must not change after."""
+    """(entry_poles, poles, dens): each entry's clustered (location, multiplicity) poles as an m x m grid
+    of tuples, ``rm_poles``, and R's distinct denominators as (den, its clusters, the row-major indexes of
+    the entries over it).
+
+    Entries are over the same denominator when their den and den_roots have the same bytes.
+    ``cluster_roots`` runs once per distinct den_roots, the entries that have them share one tuple, and
+    ``_merge_poles`` merges each tuple once.  All this is done once per root_cluster value, so entries must
+    not change after."""
     tol = cfg.root_cluster
     if tol not in R._clusters_by_tol:
-        entry_poles = tuple(tuple(tuple(cluster_roots(e.den_roots, tol=tol)) for e in row) for row in R.entries)
-        R._clusters_by_tol[tol] = entry_poles, tuple(_merge_poles(entry_poles, cfg))
+        clusters = {}  # (dtype, bytes) of den_roots -> their clusters, in the order the entries have them
+        dens = {}  # (den bytes, den_roots key) -> (den, clusters, [entry indexes])
+        flat = []
+        for n, e in enumerate(e for row in R.entries for e in row):
+            key = (e.den_roots.dtype.str, e.den_roots.tobytes())
+            if key not in clusters:
+                clusters[key] = tuple(cluster_roots(e.den_roots, tol=tol))
+            flat.append(clusters[key])
+            dens.setdefault((e.den.tobytes(), key), (e.den, clusters[key], []))[2].append(n)
+        m = R.size
+        entry_poles = tuple(tuple(flat[i * m:(i + 1) * m]) for i in range(m))
+        R._clusters_by_tol[tol] = (entry_poles, tuple(_merge_poles(clusters.values(), cfg)),
+                                   tuple((den, cl, np.array(idx)) for den, cl, idx in dens.values()))
     return R._clusters_by_tol[tol]
 
 
@@ -274,14 +295,35 @@ def _entry_multiplicity(clusters, p, cfg: Config) -> int:
     return mult
 
 
-def rm_residues_at(R: RationalMatrix, p, cfg: Config = DEFAULT) -> PoleDatum:
-    """Matrix residue data at a pole of multiplicity <= 2, by deflation of the entries that have it.
+def _values_at(C, p):
+    """The (m, m) values at the complex point p of the real (deg + 1, m, m) stack C, each bitwise
+    ``npp.polyval(p, c)`` on the entry's coefficients cast to complex, whatever the zero padding.
 
-    The entries' poles are R's ``_pole_clusters``: clustered once, not once per call.
+    polyval takes a scalar p through numpy's scalar complex multiply, which rounds each of its four
+    products; numpy's complex array multiply may fuse a product into the sum and round differently,
+    so the steps are written out in real arithmetic.  Adding 0.0 to an imaginary part is the add of a
+    real coefficient's +0.0 imaginary part: it makes -0.0 +0.0, as polyval's complex add does."""
+    xr, xi = p.real, p.imag
+    z = p * 0  # polyval's first step, c[-1] + p * 0
+    re, im = C[-1] + z.real, 0.0 + z.imag
+    for c in C[-2::-1]:
+        re, im = c + (re * xr - im * xi), (re * xi + im * xr) + 0.0
+    out = np.empty(C.shape[1:], dtype=complex)
+    out.real, out.imag = re, im
+    return out
+
+
+def rm_residues_at(R: RationalMatrix, p, cfg: Config = DEFAULT) -> PoleDatum:
+    """Matrix residue data at a pole of multiplicity <= 2, by deflation of the denominators that have it.
+
+    The entries' poles are R's ``_pole_clusters``: clustered once, not once per call.  Each distinct
+    (den, multiplicity at p) is deflated and evaluated once, and all numerators (and, at a double pole,
+    their derivatives) are evaluated at p as one stack; each residue entry is bitwise what deflating
+    and evaluating that entry alone gives.
     """
     p = complex(p)
     m = R.size
-    entry_poles, poles = _pole_clusters(R, cfg)
+    _, poles, dens = _pole_clusters(R, cfg)
     mult = 0
     for loc, k in poles:
         if abs(loc - p) <= cfg.root_cluster * (1.0 + abs(p)):
@@ -291,30 +333,34 @@ def rm_residues_at(R: RationalMatrix, p, cfg: Config = DEFAULT) -> PoleDatum:
         raise ValueError(f"{p} is not a pole of the matrix")
     if mult > 2:
         raise MultiplicityTooHigh(f"pole at {p} has multiplicity {mult}")
-    A1 = np.zeros((m, m), dtype=complex)
-    A2 = np.zeros((m, m), dtype=complex)
-    for i in range(m):
-        for j in range(m):
-            e = R.entries[i][j]
-            k = _entry_multiplicity(entry_poles[i][j], p, cfg)
+    num = R._coefficient_stacks[0]
+    nv = _values_at(num, p).ravel()
+    A1, A2 = A = np.zeros((2, m * m), dtype=complex)  # row-major, as the entry indexes of dens
+    ndv = None
+    with np.errstate(all="ignore"):  # a zero or tiny q(p) is reported below
+        for den, clusters, idx in dens:
+            k = _entry_multiplicity(clusters, p, cfg)
             if k == 0:
                 continue
-            q = np.asarray(e.den, dtype=complex)
+            q = np.asarray(den, dtype=complex)
             for _ in range(k):
                 q = deflate(q, p)
-            nv = polyval(np.asarray(e.num, dtype=complex), p)
             qv = polyval(q, p)
-            with np.errstate(all="ignore"):  # a zero or tiny qv is reported below
-                if k == 1:
-                    A1[i, j] = nv / qv
-                else:
-                    A2[i, j] = nv / qv
-                    ndv = polyval(np.polynomial.polynomial.polyder(np.asarray(e.num, dtype=complex)), p)
-                    qdv = polyval(np.polynomial.polynomial.polyder(q), p)
-                    A1[i, j] = (ndv * qv - nv * qdv) / (qv * qv)
-            if not (np.isfinite(A1[i, j]) and np.isfinite(A2[i, j])):
-                raise PoleProximity(f"entry ({i}, {j}): no finite residue at the pole {p}: "
-                                    "another of the entry's poles is too close to it")
+            if k == 1:
+                A1[idx] = nv[idx] / qv  # numpy divides an array by a scalar as it divides two scalars
+            else:
+                A2[idx] = nv[idx] / qv
+                qdv = polyval(npp.polyder(q), p)
+                if ndv is None:  # the numerators' derivatives, npp.polyder's j * c_j
+                    dnum = num[1:] * np.arange(1, len(num))[:, None, None] if len(num) > 1 else np.zeros_like(num)
+                    ndv = _values_at(dnum, p).ravel()
+                for n in idx:  # one by one: numpy's complex array multiply may round apart from its scalar one
+                    A1[n] = (ndv[n] * qv - nv[n] * qdv) / (qv * qv)
+    if not np.isfinite(A).all():
+        i, j = divmod(int(np.flatnonzero(~np.isfinite(A).all(axis=0))[0]), m)
+        raise PoleProximity(f"entry ({i}, {j}): no finite residue at the pole {p}: "
+                            "another of the entry's poles is too close to it")
+    A1, A2 = A.reshape(2, m, m)
     if R.domain == CT:
         K0 = 1j * A1
     else:

@@ -84,7 +84,8 @@ def test_sweep_pr_mode(tmp_path):
     f = write_tfm(tmp_path, "f", [[([3.0, 1.0], [2.0, 3.0, 1.0])]], "ct")
     out = tmp_path / "sweep.csv"
     assert main(["sweep", f, "--mode", "pr", "--out", str(out)]) == 0
-    rows = list(csv.reader(out.open()))
+    with out.open(newline="") as fh:
+        rows = list(csv.reader(fh))
     assert rows[0] == ["omega", "min_eig", "max_eig"]
     first = [float(v) for v in rows[1]]
     assert first[1] == pytest.approx(3.0, abs=1e-6)
@@ -95,7 +96,8 @@ def test_sweep_ni_scaled_column(tmp_path):
     f = write_tfm(tmp_path, "g", [[([3.0, 1.0], [1.0, 3.0, 3.0, 1.0])]], "ct")
     out = tmp_path / "sweep.csv"
     assert main(["sweep", f, "--mode", "ni", "--out", str(out)]) == 0
-    rows = list(csv.reader(out.open()))
+    with out.open(newline="") as fh:
+        rows = list(csv.reader(fh))
     assert rows[0] == ["omega", "min_eig", "max_eig", "min_eig_scaled"]
     first = [float(v) for v in rows[1]]
     assert first[3] == pytest.approx(16.0, rel=1e-6)
@@ -107,7 +109,8 @@ def test_sweep_ct_pr_starts_at_omega_zero(tmp_path):
     f = write_tfm(tmp_path, "f", [[([3.0, 1.0], [2.0, 3.0, 1.0])]], "ct")
     out = tmp_path / "sweep.csv"
     assert main(["sweep", f, "--mode", "pr", "--out", str(out)]) == 0
-    first = [float(v) for v in list(csv.reader(out.open()))[1]]
+    with out.open(newline="") as fh:
+        first = [float(v) for v in list(csv.reader(fh))[1]]
     assert first[0] == 0.0
     assert first[1] == pytest.approx(3.0, rel=1e-12)
 
@@ -116,7 +119,8 @@ def test_sweep_constant_is_zero(tmp_path):
     f = write_tfm(tmp_path, "c", [[([2.0], [1.0])]], "dt")
     out = tmp_path / "sweep.csv"
     assert main(["sweep", f, "--mode", "ni", "--out", str(out)]) == 0
-    rows = list(csv.reader(out.open()))
+    with out.open(newline="") as fh:
+        rows = list(csv.reader(fh))
     for row in rows[1:]:
         assert float(row[1]) == 0.0 and float(row[2]) == 0.0
 

@@ -149,7 +149,9 @@ def test_realizing_a_parsed_document_finds_no_roots(monkeypatch, gen):
 
 
 def test_poles_and_residues_cluster_each_entry_once(monkeypatch):
+    # once per distinct reduced denominator: the nine cells of this document share one
     G = parsed(reference("dt_mixed", 3))
+    assert len({e.den.tobytes() for e in entries(G)}) == 1
     found = record_calls(monkeypatch, "roots")
     clustered = record_calls(monkeypatch, "cluster_roots")
     poles = rm_poles(G)
@@ -157,12 +159,19 @@ def test_poles_and_residues_cluster_each_entry_once(monkeypatch):
         rm_residues_at(G, p)
     rm_split_boundary(G, [1.0])
     assert rm_poles(G) == poles
-    assert found == [] and len(clustered) == 9
+    assert found == [] and len(clustered) == 1
     # another root_cluster clusters again, and only then
     other = DEFAULT.with_overrides(root_cluster=1e-9)
     assert [p for p, _ in rm_poles(G, other)] == pytest.approx([p for p, _ in poles], abs=1e-9)
     rm_poles(G, other)
-    assert len(clustered) == 18
+    assert len(clustered) == 2
+    # entries over two distinct denominators: one call for each
+    a, b = RationalScalar([1.0], [-0.5, 1.0]), RationalScalar([1.0], [0.3, 1.0])
+    H = RationalMatrix([[a, b], [b, 2.0 * a]], "dt")
+    for p, _ in rm_poles(H):
+        rm_residues_at(H, p)
+    rm_split_boundary(H, [1.0])
+    assert len(clustered) == 4
 
 
 def test_the_returned_pole_list_is_the_callers():

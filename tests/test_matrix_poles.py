@@ -1,0 +1,318 @@
+"""Pole data per matrix: each distinct denominator is clustered and deflated once, the numerators evaluated as one stack.
+
+The per-entry functions they replace are kept below as references, verbatim
+but for their names and for the clusters cache, which the reference does not
+share with the matrix.  Every location, multiplicity, cluster, residue and
+coefficient stack must be byte-equal to the reference's, on the corpus
+generators (as built and as parsed from a document), on the lemma corpus and
+on hand-built matrices with distinct, partly cancelled, double, complex and
+zero entries.
+"""
+
+import numpy as np
+import numpy.polynomial.polynomial as npp
+import pytest
+
+import corpus
+from nipr.config import DEFAULT
+from nipr.docio import document_of, jsonable, parse_document
+from nipr.errors import MultiplicityTooHigh, PoleProximity
+from nipr.poly import RationalScalar, cluster_roots, deflate, polyval, reduced_scalars
+from nipr.ratmat import CT, PoleDatum, RationalMatrix, _horner, _pole_clusters, rm_eval_many, rm_residues_at
+
+GENERATORS = ("ct_ni", "ct_pr", "ct_mixed", "dt_ni", "dt_pr", "dt_mixed")
+
+
+# ---------------------------------------------------------------------------
+# the per-entry references
+
+
+def reference_stacks(R):
+    flat = [e for row in R.entries for e in row]
+    shape = (R.size, R.size)
+
+    def stack(coeffs):
+        n = max(c.size for c in coeffs)
+        return np.array([np.pad(c, (0, n - c.size)) for c in coeffs]).T.reshape(n, *shape)
+
+    return stack([e.num for e in flat]), stack([e.den for e in flat])
+
+
+def reference_merge_poles(entry_poles, cfg):
+    found = []  # list of [location, mult]
+    for row in entry_poles:
+        for clusters in row:
+            for loc, mult in clusters:
+                hit = None
+                for item in found:
+                    if abs(item[0] - loc) <= cfg.root_cluster * (1.0 + abs(loc)):
+                        hit = item
+                        break
+                if hit is None:
+                    found.append([loc, mult])
+                else:
+                    hit[1] = max(hit[1], mult)
+    # exact conjugate pairing
+    for item in found:
+        loc = item[0]
+        if loc.imag > 0:
+            for other in found:
+                if other is item:
+                    continue
+                if abs(np.conj(loc) - other[0]) <= cfg.root_cluster * (1.0 + abs(loc)):
+                    mid = 0.5 * (loc + np.conj(other[0]))
+                    item[0] = mid
+                    other[0] = np.conj(mid)
+    return sorted(((complex(l), int(m)) for l, m in found), key=lambda t: (abs(t[0]), t[0].real, t[0].imag))
+
+
+def reference_pole_clusters(R, cfg):
+    tol = cfg.root_cluster
+    entry_poles = tuple(tuple(tuple(cluster_roots(e.den_roots, tol=tol)) for e in row) for row in R.entries)
+    return entry_poles, tuple(reference_merge_poles(entry_poles, cfg))
+
+
+def reference_entry_multiplicity(clusters, p, cfg):
+    mult = 0
+    for loc, m in clusters:
+        if abs(loc - p) <= cfg.root_cluster * (1.0 + abs(p)):
+            mult = m
+    return mult
+
+
+def reference_residues_at(R, p, cfg=DEFAULT):
+    p = complex(p)
+    m = R.size
+    entry_poles, poles = reference_pole_clusters(R, cfg)
+    mult = 0
+    for loc, k in poles:
+        if abs(loc - p) <= cfg.root_cluster * (1.0 + abs(p)):
+            mult = k
+            p = loc  # snap to the clustered location
+    if mult == 0:
+        raise ValueError(f"{p} is not a pole of the matrix")
+    if mult > 2:
+        raise MultiplicityTooHigh(f"pole at {p} has multiplicity {mult}")
+    A1 = np.zeros((m, m), dtype=complex)
+    A2 = np.zeros((m, m), dtype=complex)
+    for i in range(m):
+        for j in range(m):
+            e = R.entries[i][j]
+            k = reference_entry_multiplicity(entry_poles[i][j], p, cfg)
+            if k == 0:
+                continue
+            q = np.asarray(e.den, dtype=complex)
+            for _ in range(k):
+                q = deflate(q, p)
+            nv = polyval(np.asarray(e.num, dtype=complex), p)
+            qv = polyval(q, p)
+            with np.errstate(all="ignore"):  # a zero or tiny qv is reported below
+                if k == 1:
+                    A1[i, j] = nv / qv
+                else:
+                    A2[i, j] = nv / qv
+                    ndv = polyval(np.polynomial.polynomial.polyder(np.asarray(e.num, dtype=complex)), p)
+                    qdv = polyval(np.polynomial.polynomial.polyder(q), p)
+                    A1[i, j] = (ndv * qv - nv * qdv) / (qv * qv)
+            if not (np.isfinite(A1[i, j]) and np.isfinite(A2[i, j])):
+                raise PoleProximity(f"entry ({i}, {j}): no finite residue at the pole {p}: "
+                                    "another of the entry's poles is too close to it")
+    if R.domain == CT:
+        K0 = 1j * A1
+    else:
+        K0 = (1j / p) * A1 if p != 0 else 1j * A1
+    return PoleDatum(p, mult, A1, A2, K0)
+
+
+# ---------------------------------------------------------------------------
+# comparison
+
+
+def bitwise(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def same_poles(a, b):
+    return [k for _, k in a] == [k for _, k in b] and bitwise([p for p, _ in a], [p for p, _ in b])
+
+
+def outcome(fn, R, p):
+    """fn(R, p)'s PoleDatum, or the type of the error it raised."""
+    try:
+        return fn(R, p)
+    except (MultiplicityTooHigh, PoleProximity) as exc:
+        return type(exc)
+
+
+def assert_matches_the_reference(R, cfg=DEFAULT):
+    for got, want in zip(R._coefficient_stacks, reference_stacks(R)):
+        assert bitwise(got, want)
+    entry_poles, poles = reference_pole_clusters(R, cfg)
+    got_entry_poles, got_poles, _ = _pole_clusters(R, cfg)
+    assert same_poles(got_poles, poles)
+    for got_row, row in zip(got_entry_poles, entry_poles):
+        assert all(same_poles(g, w) for g, w in zip(got_row, row))
+    for p, _ in poles:
+        got, want = outcome(rm_residues_at, R, p), outcome(reference_residues_at, R, p)
+        if isinstance(want, type):
+            assert got is want
+            continue
+        assert bitwise(got.location, want.location) and got.multiplicity == want.multiplicity
+        for name in ("residue_A1", "quad_residue_A2", "normalized_K0"):
+            assert bitwise(getattr(got, name), getattr(want, name)), name
+    # the preallocated stacks evaluate as the padded ones did
+    points = np.array([0.3 + 0.7j, -1.1 + 0.2j, 2.0, 0.9j, np.exp(0.4j)])
+    vals, ok = rm_eval_many(R, points)
+    num, den = reference_stacks(R)
+    X = points.reshape(-1, 1, 1)
+    dv = _horner(den, X)
+    near = np.abs(dv) <= 4 * den.shape[0] * np.finfo(float).eps * _horner(np.abs(den), np.abs(X))
+    assert bitwise(vals, _horner(num, X) / np.where(near, 1.0, dv)) and bitwise(ok, ~near.any(axis=(1, 2)))
+    return poles
+
+
+def parsed(G):
+    return parse_document(jsonable(document_of(G)))
+
+
+# ---------------------------------------------------------------------------
+# corpora
+
+
+@pytest.mark.parametrize("gen", GENERATORS)
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_corpus_pole_data_is_byte_equal_to_the_per_entry_reference(gen, seed):
+    for m in range(1, 7):
+        G = getattr(corpus, gen)(np.random.default_rng([seed, m]), m=m, nterms=3)
+        assert_matches_the_reference(G)
+        assert_matches_the_reference(parsed(G))
+
+
+def test_lemma_corpus_pole_data_is_byte_equal_to_the_per_entry_reference():
+    for G in corpus.dt_lemma_corpus(7, 100):
+        assert_matches_the_reference(G)
+        assert_matches_the_reference(parsed(G))
+
+
+def test_another_root_cluster_is_byte_equal_too():
+    other = DEFAULT.with_overrides(root_cluster=1e-9)
+    for gen in GENERATORS:
+        assert_matches_the_reference(parsed(getattr(corpus, gen)(np.random.default_rng(5), m=4, nterms=3)), other)
+
+
+# ---------------------------------------------------------------------------
+# hand-built matrices
+
+
+def poly_of(*roots):
+    """Ascending real coefficients of prod (x - r), conjugate roots paired."""
+    return np.real(npp.polyfromroots(roots))
+
+
+def shared(nums, den, domain):
+    """A matrix whose cells are nums[i][j] over one den, reduced as a parsed document's are."""
+    m = len(nums)
+    cells = iter(reduced_scalars([(np.asarray(n, dtype=float), np.asarray(den, dtype=float))
+                                  for row in nums for n in row]))
+    return RationalMatrix([[next(cells) for _ in range(m)] for _ in range(m)], domain)
+
+
+def hand_built():
+    r = RationalScalar
+    out = {}
+    # every entry has its own denominator
+    out["distinct"] = RationalMatrix([[r([1.0], [1.0, 1.0]), r([1.0], [2.0, 1.0])],
+                                      [r([2.0], [3.0, 1.0]), r([1.0, 1.0], poly_of(-2.0, -4.0))]], "ct")
+    # one shared denominator, and in cell (0, 1) the numerator cancels its root at -2
+    den = poly_of(-1.0, -2.0, -3.0)
+    out["cancelled"] = shared([[[1.0, 2.0], poly_of(-2.0) * 3.0, [2.0]],
+                               [poly_of(-2.0) * 3.0, [0.5, 1.0, 1.0], [1.0]],
+                               [[2.0], [1.0], [4.0, 1.0]]], den, "ct")
+    assert out["cancelled"].entries[0][1].den.size == 3 and out["cancelled"].entries[0][0].den.size == 4
+    # a double pole at -1 in (0, 0) and (1, 1) only: multiplicities 0, 1 and 2 at -1
+    out["double"] = RationalMatrix([[r([1.0, 2.0], poly_of(-1.0, -1.0, -3.0)), r([1.0], [2.0, 1.0])],
+                                    [r([3.0], [1.0, 1.0]), r([0.5], poly_of(-1.0, -1.0))]], "ct")
+    # complex pole pairs, shared and not, one of them double
+    pair = poly_of(-0.2 + 2.0j, -0.2 - 2.0j)
+    out["complex"] = RationalMatrix([[r([1.0, 1.0], pair), r([2.0], pair)],
+                                     [r([2.0], pair), r([0.3, -1.7, 0.9], npp.polymul(pair, [1.0, 1.0]))]], "ct")
+    out["complex double"] = RationalMatrix([[r([1.0, 0.3, -2.1, 0.7], npp.polymul(pair, pair)), r([1.0], pair)],
+                                            [r([1.0], pair), r([0.0, 1.0], poly_of(-1.0 + 1.0j, -1.0 - 1.0j))]],
+                                           "ct")
+    # two shared complex pairs under numerators of degree up to 4: a Horner step through numpy's complex
+    # array multiply, which may fuse a product into the sum, gives other bits than polyval's here
+    rng = np.random.default_rng(11)
+    pairs = poly_of(-0.3 + 1.7j, -0.3 - 1.7j, -1.2 + 0.4j, -1.2 - 0.4j, -2.0)
+    out["complex shared"] = shared([[rng.standard_normal(rng.integers(1, 6)) for _ in range(3)] for _ in range(3)],
+                                   pairs, "ct")
+    ring = poly_of(*(0.9 * np.exp(1j * t) for t in (0.7, -0.7)), 0.5)
+    out["dt complex"] = shared([[[0.0, 1.0], [1.0, 0.2, 0.1]], [[1.0, 0.2, 0.1], [2.0]]], ring, "dt")
+    boundary = poly_of(np.exp(1.1j), np.exp(-1.1j))
+    out["dt boundary"] = RationalMatrix([[r([0.0, 1.0], boundary), r([1.0], [-0.5, 1.0])],
+                                         [r([1.0], [-0.5, 1.0]), r([1.0, 1.0], boundary)]], "dt")
+    # zero entries next to shared and distinct denominators
+    z = r.zero()
+    out["zeros"] = RationalMatrix([[r([1.0], [1.0, 1.0]), z, r([2.0], poly_of(-1.0, -5.0))],
+                                   [z, z, r([1.0], [1.0, 1.0])],
+                                   [r([2.0], poly_of(-1.0, -5.0)), r([1.0], [1.0, 1.0]), z]], "ct")
+    out["all zero"] = RationalMatrix([[z, z], [z, z]], "ct")
+    return out
+
+
+HAND_BUILT = hand_built()
+
+
+@pytest.mark.parametrize("name", sorted(HAND_BUILT))
+def test_hand_built_pole_data_is_byte_equal_to_the_per_entry_reference(name):
+    R = HAND_BUILT[name]
+    poles = assert_matches_the_reference(R)
+    assert bool(poles) == (name != "all zero")
+
+
+def test_the_hand_built_matrices_cover_what_they_claim():
+    assert [k for p, k in rm_poles_of("double") if abs(p + 1.0) < 1e-6] == [2]
+    R = HAND_BUILT["double"]
+    entry_poles = _pole_clusters(R, DEFAULT)[0]
+    ks = sorted({sum(k for loc, k in cl if abs(loc + 1.0) < 1e-6) for row in entry_poles for cl in row})
+    assert ks == [0, 1, 2]
+    assert any(p.imag != 0 and k == 2 for p, k in rm_poles_of("complex double"))
+    assert any(p.imag != 0 for p, _ in rm_poles_of("dt complex"))
+    assert any(abs(abs(p) - 1.0) < 1e-12 and p.imag != 0 for p, _ in rm_poles_of("dt boundary"))
+    # and a residue there is the residue: 2 / (s^2 + 0.4 s + 4.04) at p is 2 / (p - conj(p))
+    R = HAND_BUILT["complex"]
+    p = next(p for p, _ in rm_poles_of("complex") if p.imag > 0)
+    datum = rm_residues_at(R, p)
+    assert np.allclose(datum.residue_A1[0, 1], 2.0 / (2 * p.imag * 1j))
+
+
+def rm_poles_of(name):
+    return _pole_clusters(HAND_BUILT[name], DEFAULT)[1]
+
+
+def test_a_double_pole_with_a_constant_numerator_everywhere():
+    # every numerator is constant, so the numerator stack has one coefficient and no derivative terms
+    R = RationalMatrix([[RationalScalar([2.0], poly_of(-1.0, -1.0)), RationalScalar([1.0], [1.0, 1.0])],
+                        [RationalScalar([-3.0], [1.0, 1.0]), RationalScalar([-1.0], poly_of(-1.0, -1.0))]], "ct")
+    assert R._coefficient_stacks[0].shape[0] == 1
+    assert_matches_the_reference(R)
+    datum = rm_residues_at(R, -1.0)
+    assert datum.multiplicity == 2 and datum.quad_residue_A2[0, 0] == 2.0 and datum.quad_residue_A2[1, 1] == -1.0
+
+
+def test_each_distinct_denominator_is_deflated_once_per_pole(monkeypatch):
+    from nipr import ratmat
+
+    seen = []
+
+    def counted(c, r):
+        seen.append(np.asarray(c).tobytes())
+        return deflate(c, r)
+
+    monkeypatch.setattr(ratmat, "deflate", counted)
+    G = parsed(corpus.dt_mixed(np.random.default_rng(3), m=4, nterms=3))
+    assert len({e.den.tobytes() for row in G.entries for e in row}) == 1
+    for p, _ in ratmat.rm_poles(G):
+        seen.clear()
+        rm_residues_at(G, p)
+        assert len(seen) == 1  # one shared denominator, one simple pole: one deflation for 16 entries

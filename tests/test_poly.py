@@ -267,6 +267,44 @@ def test_roots_many_stacks_one_eigensolve_per_degree(monkeypatch):
 def test_a_failed_batch_raises_root_finding_failure():
     with pytest.raises(RootFindingFailure):
         poly.roots_many([[1.0, 2.0, 1.0], [1.0, float("nan"), 1.0]])
+    with pytest.raises(RootFindingFailure):  # a NaN polynomial is rooted once however often it repeats
+        poly.roots_many([[1.0, float("nan"), 1.0], [1.0, 2.0, 1.0], [1.0, float("nan"), 1.0]])
+
+
+def repeated_cases():
+    """A batch in which polynomials repeat, exactly or in part."""
+    quad = [6.0, 5.0, 1.0]
+    return [
+        quad, np.array(quad), list(quad), [6, 5, 1],                      # equal coefficients: float and integer
+        np.array(quad, dtype=complex), np.array(quad, dtype=complex),   # and complex
+        [0.0, *quad], [0.0, 0.0, *quad], [0.0, *quad],                    # the same rest with 1, 2, 1 roots at 0
+        [-0.0, 1.0, 0.0, 1.0], [0.0, 1.0, 0.0, 1.0],                      # -0.0 against +0.0 as a root at 0
+        [1.0, -0.0, 1.0], [1.0, 0.0, 1.0], [1.0, -0.0, 1.0],              # and as an interior coefficient
+        [2.0, 3.0, 1.0, 0.0], quad, [2.0, 3.0, 1.0],                      # zero-padded, and interleaved
+        [0.5, 2.0], [0.5, 2.0], [7.0], [7.0], [0.0], [0.0, 0.0, 1.0], [0.0, 0.0, 1.0],
+    ]
+
+
+def test_repeated_polynomials_are_rooted_once_and_each_gets_its_own_roots(monkeypatch):
+    cases = repeated_cases()
+    want = [reference_roots(c) for c in cases]
+    solved = []
+    eigvals = np.linalg.eigvals
+
+    def counted(a):
+        solved.extend(m.tobytes() for m in a)
+        return eigvals(a)
+
+    monkeypatch.setattr(np.linalg, "eigvals", counted)
+    got = poly.roots_many(cases)
+    assert all(bitwise(g, w) for g, w in zip(got, want))
+    # each distinct companion matrix once: x^2 + 5x + 6 as float and as complex, x^2 + 1 with +0.0 and -0.0
+    # coefficients, x^2 + 3x + 2, and 2x + 0.5
+    assert len(solved) == len(set(solved)) == 6
+    # every member has its own array
+    assert len({id(g) for g in got}) == len(got)
+    got[0][:] = 0.0
+    assert bitwise(got[1], want[1]) and bitwise(got[6][:2], want[0])
 
 
 TRIM_CASES = [
