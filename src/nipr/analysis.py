@@ -1,18 +1,21 @@
-"""The classifier core: one domain description and one shared analysis per matrix.
+"""The classifier core: one domain description, one shared analysis per matrix, one ``classify``.
 
 The paper defines PR and NI systems by a domain of analyticity and a sign
 condition on its boundary; continuous and discrete time differ only in that
 domain, the open right half-plane or the outside of the unit disc.  A
-``Domain`` holds everything the choice decides, as data: the boundary, the
-condition ids, the normalization of a PR boundary residue, and the real
-boundary points (s = 0; z = 1, -1) where an NI pole may be double, with its
-rule there, and the strong strict classes take their slopes.  An
-``Analysis`` computes the ingredients of the conditions (poles, a
+``Domain`` holds everything the choice decides, as data: the boundary; the
+condition ids; the normalization of a PR boundary residue; the real boundary
+points (s = 0; z = 1, -1) where an NI pole may be double, with its rule
+there, and where the strong strict classes take their slopes; the rule for a
+pole at infinity and the decay order there (continuous time only); the
+report's limits type; and the two real boundary points the loop test reads.
+An ``Analysis`` computes the ingredients of the conditions (poles, a
 realization, the boundary crossings and sign samples, residues, expansions)
 lazily and at most once per matrix and ``Config``, so that classifiers run
 on one matrix share their work, and writes the conditions once for both
-domains (``pr_conditions``, ``ni_conditions``, ``strict_conditions``,
-``slopes``).
+domains (``pr_conditions``, ``ni_conditions``, ``pole_at_infinity``,
+``strict_conditions``, ``decay``, ``slopes``), which ``classify`` lists for
+all eleven classes.
 
 A sign form is "pr" or "ni".  The "pr" form is the Hermitian part
 F(x) + F(mirror(x))^T, whose boundary values must be PSD; the "ni" form is the
@@ -51,14 +54,14 @@ from typing import Callable
 import numpy as np
 
 from . import boundary
-from .boundary import herm, is_pd, is_psd
+from .boundary import herm, is_nsd, is_pd, is_psd
 from .config import DEFAULT, Config
 from .errors import ImproperInput
 from .ratmat import (CT, DT, RationalMatrix, rm_infinity_expansion, rm_is_symmetric, rm_poles, rm_residues_at,
                      rm_split_boundary)
 from .realization import minimal_realization
-from .report import Condition
-from .series import matrix_laurent_inf, matrix_taylor
+from .report import CircleLimits, ClassificationReport, Condition, StrictnessLimits, finish_report
+from .series import decay_condition, matrix_laurent_inf, matrix_taylor
 
 PREMUL = {"pr": 1.0, "ni": 1j}          # the boundary form is herm(PREMUL * R(point))
 SIGN_ID = {"pr": "boundary-psd", "ni": "boundary-sign"}
@@ -97,6 +100,11 @@ class Domain:
     pr_residue_key: str       # its witness key
     endpoints: dict           # real boundary point -> (id of its NI pole condition, id of its slope, slope key)
     endpoint_psd: Callable    # (endpoint, A1, A2) -> the two matrices an NI pole there must have PSD
+    infinity: dict            # form -> (top degree, cone test) of a pole at infinity; no entry: G must be proper
+    decay: dict               # form -> the order w**-order the form may vanish no faster than at infinity
+    limits: type              # the report's limits
+    loop_points: tuple        # (x0, x_inf): the real boundary points the loop stability test reads
+    var: str                  # the name of the complex variable
 
 
 def _ct_expand(b, j):
@@ -145,6 +153,11 @@ CT_DOMAIN = Domain(
     pr_residue_key="residue",
     endpoints={0.0: ("pole-at-origin", "slope-at-origin", "Q")},
     endpoint_psd=lambda z0, A1, A2: (A2, A1),
+    infinity={"pr": (1, is_psd), "ni": (2, is_nsd)},
+    decay={"pr": 2, "ni": 3},
+    limits=StrictnessLimits,
+    loop_points=(0.0, np.inf),
+    var="s",
 )
 
 DT_DOMAIN = Domain(
@@ -167,9 +180,17 @@ DT_DOMAIN = Domain(
     endpoints={1.0: ("pole-at-plus-one", "slope-at-one", "Q0"),
                -1.0: ("pole-at-minus-one", "slope-at-minus-one", "Qpi")},
     endpoint_psd=lambda z0, A1, A2: (z0 * A2, A1 - z0 * A2),  # CT's (A2, A1) through z = (1 + s)/(1 - s) at z0 = 1
+    infinity={},
+    decay={},
+    limits=CircleLimits,
+    loop_points=(1.0, -1.0),
+    var="z",
 )
 
 DOMAINS = {CT: CT_DOMAIN, DT: DT_DOMAIN}
+
+# domain letter, strength ("" plain, "ws" weakly strict, "ss" strongly strict) and form
+CLASSES = ("cpr", "cwspr", "csspr", "cni", "cwsni", "cssni", "dpr", "dsspr", "dni", "dwsni", "dssni")
 
 
 def hermitian_enough(M, rel=1e-7):
@@ -394,6 +415,22 @@ class Analysis:
         ids = [d.pole_id["ni"]] + [pole_id for pole_id, _, _ in d.endpoints.values()]
         return conds + [Condition(cid, w is None, w or {}) for cid, w in zip(ids, wit.values())]
 
+    def pole_at_infinity(self, form, class_id):
+        """(conditions, limits) of the pole at infinity: in continuous time of at most the top degree of
+        ``Domain.infinity[form]``, with coefficients that pass its cone test; in discrete time G is proper."""
+        if form not in self.domain.infinity:
+            self.require_proper(class_id)
+            return [], {}
+        top, cone = self.domain.infinity[form]
+        coeffs = self.infinity().poly_coeffs
+        limits = {"K_inf": coeffs[0] if len(coeffs) == 1 else None} if top == 1 else {}  # a PR pole is simple
+        if not coeffs:
+            return [Condition("pole-at-infinity", True, {})], limits
+        if len(coeffs) > top:
+            return [Condition("pole-at-infinity", False, {"degree": len(coeffs)})], limits
+        ok = all(hermitian_enough(A) and cone(A, self.cfg.psd_rel) for A in coeffs)
+        return [Condition("pole-at-infinity", ok, {"K_inf": coeffs[0]} if top == 1 else {"coeffs": coeffs})], limits
+
     def strict_conditions(self, form, class_id):
         """The weakly strict class: proper, symmetric for NI, strictly stable, strict boundary sign.
 
@@ -415,6 +452,27 @@ class Analysis:
         conds.append(Condition("strict-boundary-sign", wit["worst_margin"] >= 0.0 and not zeros and not ident_zero,
                                wit))
         return conds
+
+    def decay(self, form):
+        """(conditions, limits): in continuous time the form's boundary value herm(PREMUL * R(i w))
+        vanishes no faster than w**-order (order ``Domain.decay[form]``), in every eigenvalue direction
+        positively, and limits holds its sigma0 margin; discrete time has no such condition.
+
+        G(s) = sum_k c_k s**-k at infinity (G proper, ``laurent``), so G(-s)^T has the coefficients
+        (-1)**k c_k^T and R the coefficients c_k +- (-1)**k c_k^T.
+        """
+        order = self.domain.decay.get(form)
+        if order is None:
+            return [], {}
+        sign = 1.0 if form == "pr" else -1.0
+        laurent = [c + sign * (-1.0) ** k * c.T for k, c in enumerate(self.laurent())]
+        coeffs = [np.real(herm(PREMUL[form] * (1j) ** -k * c.astype(complex))) for k, c in enumerate(laurent)]
+        scale = 1.0 + max(np.linalg.norm(c, 2) for c in coeffs)
+        ok, margin, worst_order = decay_condition(coeffs, order, 1e-11 * scale)
+        wit = {"sigma0_margin": margin, "worst_order": worst_order}
+        if order == 2 and not ok and worst_order > 2:
+            wit["omega2_limit"] = 0.0
+        return [Condition("decay-at-infinity", ok, wit)], {"sigma0_margin": margin}
 
     def slopes(self):
         """(conditions, limits): at each endpoint the defect vanishes and the ``slope`` Q is positive
@@ -452,6 +510,32 @@ def analysis_of(G: RationalMatrix, cfg: Config = DEFAULT) -> Analysis:
     if cfg not in per_cfg:
         per_cfg[cfg] = Analysis(G, cfg)
     return per_cfg[cfg]
+
+
+def classify(G: RationalMatrix, class_id: str, cfg: Config = DEFAULT) -> ClassificationReport:
+    """The report of G in the class ``class_id`` of ``CLASSES``, whose domain letter must be G's.
+
+    A plain class has its form's conditions and those of the pole at infinity; a weakly strict one the
+    ``strict_conditions``; a strongly strict one adds the decay at infinity, the endpoint slopes for
+    "ni", and full normal rank.  The limits on the way make the report's ``Domain.limits``, if any.
+    """
+    if class_id not in CLASSES or class_id[0] != G.domain[0]:
+        raise ValueError(f"no class {class_id!r} for a {G.domain} matrix")
+    strength, form = class_id[1:-2], class_id[-2:]
+    a = analysis_of(G, cfg)
+    pole_data = []
+    if not strength:
+        at_inf, limits = a.pole_at_infinity(form, class_id)
+        conds = (a.pr_conditions if form == "pr" else a.ni_conditions)(pole_data) + at_inf
+    else:
+        conds, limits = a.strict_conditions(form, class_id), {}
+        if strength == "ss":
+            decay, limits = a.decay(form)
+            slopes, slope_limits = a.slopes() if form == "ni" else ([], {})
+            conds += [*decay, *slopes, a.full_normal_rank(form)]
+            limits.update(slope_limits)
+    return finish_report(class_id, conds, cfg, limits=a.domain.limits(**limits) if limits else None,
+                         pole_data=pole_data)
 
 
 def pole_at(G: RationalMatrix, points, cfg: Config = DEFAULT):

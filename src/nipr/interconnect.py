@@ -1,4 +1,9 @@
-"""Redheffer star products, positive feedback, and the NI stability test."""
+"""Redheffer star products, positive feedback, and the NI stability test, in either domain.
+
+A closed loop is internally stable when its spectrum lies root_cluster inside
+the stable region (``Domain.inside``), the rule ``Analysis.strictly_stable``
+applies to poles.
+"""
 
 from __future__ import annotations
 
@@ -6,11 +11,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .analysis import pole_at
-from .analysis_dt import classify_dni, classify_dssni, classify_dwsni
+from .analysis import CLASSES, DOMAINS, classify, pole_at
+from .boundary import is_psd
 from .config import DEFAULT, Config
 from .errors import IllPosed, PreconditionViolated
-from .ratmat import DT, RationalMatrix, rm_eval
+from .ratmat import RationalMatrix, rm_eval
 from .realization import StateSpace, block_diag, minimal_realization, spectrum, tf_of
 
 
@@ -34,10 +39,6 @@ class InterconnectResult:
     system: StateSpace
     closed_loop_spectrum: list = field(default_factory=list)
     internally_stable: bool = False
-
-
-def _stable(lams, domain, tol=1e-9):
-    return all(abs(l) < 1.0 - tol if domain == DT else l.real < -tol for l in lams)
 
 
 def _coupling_inverse(K, p, cfg: Config, what):
@@ -67,7 +68,8 @@ def _close(P: StateSpace, Q: StateSpace, ins, outs, fed_in, fed_out, cfg: Config
     closed = StateSpace(A + Bf @ Vx, B[:, ins] + Bf @ Vw, C[outs] + Df @ Vx,
                         D[np.ix_(outs, ins)] + Df @ Vw, P.domain)
     lams = spectrum(closed)
-    return InterconnectResult(closed, lams, _stable(lams, P.domain))
+    inside = DOMAINS[P.domain].inside
+    return InterconnectResult(closed, lams, all(inside(l, cfg.root_cluster) for l in lams))
 
 
 def redheffer_star(S1: PartitionedSystem, S2: PartitionedSystem, cfg: Config = DEFAULT) -> InterconnectResult:
@@ -104,38 +106,47 @@ def internal_stability(P: StateSpace, Q: StateSpace, cfg: Config = DEFAULT) -> I
     return _close(P, Q, p, p, p + q, q + p, cfg, "I - D_Q D_P is singular")
 
 
+def _value(G: RationalMatrix, x):
+    """G at the real point x, x = inf included (G proper), as a real matrix."""
+    return np.real(G.value_at_inf() if x == np.inf else rm_eval(G, x))
+
+
 def ni_stability_test(P: RationalMatrix, Q: RationalMatrix, cfg: Config = DEFAULT) -> dict:
     """Eigenvalue test for internal stability of a positive feedback loop.
 
-    Preconditions: P is D-NI with no poles at z = 1 or z = -1, Q is D-WSNI,
-    P(-1)Q(-1) = 0, and Q(-1) >= 0.  The verdict is max eig(P(1)Q(1)) < 1,
-    cross-checked against the state-space closed loop.
+    With (x0, x_inf) the domain's ``loop_points``, s = 0 and s = inf in
+    continuous time (Lanzon & Petersen, IEEE TAC 53(4), 2008) or z = 1 and
+    z = -1 in discrete time: the preconditions are that P is NI with no pole
+    at x0 or x_inf, Q is weakly strictly NI, P(x_inf) Q(x_inf) = 0 and
+    Q(x_inf) >= 0.  The verdict is max eig(P(x0) Q(x0)) < 1, cross-checked
+    against the state-space closed loop.
     """
-    if P.domain != DT or Q.domain != DT:
-        raise ValueError("the eigenvalue test is for discrete-time systems")
-    p = pole_at(P, (1.0, -1.0), cfg)
+    if P.domain != Q.domain:
+        raise ValueError("domain mismatch")
+    d = DOMAINS[P.domain]
+    x0, xinf = d.loop_points
+    # ``near`` counts inf as near every pole, so a pole at inf is an improper P
+    p = pole_at(P, [x for x in (x0, xinf) if x != np.inf], cfg)
+    if p is None and xinf == np.inf and not P.is_proper():
+        p = np.inf
     if p is not None:
-        raise PreconditionViolated("P has a pole at z = 1 or z = -1", witness=p)
-    rep_p = classify_dni(P, cfg)
-    if not rep_p.verdict:
-        raise PreconditionViolated("P is not D-NI", witness=[c.cid for c in rep_p.failed()])
-    rep_q = classify_dwsni(Q, cfg)
-    if not rep_q.verdict:
-        raise PreconditionViolated("Q is not D-WSNI", witness=[c.cid for c in rep_q.failed()])
-    Pm1, Qm1 = np.real(rm_eval(P, -1.0)), np.real(rm_eval(Q, -1.0))
-    prod = Pm1 @ Qm1
-    tol = 1e-7 * (1.0 + np.linalg.norm(Pm1, 2) * np.linalg.norm(Qm1, 2))
-    if np.linalg.norm(prod, 2) > tol:
-        raise PreconditionViolated("P(-1) Q(-1) != 0", witness=prod)
-    lamq = np.linalg.eigvalsh(0.5 * (Qm1 + Qm1.T))
-    if lamq[0] < -1e-8 * (1.0 + abs(lamq[-1])):
-        raise PreconditionViolated("Q(-1) is not PSD", witness=Qm1)
+        raise PreconditionViolated(f"P has a pole at {d.var} = {x0:g} or {d.var} = {xinf:g}", witness=p)
+    for G, name, class_id in ((P, "P", f"{P.domain[0]}ni"), (Q, "Q", f"{P.domain[0]}wsni")):
+        rep = classify(G, class_id, cfg)
+        if not rep.verdict:
+            raise PreconditionViolated(f"{name} is not {class_id[0].upper()}-{class_id[1:].upper()}",
+                                       witness=[c.cid for c in rep.failed()])
+    Pinf, Qinf = _value(P, xinf), _value(Q, xinf)
+    prod = Pinf @ Qinf
+    if np.linalg.norm(prod, 2) > cfg.rank_rel * (1.0 + np.linalg.norm(Pinf, 2) * np.linalg.norm(Qinf, 2)):
+        raise PreconditionViolated(f"P({xinf:g}) Q({xinf:g}) != 0", witness=prod)
+    if not is_psd(Qinf, cfg.psd_rel):
+        raise PreconditionViolated(f"Q({xinf:g}) is not PSD", witness=Qinf)
 
-    M = np.real(rm_eval(P, 1.0)) @ np.real(rm_eval(Q, 1.0))
+    M = _value(P, x0) @ _value(Q, x0)
     eigs = np.linalg.eigvals(M)
-    scale = 1.0 + np.linalg.norm(M, 2)
-    if np.max(np.abs(eigs.imag)) > 1e-8 * scale:
-        raise PreconditionViolated("P(1)Q(1) has non-real eigenvalues", witness=eigs)
+    if np.max(np.abs(eigs.imag)) > cfg.psd_rel * (1.0 + np.linalg.norm(M, 2)):
+        raise PreconditionViolated(f"P({x0:g})Q({x0:g}) has non-real eigenvalues", witness=eigs)
     lam_bar = float(np.max(eigs.real))
     verdict = lam_bar < 1.0
     loop = internal_stability(minimal_realization(P, cfg), minimal_realization(Q, cfg), cfg)
@@ -148,19 +159,17 @@ def ni_stability_test(P: RationalMatrix, Q: RationalMatrix, cfg: Config = DEFAUL
     }
 
 
-_DT_CLASSIFIERS = {"dni": classify_dni, "dwsni": classify_dwsni, "dssni": classify_dssni}
-
-
 def star_class_preservation(S1: PartitionedSystem, S2: PartitionedSystem, class_name: str,
                             cfg: Config = DEFAULT) -> dict:
-    """Check that the star product of two class members stays in the class."""
-    if class_name not in _DT_CLASSIFIERS:
+    """Check that the star product of two class members stays in the class: one of the NI classes
+    of the systems' domain, whose membership of the star is reported too."""
+    classes = [c for c in CLASSES if c[0] == S1.sys.domain[0] and c.endswith("ni")]
+    if class_name not in classes:
         raise ValueError(f"unknown class {class_name!r}")
-    clf = _DT_CLASSIFIERS[class_name]
-    in1, in2 = clf(tf_of(S1.sys), cfg).verdict, clf(tf_of(S2.sys), cfg).verdict
+    in1, in2 = classify(tf_of(S1.sys), class_name, cfg).verdict, classify(tf_of(S2.sys), class_name, cfg).verdict
     res = redheffer_star(S1, S2, cfg)
     star_tf = tf_of(res.system)
-    membership = {name: c(star_tf, cfg).verdict for name, c in _DT_CLASSIFIERS.items()}
+    membership = {c: classify(star_tf, c, cfg).verdict for c in classes}
     preserved = (not (in1 and in2 and res.internally_stable)) or membership[class_name]
     return {
         "inputs_in_class": (in1, in2),

@@ -176,3 +176,35 @@ def test_the_strict_classes_share_one_expansion_at_infinity_and_one_per_endpoint
             getattr(analysis_dt, f"classify_{cls}")(G)
         analysis_dt.circle_limits(G)
         assert counts == {"matrix_laurent_inf": 0, "matrix_taylor": 2}  # z = 1 and z = -1, once each
+
+
+# each class's condition ids, in order, and the type of its limits, on a strictly stable member of each
+# domain that reaches every condition
+PINNED = {
+    "cpr": (["no-rhp-poles", "boundary-psd", "imaginary-axis-poles", "pole-at-infinity"], "StrictnessLimits"),
+    "csspr": (["hurwitz-poles", "strict-boundary-sign", "decay-at-infinity", "full-normal-rank"],
+              "StrictnessLimits"),
+    "cwspr": (["hurwitz-poles", "strict-boundary-sign"], "NoneType"),
+    "cni": (["symmetry", "no-rhp-poles", "boundary-sign", "imaginary-axis-poles", "pole-at-origin",
+             "pole-at-infinity"], "NoneType"),
+    "cssni": (["symmetry", "hurwitz-poles", "strict-boundary-sign", "decay-at-infinity", "slope-at-origin",
+               "full-normal-rank"], "StrictnessLimits"),
+    "cwsni": (["symmetry", "hurwitz-poles", "strict-boundary-sign"], "NoneType"),
+    "dpr": (["analytic-outside-disc", "boundary-psd", "circle-poles"], "NoneType"),
+    "dsspr": (["schur-poles", "strict-boundary-sign", "full-normal-rank"], "NoneType"),
+    "dni": (["symmetry", "no-outside-poles", "boundary-sign", "arc-poles", "pole-at-plus-one",
+             "pole-at-minus-one"], "NoneType"),
+    "dssni": (["symmetry", "schur-poles", "strict-boundary-sign", "slope-at-one", "slope-at-minus-one",
+               "full-normal-rank"], "CircleLimits"),
+    "dwsni": (["symmetry", "schur-poles", "strict-boundary-sign"], "NoneType"),
+}
+
+
+@pytest.mark.parametrize("gen", ["ct_ni", "dt_ni"])
+def test_each_class_lists_its_pinned_conditions_and_limits(gen):
+    G = getattr(corpus, gen)(np.random.default_rng([0, 2]), m=2)
+    classes = [name for name, (domain, _) in CLASSIFIERS.items() if domain == G.domain]
+    assert len(classes) == (6 if gen == "ct_ni" else 5)
+    for name in classes:
+        rep = CLASSIFIERS[name][1](G, DEFAULT)
+        assert ([c.cid for c in rep.conditions], type(rep.limits).__name__) == PINNED[name], name

@@ -217,6 +217,30 @@ def test_interconnect_ni_test(tmp_path, capsys):
     assert data["lambda_bar"] < 1.0
 
 
+def test_interconnect_ni_test_in_continuous_time(tmp_path, capsys):
+    # the Cayley images of the pair above: P = 0.1/(1.3 + 0.7 s) and Q = q0 + (1 - s)/(0.8 + 1.2 s), P(inf) = Q(inf) = 0
+    q0 = 1.0 / 1.2
+    p = write_tfm(tmp_path, "p", [[([0.1], [1.3, 0.7])]], "ct")
+    q = write_tfm(tmp_path, "q", [[([0.8 * q0 + 1.0, 1.2 * q0 - 1.0], [0.8, 1.2])]], "ct")
+    code = main(["interconnect", p, q, "--mode", "ni-test"])
+    assert code == 0
+    data = json.loads(capsys.readouterr().out)
+    assert data["verdict"] is True and data["agree"] is True
+    assert data["lambda_bar"] == pytest.approx(0.05 * 2.0 / 1.3 * (q0 + 1.0 / 0.8))
+
+
+def test_star_command_in_continuous_time(tmp_path, capsys):
+    # [[1, 1], [1, 0]] starred with 1/(s + 1) closes to 1 + 1/(s + 1)
+    s1doc = tmp_path / "s1.json"
+    S1 = StateSpace(np.zeros((0, 0)), np.zeros((0, 2)), np.zeros((2, 0)), np.array([[1.0, 1.0], [1.0, 0.0]]), "ct")
+    save_document(document_of(S1, name="s1"), s1doc)
+    mode = write_tfm(tmp_path, "mode", [[([1.0], [1.0, 1.0])]], "ct")
+    code = main(["star", str(s1doc), mode, "--a", "1", "--b", "1", "--class", "cni"])
+    assert code == 0
+    data = json.loads(capsys.readouterr().out)
+    assert data["internally_stable"] is True and data["verdicts"] == {"cni": True}
+
+
 def test_star_command(tmp_path, capsys):
     s1doc = tmp_path / "s1.json"
     D1 = np.array([[1.0, 0.0, 1.0], [0.0, 1.0, 0.0], [1.0, 0.0, 0.0]])

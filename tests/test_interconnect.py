@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from corpus import dt_ni
+from corpus import ct_mode, dt_ni, psd, weighted_modes
+from nipr.analysis import analysis_of
 from nipr.analysis_dt import classify_dni, classify_dwsni
 from nipr.config import DEFAULT
 from nipr.errors import IllPosed, PreconditionViolated
@@ -13,7 +14,7 @@ from nipr.interconnect import (
     star_class_preservation,
 )
 from nipr.poly import RationalScalar
-from nipr.ratmat import RationalMatrix
+from nipr.ratmat import RationalMatrix, rm_cayley
 from nipr.realization import StateSpace, minimal_realization, tf_of
 
 
@@ -274,3 +275,112 @@ def test_star_is_the_transfer_level_star_product(domain):
         for x in POINTS:
             assert np.allclose(frequency_response(res.system, x), star_of_responses(S1, S2, x),
                                rtol=1e-10, atol=1e-10)
+
+
+# ---------------------------------------------------------------------------
+# the NI stability test in either domain
+
+
+def precondition_cases():
+    _, Q = admissible_pair(0.05)
+    return [(scalar_dt([-1.0], [-0.5, 1.0]), Q),                                    # P not NI
+            (scalar_dt([1.0], [-1.0, 1.0]), Q),                                     # P with a pole at z = 1
+            (scalar_dt([1.0], [-0.5, 1.0]), scalar_dt([2.0, 1.0], [-0.2, 1.0]))]   # P(-1) Q(-1) != 0
+
+
+def ct_names(message):
+    """A discrete-time precondition message with the continuous-time names of its points and classes."""
+    for dt, ct in (("D-", "C-"), ("z = 1", "s = 0"), ("z = -1", "s = inf"), ("(-1)", "(inf)"), ("(1)", "(0)")):
+        message = message.replace(dt, ct)
+    return message
+
+
+@pytest.mark.parametrize("c", [0.05, 2.0])
+def test_the_cayley_image_of_an_admissible_pair_gets_its_verdict(c):
+    P, Q = admissible_pair(c)
+    dt = ni_stability_test(P, Q, DEFAULT)
+    ct = ni_stability_test(rm_cayley(P), rm_cayley(Q), DEFAULT)
+    assert ct["verdict"] == dt["verdict"] and ct["agree"] and dt["agree"]
+    assert ct["lambda_bar"] == pytest.approx(dt["lambda_bar"], rel=1e-14)
+
+
+@pytest.mark.parametrize("case", range(3))
+def test_the_cayley_image_of_a_precondition_case_raises_the_same_error(case):
+    P, Q = precondition_cases()[case]
+    with pytest.raises(PreconditionViolated) as dt:
+        ni_stability_test(P, Q, DEFAULT)
+    with pytest.raises(PreconditionViolated) as ct:
+        ni_stability_test(rm_cayley(P), rm_cayley(Q), DEFAULT)
+    assert str(ct.value) == ct_names(str(dt.value))
+
+
+def test_a_ct_pole_at_infinity_violates_the_preconditions():
+    _, Q = admissible_pair(0.05)
+    P = RationalMatrix([[RationalScalar([0.0, 0.0, -1.0], [1.0])]], "ct")  # -s^2 is C-NI, but improper
+    with pytest.raises(PreconditionViolated, match="s = inf"):
+        ni_stability_test(P, rm_cayley(Q), DEFAULT)
+    with pytest.raises(ValueError):
+        ni_stability_test(P, Q, DEFAULT)
+
+
+def loop_pair(rng):
+    """A C-NI P with no pole at 0 or inf (PSD-weighted modes) and a C-WSNI Q (PD-weighted modes plus a
+    PSD Q(inf)): P(inf) = 0, so P(inf) Q(inf) = 0; P is scaled so that max eig P(0) Q(0) is drawn in
+    (0.2, 3)."""
+    m = int(rng.integers(1, 3))
+    betas, alphas = rng.uniform(0.2, 3.0, int(rng.integers(1, 3))), rng.uniform(0.2, 3.0, int(rng.integers(1, 3)))
+    Rs = [psd(rng, m) for _ in betas]
+    Ss = [psd(rng, m) + 0.1 * np.eye(m) for _ in alphas]
+    Qinf = psd(rng, m) if rng.uniform() < 0.5 else np.zeros((m, m))
+    P0, Q0 = sum(R / b for R, b in zip(Rs, betas)), Qinf + sum(S / a for S, a in zip(Ss, alphas))
+    k = rng.uniform(0.2, 3.0) / np.max(np.linalg.eigvals(P0 @ Q0).real)
+    P = weighted_modes([k * R for R in Rs], [ct_mode(b) for b in betas], np.zeros((m, m)), "ct")
+    Q = weighted_modes(Ss, [ct_mode(a) for a in alphas], Qinf, "ct")
+    return P, Q
+
+
+def test_seeded_pairs_in_both_domains_agree_with_the_closed_loop():
+    rng = np.random.default_rng(84)
+    verdicts = {"ct": [], "dt": []}
+    for _ in range(100):
+        P, Q = loop_pair(rng)
+        for PP, QQ in ((P, Q), (rm_cayley(P), rm_cayley(Q))):
+            out = ni_stability_test(PP, QQ, DEFAULT)
+            assert out["agree"], (PP.domain, out["lambda_bar"])
+            verdicts[PP.domain].append(out["verdict"])
+    assert verdicts["ct"] == verdicts["dt"]
+    assert 0 < sum(verdicts["ct"]) < 100
+
+
+def test_star_class_preservation_takes_the_classes_of_its_domain():
+    # [[1, 1], [1, 0]] starred with 1/(s + 1) closes to 1 + 1/(s + 1): its defect 2w/(1 + w^2) is positive
+    # on (0, inf), has slope 2 at the origin and decays as 1/w, so it is C-NI, C-WSNI and C-SSNI
+    S1 = PartitionedSystem(static_ss(np.array([[1.0, 1.0], [1.0, 0.0]]), "ct"), 1, 1)
+    mode = minimal_realization(RationalMatrix([[ct_mode(1.0)]], "ct"))
+    out = star_class_preservation(S1, PartitionedSystem(mode, 1, 1), "cni", DEFAULT)
+    assert out["inputs_in_class"] == (True, True) and out["preserved"]
+    assert out["star_membership"] == {"cni": True, "cwsni": True, "cssni": True}
+    with pytest.raises(ValueError):
+        star_class_preservation(S1, PartitionedSystem(mode, 1, 1), "dni", DEFAULT)
+
+
+# ---------------------------------------------------------------------------
+# one stability rule for closed-loop eigenvalues and poles
+
+
+@pytest.mark.parametrize("domain,gap", [("ct", 1.0), ("dt", 0.5)])
+def test_a_closed_loop_eigenvalue_within_root_cluster_of_the_boundary_is_not_stable(domain, gap):
+    # P = k static and Q = 1/(x - a): the positive feedback loop has its one pole at a + k, 5e-8 inside
+    # the boundary (Re = -5e-8, or |z| = 1 - 5e-8), which lies within root_cluster = 1e-7 of it
+    a = -gap
+    Q = minimal_realization(RationalMatrix([[RationalScalar([1.0], [-a, 1.0])]], domain))
+    k = (0.0 if domain == "ct" else 1.0) - 5e-8 - a
+    res = internal_stability(static_ss(np.array([[k]]), domain), Q)
+    [lam] = res.closed_loop_spectrum
+    assert lam.real == pytest.approx(a + k, abs=1e-15)
+    assert not res.internally_stable
+    # the closed loop's transfer function has that pole, and the same rule does not count it stable
+    assert not analysis_of(tf_of(res.system), DEFAULT).strictly_stable()
+    # 1e-6 inside the boundary is stable under both
+    res = internal_stability(static_ss(np.array([[k - 1e-6]]), domain), Q)
+    assert res.internally_stable and analysis_of(tf_of(res.system), DEFAULT).strictly_stable()
