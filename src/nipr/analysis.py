@@ -189,8 +189,8 @@ DT_DOMAIN = Domain(
 
 DOMAINS = {CT: CT_DOMAIN, DT: DT_DOMAIN}
 
-# domain letter, strength ("" plain, "ws" weakly strict, "ss" strongly strict) and form
-CLASSES = ("cpr", "cwspr", "csspr", "cni", "cwsni", "cssni", "dpr", "dsspr", "dni", "dwsni", "dssni")
+# domain letter, strength ("" plain, "ws" weakly strict, "ss" strongly strict) and form; the CLI's order
+CLASSES = ("cpr", "csspr", "cwspr", "cni", "cssni", "cwsni", "dpr", "dsspr", "dni", "dssni", "dwsni")
 
 
 def hermitian_enough(M, rel=1e-7):

@@ -10,16 +10,8 @@ import sys
 
 import numpy as np
 
-from .analysis import DOMAINS, PREMUL, analysis_of
-from .analysis_ct import (
-    classify_cni,
-    classify_cpr,
-    classify_cssni,
-    classify_csspr,
-    classify_cwsni,
-    classify_cwspr,
-)
-from .analysis_dt import classify_dni, classify_dpr, classify_dssni, classify_dsspr, classify_dwsni
+from . import analysis_ct, analysis_dt
+from .analysis import CLASSES, DOMAINS, PREMUL, analysis_of
 from .boundary import form_values, herm
 from .config import DEFAULT
 from .docio import document_of, jsonable, load_document, parse_document, save_document
@@ -37,19 +29,9 @@ from .transforms import (
     dt_pr_to_ni,
 )
 
-CLASSIFIERS = {
-    "cpr": ("ct", classify_cpr),
-    "csspr": ("ct", classify_csspr),
-    "cwspr": ("ct", classify_cwspr),
-    "cni": ("ct", classify_cni),
-    "cssni": ("ct", classify_cssni),
-    "cwsni": ("ct", classify_cwsni),
-    "dpr": ("dt", classify_dpr),
-    "dsspr": ("dt", classify_dsspr),
-    "dni": ("dt", classify_dni),
-    "dssni": ("dt", classify_dssni),
-    "dwsni": ("dt", classify_dwsni),
-}
+# class id -> (domain, the classify_* function of analysis_ct or analysis_dt)
+CLASSIFIERS = {c: (d, getattr(mod, f"classify_{c}")) for d, mod in (("ct", analysis_ct), ("dt", analysis_dt))
+               for c in CLASSES if c[0] == d[0]}
 
 
 def _config_from_args(args):

@@ -2,7 +2,8 @@
 
 A closed loop is internally stable when its spectrum lies root_cluster inside
 the stable region (``Domain.inside``), the rule ``Analysis.strictly_stable``
-applies to poles.
+applies to poles: Re lam < -root_cluster (1 + |lam|) in continuous time, a
+margin that grows with |lam|, and |lam| < 1 - root_cluster in discrete time.
 """
 
 from __future__ import annotations
@@ -138,13 +139,15 @@ def ni_stability_test(P: RationalMatrix, Q: RationalMatrix, cfg: Config = DEFAUL
                                        witness=[c.cid for c in rep.failed()])
     Pinf, Qinf = _value(P, xinf), _value(Q, xinf)
     prod = Pinf @ Qinf
-    if np.linalg.norm(prod, 2) > cfg.rank_rel * (1.0 + np.linalg.norm(Pinf, 2) * np.linalg.norm(Qinf, 2)):
+    # P(x_inf) Q(x_inf) = 0 within root_cluster, the relative bound within which two roots count as one
+    if np.linalg.norm(prod, 2) > cfg.root_cluster * (1.0 + np.linalg.norm(Pinf, 2) * np.linalg.norm(Qinf, 2)):
         raise PreconditionViolated(f"P({xinf:g}) Q({xinf:g}) != 0", witness=prod)
     if not is_psd(Qinf, cfg.psd_rel):
         raise PreconditionViolated(f"Q({xinf:g}) is not PSD", witness=Qinf)
 
     M = _value(P, x0) @ _value(Q, x0)
     eigs = np.linalg.eigvals(M)
+    # an imaginary part is held to psd_rel, the bound the cone checks put on eigenvalues against the norm
     if np.max(np.abs(eigs.imag)) > cfg.psd_rel * (1.0 + np.linalg.norm(M, 2)):
         raise PreconditionViolated(f"P({x0:g})Q({x0:g}) has non-real eigenvalues", witness=eigs)
     lam_bar = float(np.max(eigs.real))

@@ -256,16 +256,14 @@ def _merge_poles(cluster_sets, cfg: Config):
 
 
 def _pole_clusters(R: RationalMatrix, cfg: Config):
-    """(entry_poles, poles, dens_at): each entry's clustered (location, multiplicity) poles as an m x m
-    grid of tuples, ``rm_poles``, and for each pole of ``rm_poles`` the distinct denominators that have
-    it, as (den, its multiplicity there, the row-major indexes of the entries over it).
+    """(entry_poles, poles, dens): each entry's clustered (location, multiplicity) poles as an m x m grid
+    of tuples, ``rm_poles``, and R's distinct denominators as (den, its clusters, the row-major indexes of
+    the entries over it).
 
     Entries are over the same denominator when their den and den_roots have the same bytes.
     ``cluster_roots`` runs once per distinct den_roots, the entries that have them share one tuple, and
-    ``_merge_poles`` merges each tuple once.  A denominator has a pole when one of its clusters lies
-    within root_cluster (1 + |pole|) of the pole's merged location, and its multiplicity there is the
-    last such cluster's.  All this is done once per root_cluster value, so entries must not change
-    after."""
+    ``_merge_poles`` merges each tuple once.  All this is done once per root_cluster value, so entries must
+    not change after."""
     tol = cfg.root_cluster
     if tol not in R._clusters_by_tol:
         clusters = {}  # (dtype, bytes) of den_roots -> their clusters, in the order the entries have them
@@ -279,22 +277,22 @@ def _pole_clusters(R: RationalMatrix, cfg: Config):
             dens.setdefault((e.den.tobytes(), key), (e.den, clusters[key], []))[2].append(n)
         m = R.size
         entry_poles = tuple(tuple(flat[i * m:(i + 1) * m]) for i in range(m))
-        poles = tuple(_merge_poles(clusters.values(), cfg))
-        dens = [(den, cl, np.array(idx)) for den, cl, idx in dens.values()]
-        items = [(j, loc, k) for j, (_, cl, _) in enumerate(dens) for loc, k in cl]  # every den's clusters
-        locs = np.array([loc for loc, _ in poles], dtype=complex)[:, None]
-        near = np.abs(np.array([loc for _, loc, _ in items], dtype=complex) - locs) <= tol * (1.0 + np.abs(locs))
-        dens_at = [{} for _ in poles]  # den number -> (den, its multiplicity at the pole, entry indexes)
-        for i, c in zip(*np.nonzero(near)):  # row by row, so a den's later cluster overrides an earlier one
-            j, _, k = items[c]
-            dens_at[i][j] = (dens[j][0], k, dens[j][2])
-        R._clusters_by_tol[tol] = (entry_poles, poles, tuple(tuple(at.values()) for at in dens_at))
+        R._clusters_by_tol[tol] = (entry_poles, tuple(_merge_poles(clusters.values(), cfg)),
+                                   tuple((den, cl, np.array(idx)) for den, cl, idx in dens.values()))
     return R._clusters_by_tol[tol]
 
 
 def rm_poles(R: RationalMatrix, cfg: Config = DEFAULT):
     """Union of entry poles with matrix multiplicity = max entry multiplicity."""
     return list(_pole_clusters(R, cfg)[1])
+
+
+def _entry_multiplicity(clusters, p, cfg: Config) -> int:
+    mult = 0
+    for loc, m in clusters:
+        if abs(loc - p) <= cfg.root_cluster * (1.0 + abs(p)):
+            mult = m
+    return mult
 
 
 def _values_at(C, p):
@@ -318,18 +316,18 @@ def _values_at(C, p):
 def rm_residues_at(R: RationalMatrix, p, cfg: Config = DEFAULT) -> PoleDatum:
     """Matrix residue data at a pole of multiplicity <= 2, by deflation of the denominators that have it.
 
-    The entries' poles are R's ``_pole_clusters``: clustered once, not once per call, with the
-    denominators that have each pole.  Each of those is deflated and evaluated once, and all numerators
-    (and, at a double pole, their derivatives) are evaluated at p as one stack; each residue entry is
-    bitwise what deflating and evaluating that entry alone gives.
+    The entries' poles are R's ``_pole_clusters``: clustered once, not once per call.  Each distinct
+    (den, multiplicity at p) is deflated and evaluated once, and all numerators (and, at a double pole,
+    their derivatives) are evaluated at p as one stack; each residue entry is bitwise what deflating
+    and evaluating that entry alone gives.
     """
     p = complex(p)
     m = R.size
-    _, poles, dens_at = _pole_clusters(R, cfg)
-    mult, dens = 0, ()
-    for (loc, k), at in zip(poles, dens_at):
+    _, poles, dens = _pole_clusters(R, cfg)
+    mult = 0
+    for loc, k in poles:
         if abs(loc - p) <= cfg.root_cluster * (1.0 + abs(p)):
-            mult, dens = k, at
+            mult = k
             p = loc  # snap to the clustered location
     if mult == 0:
         raise ValueError(f"{p} is not a pole of the matrix")
@@ -340,7 +338,10 @@ def rm_residues_at(R: RationalMatrix, p, cfg: Config = DEFAULT) -> PoleDatum:
     A1, A2 = A = np.zeros((2, m * m), dtype=complex)  # row-major, as the entry indexes of dens
     ndv = None
     with np.errstate(all="ignore"):  # a zero or tiny q(p) is reported below
-        for den, k, idx in dens:
+        for den, clusters, idx in dens:
+            k = _entry_multiplicity(clusters, p, cfg)
+            if k == 0:
+                continue
             q = np.asarray(den, dtype=complex)
             for _ in range(k):
                 q = deflate(q, p)
@@ -360,7 +361,11 @@ def rm_residues_at(R: RationalMatrix, p, cfg: Config = DEFAULT) -> PoleDatum:
         raise PoleProximity(f"entry ({i}, {j}): no finite residue at the pole {p}: "
                             "another of the entry's poles is too close to it")
     A1, A2 = A.reshape(2, m, m)
-    return PoleDatum(p, mult, A1, A2, (1j / p if R.domain == DT and p != 0 else 1j) * A1)
+    if R.domain == CT:
+        K0 = 1j * A1
+    else:
+        K0 = (1j / p) * A1 if p != 0 else 1j * A1
+    return PoleDatum(p, mult, A1, A2, K0)
 
 
 def rm_infinity_expansion(R: RationalMatrix) -> InfinityExpansion:

@@ -384,3 +384,32 @@ def test_a_closed_loop_eigenvalue_within_root_cluster_of_the_boundary_is_not_sta
     # 1e-6 inside the boundary is stable under both
     res = internal_stability(static_ss(np.array([[k - 1e-6]]), domain), Q)
     assert res.internally_stable and analysis_of(tf_of(res.system), DEFAULT).strictly_stable()
+
+
+@pytest.mark.parametrize("re,stable", [(-1e-6, False), (-1e-4, True)])
+def test_the_continuous_time_margin_grows_with_the_modulus_of_the_eigenvalue(re, stable):
+    # P = 0 and Q with the lightly damped pair re +- 100j: the loop's spectrum is that pair, and a real part
+    # of -1e-6 lies within root_cluster (1 + |lam|) = 1.01e-5 of the axis, so it is not counted stable
+    Q = RationalMatrix([[RationalScalar([1.0], [re * re + 1e4, -2.0 * re, 1.0])]], "ct")
+    res = internal_stability(static_ss(np.zeros((1, 1)), "ct"), minimal_realization(Q))
+    assert sorted(res.closed_loop_spectrum, key=np.imag) == pytest.approx([re - 100j, re + 100j], abs=1e-9)
+    assert res.internally_stable == stable
+    # the same rule decides whether Q, whose poles these are, is strictly stable
+    assert analysis_of(Q, DEFAULT).strictly_stable() == stable
+
+
+@pytest.mark.parametrize("domain", ["ct", "dt"])
+@pytest.mark.parametrize("eps,admissible", [(5e-8, True), (2e-7, False)])
+def test_the_product_at_x_inf_vanishes_within_root_cluster(domain, eps, admissible):
+    # P = eps + 0.2/(s + 1) and Q = 1 + 1/(s + 1), or their Cayley images: P(x_inf) Q(x_inf) = eps
+    P = RationalMatrix([[RationalScalar([eps + 0.2, eps], [1.0, 1.0])]], "ct")
+    Q = RationalMatrix([[RationalScalar([2.0, 1.0], [1.0, 1.0])]], "ct")
+    if domain == "dt":
+        P, Q = rm_cayley(P), rm_cayley(Q)
+    if admissible:
+        out = ni_stability_test(P, Q, DEFAULT)
+        assert out["verdict"] and out["agree"]
+        assert out["lambda_bar"] == pytest.approx(2.0 * (0.2 + eps), rel=1e-12)
+    else:
+        with pytest.raises(PreconditionViolated, match="!= 0"):
+            ni_stability_test(P, Q, DEFAULT)
