@@ -39,9 +39,10 @@ The sign comes from the crossings: the rest is realized once, the shares
 join that realization (moved to continuous time in discrete time) as
 partial fractions in the continuous-time frequency, and
 ``boundary.boundary_det_zeros`` finds where the form is singular on the
-boundary.  Those crossings and the boundary poles cut the upper half of the
-boundary into intervals, and ``boundary.crossing_scan`` reads the form at one
-sample in each (``Analysis.sign_scan``).
+boundary, and whether it is singular everywhere (``Analysis.singular``).
+The crossings and the boundary poles cut the upper half of the boundary
+into intervals, and ``boundary.crossing_scan`` reads the form at one sample
+in each (``Analysis.sign_scan``).
 """
 
 from __future__ import annotations
@@ -287,18 +288,14 @@ class Analysis:
         return self._once("realization", compute)
 
     def singular(self, form):
-        """identically_singular of the form: its det vanishes everywhere (no realization needed)."""
-        return self._once(("singular", form), lambda: boundary.identically_singular(self.G, form, self.cfg))
+        """det of the form vanishes everywhere: the flag of ``det_zeros``, from the crossing pencil's rank."""
+        return self.det_zeros(form)[1]
 
     def det_zeros(self, form):
         """boundary_det_zeros of the form: one crossing search per form, on ``realization`` and the ``shares``."""
         def compute():
-            pieces = {}
-            for _, M, pf in self.shares(form):
-                for w0, k, a in pf:
-                    pieces[w0, k] = pieces.get((w0, k), 0.0) + a * M
-            return boundary.boundary_det_zeros(self.realization(), self.G.domain, form, self.cfg, pieces,
-                                               self.singular(form))
+            pieces = [(w0, k, a * M) for _, M, pf in self.shares(form) for w0, k, a in pf]
+            return boundary.boundary_det_zeros(self.realization(), self.G.domain, form, self.cfg, pieces)
         return self._once(("det", form), compute)
 
     def sign_scan(self, form):
@@ -321,11 +318,10 @@ class Analysis:
     def pole_split(self):
         """(unstable poles, boundary poles in the closed upper half-plane) as (pole, multiplicity) lists."""
         def split():
-            tol = self.cfg.root_cluster
             unstable, upper = [], []
             for p, mult in self.poles():
-                if self.domain.on_boundary(p, tol):
-                    if p.imag >= -tol * (1.0 + abs(p)):
+                if self.domain.on_boundary(p, self.cfg.root_cluster):
+                    if p.imag >= 0.0:
                         upper.append((p, mult))
                 elif self.domain.outside(p):
                     unstable.append((p, mult))
@@ -490,7 +486,7 @@ class Analysis:
         return conds, limits
 
     def full_normal_rank(self, form):
-        """det of the boundary matrix is not identically zero."""
+        """det of the boundary form is not identically zero (``singular``)."""
         ident_zero = self.singular(form)
         return Condition("full-normal-rank", not ident_zero, {"identically_zero": ident_zero})
 

@@ -14,10 +14,10 @@ Every sign condition is decided from the crossings.  An eigenvalue of a
 continuous Hermitian family can only change sign where the form is singular,
 or across a pole, so ``boundary_det_zeros`` finds the boundary frequencies
 where the form is singular, as finite zeros of a state-space realization of
-the form (no rational arithmetic), and ``crossing_scan`` reads the form at one
-sample inside each interval between them.  The dense grid (``grid_psd_scan``,
-``ct_grid``, ``dt_grid_half``, ``dt_grid_full``) decides no verdict; it serves
-``nipr sweep`` and the tests.
+the form (no rational arithmetic), and whether it is singular everywhere;
+``crossing_scan`` reads the form at one sample inside each interval between
+them.  The dense grid (``grid_psd_scan``, ``ct_grid``, ``dt_grid_half``,
+``dt_grid_full``) decides no verdict; it serves ``nipr sweep`` and the tests.
 
 Both evaluate through one batched kernel: ``rm_eval_many`` evaluates every
 point at once and ``psd_margin`` takes the margins of the (npts, m, m) stack
@@ -34,7 +34,7 @@ import numpy.polynomial.polynomial as npp
 
 from .config import DEFAULT, Config
 from .errors import RootFindingFailure
-from .ratmat import CT, RationalMatrix, full_rank_somewhere, generic_points, rm_eval_many, rm_mobius
+from .ratmat import CT, RationalMatrix, rm_eval_many, rm_mobius
 from .realization import StateSpace, block_diag, cayley_ss
 
 # a zero s of the boundary form's realization is a crossing when |Re s| <= CROSSING_BAND (1 + |s|);
@@ -261,23 +261,6 @@ def _form_system(ss, form, pieces, shift):
     return (*_parallel([(A, B, C, D)] + systems, m), None if J else at_inf)
 
 
-def identically_singular(G: RationalMatrix, form, cfg: Config = DEFAULT) -> bool:
-    """det of the form R of G is identically zero: no ``full_rank_somewhere`` at the ``generic_points()``.
-
-    R(x) = G(x) +- G(mirror(x))^T ("+" for "pr"), from one evaluation of G at
-    those points and at their mirrors, on the scale of G there: a form that
-    is rounding next to G, as that of a lossless G, counts as zero.
-    """
-    sign = 1.0 if form == "pr" else -1.0
-    x = generic_points()
-    k = x.size
-    vals, ok = rm_eval_many(G, np.concatenate([x, -x if G.domain == CT else 1.0 / x]))
-    ok = ok[:k] & ok[k:]
-    R = (vals[:k] + sign * np.swapaxes(vals[k:], -1, -2))[ok]
-    scale = np.linalg.norm(vals[np.concatenate([ok, ok])], 2, axis=(1, 2)).max(initial=0.0)
-    return not full_rank_somewhere(R, cfg, scale)
-
-
 def _turned(pieces):
     """The ``pieces`` in w' = -1/w, the frequency of the boundary turned by pi (z -> -z).
 
@@ -304,44 +287,49 @@ def _smallest_sv(M):
     return np.linalg.svd(M, compute_uv=False)[-1]
 
 
-def boundary_det_zeros(ss, domain, form, cfg: Config = DEFAULT, pieces=None, singular=False):
+def boundary_det_zeros(ss, domain, form, cfg: Config = DEFAULT, pieces=()):
     """(The boundary points that cut the sign intervals of the form, det of the form singular everywhere).
 
     The form of a matrix G is R(x) = G(x) +- G(mirror(x))^T ("+" for "pr");
     on the boundary R ("pr") or i R ("ni") is Hermitian.  ss realizes, in
     the domain, the part of G whose form is read from coefficients, and
-    ``pieces`` the rest of the form (see ``_form_system``).  A discrete-time
-    ss is moved to continuous time by ``cayley_ss``: z = e^{it} is
-    s = i tan(t/2) and z = -1 is s = inf, where the values of G near z = -1
-    end up in the realization's D.  When A has its spectrum nearer -1 than 1
-    (by the smallest singular value of A +- I), G(-z) is mapped instead, and
-    the boundary turns by pi.  The points are the zeros of det R on the
-    boundary: finite zeros s of the form's realization with
-    |Re s| <= CROSSING_BAND (1 + |s|), for "ni" (whose form vanishes at
-    z = 1 and -1 by symmetry) with Im s above that bound, and for a
-    discrete-time "pr" form the point sent to s = inf when the form is
-    singular there.  When det R vanishes everywhere (``singular``, from
-    ``identically_singular``, or a realization whose pencil is singular
-    within rank_rel) they are instead where det(R + psd_rel I) vanishes,
-    where an eigenvalue crosses -psd_rel.  Points are in the domain variable.
+    ``pieces`` the rest of the form, as (w0, k, M) terms that add up to the
+    map of ``_form_system``.  A discrete-time ss is moved to continuous time
+    by ``cayley_ss``: z = e^{it} is s = i tan(t/2) and z = -1 is s = inf,
+    where the values of G near z = -1 end up in the realization's D.  When A
+    has its spectrum nearer -1 than 1 (by the smallest singular value of
+    A +- I), G(-z) is mapped instead, and the boundary turns by pi.  The
+    points are the zeros of det R on the boundary: finite zeros s of the
+    form's realization with |Re s| <= CROSSING_BAND (1 + |s|), for "ni"
+    (whose form vanishes at z = 1 and -1 by symmetry) with Im s above that
+    bound, and for a discrete-time "pr" form the point sent to s = inf when
+    the form is singular there.  Ranks are decided at rank_rel times the
+    largest norm of the pencil and of the terms it sums (D and the pieces),
+    so the form of a lossless G, rounding next to them, is singular
+    everywhere; the points are then those of det(R + psd_rel I), where an
+    eigenvalue crosses -psd_rel, and a singular shifted pencil raises
+    RootFindingFailure.  Points are in the domain variable.
     """
-    shift = cfg.psd_rel if singular else 0.0
-    ct, ct_pieces, turn = ss, pieces or {}, 1.0
+    ct, ct_pieces, turn = ss, {}, 1.0
+    for w0, k, M in pieces:
+        ct_pieces[w0, k] = ct_pieces.get((w0, k), 0.0) + M
     if domain != CT:
         I = np.eye(ss.order)
         if ss.order and _smallest_sv(ss.A + I) < _smallest_sv(ss.A - I):
             ct, ct_pieces, turn = StateSpace(-ss.A, ss.B, -ss.C, ss.D, ss.domain), _turned(ct_pieces), -1.0
         ct = cayley_ss(ct)
-    A, B, C, D, at_inf = _form_system(ct, form, ct_pieces, shift)
-    rank_tol = cfg.rank_rel * np.linalg.norm(np.block([[A, B], [C, D]]), 2)
-    if shift:  # the shift must lift the form's null space, however small it is next to the rank tolerance
-        rank_tol = min(rank_tol, shift / 2.0)
-    try:
-        zeros = _finite_zeros(A, B, C, D, rank_tol)
-    except RootFindingFailure:
-        if singular:
-            raise
-        return boundary_det_zeros(ss, domain, form, cfg, pieces, True)
+    scale = max([np.linalg.norm(ct.D, 2)] + [np.linalg.norm(M, 2) for _, _, M in pieces])
+    for singular, shift in ((False, 0.0), (True, cfg.psd_rel)):
+        A, B, C, D, at_inf = _form_system(ct, form, ct_pieces, shift)
+        rank_tol = cfg.rank_rel * max(np.linalg.norm(np.block([[A, B], [C, D]]), 2), scale)
+        if shift:  # the shift must lift the form's null space, however small it is next to the rank tolerance
+            rank_tol = min(rank_tol, shift / 2.0)
+        try:
+            zeros = _finite_zeros(A, B, C, D, rank_tol)
+            break
+        except RootFindingFailure:
+            if singular:
+                raise
     points = [s for s in zeros if abs(s.real) <= CROSSING_BAND * (1.0 + abs(s))
               and (form == "pr" or s.imag > CROSSING_BAND * (1.0 + abs(s)))]
     if domain == CT:

@@ -283,7 +283,8 @@ def _pole_clusters(R: RationalMatrix, cfg: Config):
 
 
 def rm_poles(R: RationalMatrix, cfg: Config = DEFAULT):
-    """Union of entry poles with matrix multiplicity = max entry multiplicity."""
+    """Union of entry poles with matrix multiplicity = max entry multiplicity.  An imaginary part is exactly
+    0.0 or above root_cluster (1 + |p|) in size, and complex poles come in exact conjugate pairs."""
     return list(_pole_clusters(R, cfg)[1])
 
 
@@ -491,14 +492,10 @@ def generic_points():
     return points
 
 
-def full_rank_somewhere(vals, cfg: Config = DEFAULT, scale=0.0) -> bool:
-    """At one of the (npts, m, m) values the smallest singular value exceeds rank_rel times the largest
-    (or times scale, when that is larger)."""
-    sv = np.linalg.svd(vals, compute_uv=False)
-    return bool(np.any(sv[:, -1] > cfg.rank_rel * np.maximum(sv[:, 0], scale)))
-
-
 def rm_full_normal_rank(M: RationalMatrix, cfg: Config = DEFAULT) -> bool:
-    """True iff det M is not identically zero: ``full_rank_somewhere`` at the ``generic_points()``."""
+    """True iff det M is not identically zero: at one of the ``generic_points()`` the smallest singular
+    value of M exceeds rank_rel times the largest.  No classifier calls it: a class reads the full normal
+    rank of its boundary form from the crossing pencil (``boundary.boundary_det_zeros``)."""
     vals, ok = rm_eval_many(M, generic_points())
-    return full_rank_somewhere(vals[ok], cfg)
+    sv = np.linalg.svd(vals[ok], compute_uv=False)
+    return bool(np.any(sv[:, -1] > cfg.rank_rel * sv[:, 0]))

@@ -150,11 +150,10 @@ def _gilbert_blocks(R: RationalMatrix, pole_list, cfg: Config):
     m = R.size
     Ab, Bb, Cb = [], [np.zeros((0, m))], [np.zeros((m, 0))]
     for p, _ in pole_list:
-        tol = cfg.root_cluster * (1.0 + abs(p))
-        if p.imag < -tol:
-            continue  # conjugate handled with its partner
+        if p.imag < 0.0:
+            continue  # conjugate handled with its partner, which ``rm_poles`` pairs exactly
         res = rm_residues_at(R, p, cfg).residue_A1
-        real = abs(p.imag) <= tol
+        real = p.imag == 0.0
         U, s, Vh = np.linalg.svd(np.real(res) if real else res)
         r = int(np.sum(s > cfg.rank_rel * max(s[0], 1e-300)))
         sq = np.sqrt(s[:r])

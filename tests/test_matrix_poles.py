@@ -18,7 +18,8 @@ from nipr.config import DEFAULT
 from nipr.docio import document_of, jsonable, parse_document
 from nipr.errors import MultiplicityTooHigh, PoleProximity
 from nipr.poly import RationalScalar, cluster_roots, deflate, polyval, reduced_scalars
-from nipr.ratmat import CT, PoleDatum, RationalMatrix, _horner, _pole_clusters, rm_eval_many, rm_residues_at
+from nipr.ratmat import (CT, PoleDatum, RationalMatrix, _horner, _pole_clusters, rm_eval_many, rm_poles,
+                         rm_residues_at)
 
 GENERATORS = ("ct_ni", "ct_pr", "ct_mixed", "dt_ni", "dt_pr", "dt_mixed")
 
@@ -193,6 +194,37 @@ def test_lemma_corpus_pole_data_is_byte_equal_to_the_per_entry_reference():
     for G in corpus.dt_lemma_corpus(7, 100):
         assert_matches_the_reference(G)
         assert_matches_the_reference(parsed(G))
+
+
+def assert_exactly_paired(G):
+    """rm_poles' pairing: each imaginary part is 0.0 or above root_cluster (1 + |p|), and each complex
+    pole's conjugate is a pole too, bit for bit; so the pole tests compare p.imag with 0.0."""
+    poles = [p for p, _ in rm_poles(G)]
+    for p in poles:
+        assert p.imag == 0.0 or abs(p.imag) > DEFAULT.root_cluster * (1.0 + abs(p)), p
+        assert p.imag == 0.0 or sum(q == p.conjugate() for q in poles) == 1, p
+    return len(poles)
+
+
+@pytest.mark.parametrize("gen", GENERATORS)
+def test_the_corpus_poles_are_real_or_exactly_paired(gen):
+    for seed in (0, 1, 2):
+        for m in range(1, 7):
+            G = getattr(corpus, gen)(np.random.default_rng([seed, m]), m=m, nterms=3)
+            assert assert_exactly_paired(G) == assert_exactly_paired(parsed(G)) > 0
+
+
+def test_the_lemma_corpus_and_resonant_poles_are_real_or_exactly_paired():
+    for G in corpus.dt_lemma_corpus(7, 100):
+        assert_exactly_paired(G)
+        assert_exactly_paired(parsed(G))
+    for seed in (0, 1, 2):
+        for m in range(1, 7):
+            G = corpus.ct_ni(np.random.default_rng([seed, m]), m=m, nterms=3, resonant=True)
+            poles = [p for p, _ in rm_poles(G)]
+            assert any(p.imag != 0.0 for p in poles)  # the resonant mode is a complex pair
+            assert_exactly_paired(G)
+            assert_exactly_paired(parsed(G))
 
 
 def test_another_root_cluster_is_byte_equal_too():
