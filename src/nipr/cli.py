@@ -60,8 +60,7 @@ def _load_rational(path):
 
 
 def _emit(payload):
-    json.dump(jsonable(payload), sys.stdout, indent=2)
-    sys.stdout.write("\n")
+    sys.stdout.write(json.dumps(jsonable(payload), indent=2) + "\n")
 
 
 def _report_dict(rep):
@@ -69,7 +68,7 @@ def _report_dict(rep):
         "class": rep.class_id,
         "verdict": rep.verdict,
         "conditions": [
-            {"id": c.cid, "passed": c.passed, "witness": jsonable(c.witness)} for c in rep.conditions
+            {"id": c.cid, "passed": c.passed, "witness": c.witness} for c in rep.conditions
         ],
         "config": rep.config,
     }
@@ -101,8 +100,7 @@ def cmd_classify(args):
     out = open(args.out, "w") if args.out else sys.stdout
     try:
         if args.json:
-            json.dump(jsonable([_report_dict(r) for r in reports]), out, indent=2)
-            out.write("\n")
+            out.write(json.dumps(jsonable([_report_dict(r) for r in reports]), indent=2) + "\n")
         else:
             for r in reports:
                 _print_report(r, out)

@@ -7,7 +7,7 @@ denominator is zero within the rounding bound of its Horner value
 (``ratmat.rm_eval_many``).
 """
 
-from dataclasses import dataclass, asdict, replace
+from dataclasses import dataclass, fields, replace
 
 
 @dataclass(frozen=True)
@@ -36,7 +36,7 @@ class Config:
         return replace(self, **kw)
 
     def as_dict(self) -> dict:
-        return asdict(self)
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 DEFAULT = Config()

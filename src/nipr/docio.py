@@ -56,7 +56,10 @@ def document_of(obj, name="system", meta=None) -> dict:
 
 
 def parse_document(doc: dict):
-    """Turn a SystemDocument dict into a RationalMatrix or StateSpace."""
+    """Turn a SystemDocument dict into a RationalMatrix or StateSpace.
+
+    A tfm cell below the diagonal equal (``==``) to its twin above shares the twin's scalar; the twin is read first.
+    """
     domain = doc.get("domain")
     if domain not in ("ct", "dt"):
         raise ValueError(f"document domain must be 'ct' or 'dt', got {domain!r}")
@@ -65,9 +68,18 @@ def parse_document(doc: dict):
         entries = doc.get("entries")
         if not isinstance(entries, list) or not all(isinstance(row, list) for row in entries):
             raise ValueError(f"document entries must be a list of rows, got {entries!r}")
-        cells = [[_cell(cell, i, j) for j, cell in enumerate(row)] for i, row in enumerate(entries)]
-        scalars = iter(reduced_scalars([pair for row in cells for pair in row]))
-        return RationalMatrix([[next(scalars) for _ in row] for row in cells], domain)
+        pairs, slot = [], {}  # slot[i, j]: the index in pairs of entry (i, j)'s (num, den)
+        for i, row in enumerate(entries):
+            for j, cell in enumerate(row):
+                try:  # a twin (j, i) came first and parsed; == on numpy arrays in a cell has no truth value
+                    twin = j < i and i < len(entries[j]) and bool(cell == entries[j][i])
+                except ValueError:
+                    twin = False
+                if not twin:
+                    pairs.append(_cell(cell, i, j))
+                slot[i, j] = slot[j, i] if twin else len(pairs) - 1
+        scalars = reduced_scalars(pairs)
+        return RationalMatrix([[scalars[slot[i, j]] for j in range(len(row))] for i, row in enumerate(entries)], domain)
     if form == "ss":
         try:
             A, B, C, D = (np.array(doc[k], dtype=float) for k in "ABCD")

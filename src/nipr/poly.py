@@ -10,7 +10,8 @@ nothing, otherwise found on first use; so num and den must not change after
 construction.  Roots are found by ``roots_many``, one stacked companion
 eigensolve per degree and one companion matrix per distinct polynomial,
 bitwise ``np.roots``; ``reduced_scalars`` builds a whole document's scalars
-from one such call.
+from one such call.  ``RationalScalar.equals`` finds scalars with the same
+coefficient bytes equal, as twins shared by ``docio.parse_document``, unsubtracted.
 """
 
 from __future__ import annotations
@@ -415,9 +416,12 @@ class RationalScalar:
         return RationalScalar(num, polymul(self.den, self.den))
 
     def equals(self, other, rel=1e-7) -> bool:
-        """Rational identity check: self - other == 0 within tolerance."""
-        diff = self - _coerce(other)
-        scale = max(self.scale(), _coerce(other).scale(), 1.0)
+        """self - other == 0 within tolerance; the same num and den bytes are, as n d - n d == 0, unsubtracted."""
+        other = _coerce(other)
+        if other is self or (self.num.tobytes() == other.num.tobytes() and self.den.tobytes() == other.den.tobytes()):
+            return True
+        diff = self - other
+        scale = max(self.scale(), other.scale(), 1.0)
         return bool(np.max(np.abs(diff.num)) <= rel * scale * max(1.0, np.max(np.abs(diff.den))))
 
     def substitute_mobius(self, a, b, c, d) -> "RationalScalar":
@@ -498,7 +502,7 @@ def _read_only(a):
 def reduced_scalars(pairs):
     """[RationalScalar(num, den) for num, den in pairs], with one ``roots_many`` call for all their roots.
 
-    No den may be identically zero.
+    No den may be identically zero.  Pass a repeated pair once and share its scalar (``docio.parse_document``).
     """
     pairs = [(n, trim(np.asarray(d, dtype=float))) for n, d in pairs]
     rts = roots_many([p for n, d in pairs for p in _to_root(n, d)])

@@ -255,3 +255,12 @@ def test_star_command(tmp_path, capsys):
     assert data["verdicts"]["dni"] is True
     star = parse_document(load_document(out))
     assert star.size == 2
+
+
+def test_json_output_layout_is_two_space_indent_and_a_newline(tmp_path, capsys):
+    path = tmp_path / "g.json"
+    save_document(document_of(dt_lemma_corpus(7, 1)[0]), path)
+    for argv in (["classify", str(path), "--class", "all", "--json"], ["lemma", str(path)]):
+        main(argv)
+        out = capsys.readouterr().out
+        assert out == json.dumps(json.loads(out), indent=2) + "\n", argv

@@ -4,7 +4,8 @@ import pytest
 import corpus
 from corpus import dt_ni
 from nipr import poly
-from nipr.docio import document_of, jsonable, load_document, parse_document, save_document
+from nipr.cli import CLASSIFIERS, _report_dict
+from nipr.docio import _cell, document_of, jsonable, load_document, parse_document, save_document
 from nipr.poly import RationalScalar
 from nipr.ratmat import RationalMatrix
 from nipr.realization import StateSpace, minimal_realization
@@ -145,13 +146,71 @@ def test_a_document_is_rooted_with_one_eigensolve_per_degree(monkeypatch, gen):
     assert back.equals(G)
 
 
-@pytest.mark.parametrize("bad", [{"num": [1.0], "den": [0.0, -0.0]}, {"num": [1.0, float("nan")], "den": [1.0, 1.0]},
-                                 {"den": [1.0, 1.0]}, {"num": [1.0], "den": [1e300, 1e-10]},
-                                 {"num": [1e300, 1.0], "den": [1.0, 1e-10]}])
-def test_a_bad_cell_is_named_before_any_root_is_found(monkeypatch, bad):
+BAD_CELLS = [{"num": [1.0], "den": [0.0, -0.0]}, {"num": [1.0, float("nan")], "den": [1.0, 1.0]},
+             {"den": [1.0, 1.0]}, {"num": [1.0], "den": [1e300, 1e-10]}, {"num": [1e300, 1.0], "den": [1.0, 1e-10]},
+             None]
+# where the bad cell goes: below the diagonal, above it, or both, twins equal to each other
+BAD_PLACES = {"": [(2, 1)], "-above": [(1, 2)], "-twins": [(1, 2), (2, 1)]}
+
+
+@pytest.mark.parametrize("bad, where", [(bad, where) for bad in BAD_CELLS for where in BAD_PLACES.values()],
+                         ids=[f"bad{k}{place}" for k in range(len(BAD_CELLS)) for place in BAD_PLACES])
+def test_a_bad_cell_is_named_before_any_root_is_found(monkeypatch, bad, where):
+    # the first bad cell in row-major order is named
     good = {"num": [1.0, 2.0], "den": [1.0, 3.0, 1.0]}
-    entries = [[good] * 3, [good] * 3, [good, bad, good]]
+    entries = [[good] * 3 for _ in range(3)]
+    for i, j in where:
+        entries[i][j] = bad
     calls = counted_eigvals(monkeypatch)
-    with pytest.raises(ValueError, match=r"^entry \(2, 1\): "):
+    with pytest.raises(ValueError, match=rf"^entry \({where[0][0]}, {where[0][1]}\): "):
         parse_document({"domain": "ct", "form": "tfm", "entries": entries})
     assert calls == []
+
+
+def parsed_cell_by_cell(doc):
+    """A tfm document parsed with every cell rooted and reduced on its own, twins included."""
+    entries = doc["entries"]
+    cells = [_cell(cell, i, j) for i, row in enumerate(entries) for j, cell in enumerate(row)]
+    scalars = iter(poly.reduced_scalars(cells))
+    return RationalMatrix([[next(scalars) for _ in row] for row in entries], doc["domain"])
+
+
+@pytest.mark.parametrize("gen", ["ct_ni", "ct_pr", "ct_mixed", "dt_ni", "dt_pr", "dt_mixed"])
+def test_a_symmetric_document_parses_each_twin_pair_once(gen):
+    for m in range(1, 7):
+        doc = jsonable(document_of(getattr(corpus, gen)(np.random.default_rng(m), m=m, nterms=3)))
+        G = parse_document(doc)
+        assert all(G.entries[i][j] is G.entries[j][i] for i in range(m) for j in range(i))
+        assert len({id(e) for row in G.entries for e in row}) == m * (m + 1) // 2
+        assert G.equals(parsed_cell_by_cell(doc))
+
+
+def test_an_asymmetric_twin_pair_is_not_shared():
+    a = {"num": [1.0], "den": [1.0, 1.0]}
+    b = {"num": [1.0], "den": [2.0, 1.0]}
+    c = {"num": [2.0], "den": [2.0, 1.0]}
+    G = parse_document({"domain": "ct", "form": "tfm", "entries": [[a, b], [c, a]]})
+    assert G.entries[0][1] is not G.entries[1][0]
+    assert list(G.entries[0][1].num) == [1.0] and list(G.entries[1][0].num) == [2.0]
+    # == on cells holding numpy arrays has no single truth value: such twins are parsed each on its own
+    arr = {"num": np.array([1.0, 2.0]), "den": np.array([2.0, 3.0, 1.0])}
+    G = parse_document({"domain": "ct", "form": "tfm", "entries": [[a, arr], [{k: v.copy() for k, v in arr.items()}, a]]})
+    assert G.entries[0][1] is not G.entries[1][0] and G.entries[0][1].equals(G.entries[1][0])
+
+
+@pytest.mark.parametrize("domain, upper, lower", [
+    ("ct", {"num": [0.0, 0.5], "den": [2.0, 3.0, 1.0]}, {"num": [-0.0, 0.5], "den": [2.0, 3.0, 1.0]}),
+    ("ct", {"num": [1.0], "den": [0.0, 1.0]}, {"num": [1.0], "den": [-0.0, 1.0]}),
+    ("dt", {"num": [0.0, 0.5], "den": [-0.0, -0.5, 1.0]}, {"num": [-0.0, 0.5], "den": [0.0, -0.5, 1.0]}),
+])
+def test_twins_that_differ_in_the_sign_of_a_zero_classify_as_parsed_cell_by_cell(domain, upper, lower):
+    diag = {"num": [1.0], "den": [0.5, 1.0]} if domain == "ct" else {"num": [1.0], "den": [-0.5, 1.0]}
+    doc = {"domain": domain, "form": "tfm", "entries": [[diag, upper], [lower, diag]]}
+    G = parse_document(doc)
+    assert G.entries[1][0] is G.entries[0][1]  # 0.0 == -0.0, so the twin is shared
+    fresh = parsed_cell_by_cell(doc)
+    assert fresh.entries[1][0] is not fresh.entries[0][1]
+    for cls, (dom, fn) in CLASSIFIERS.items():
+        if dom == domain:
+            assert jsonable(_report_dict(fn(G))) == jsonable(_report_dict(fn(fresh))), cls
+

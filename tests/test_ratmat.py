@@ -2,7 +2,9 @@ import numpy as np
 import numpy.polynomial.polynomial as npp
 import pytest
 
+import corpus
 from nipr.config import DEFAULT
+from nipr.docio import document_of, jsonable, parse_document
 from nipr.errors import MultiplicityTooHigh, PoleProximity
 from nipr.poly import RationalScalar
 from nipr.ratmat import (
@@ -180,3 +182,56 @@ def test_an_exact_pole_is_still_refused():
         rm_eval(RationalMatrix([[RationalScalar([1.0], [-2.0, 1.0])]], "ct"), 2.0)
     with pytest.raises(PoleProximity):
         rm_eval(R, pole)
+
+
+def subtracting_is_symmetric(R, rel=DEFAULT.coeff_rel):
+    """rm_is_symmetric with every twin pair subtracted, as RationalScalar.equals does without its shortcut."""
+    rel *= max(1.0, R.coeff_scale())
+    for i in range(R.size):
+        for j in range(i + 1, R.size):
+            a, b = R.entries[i][j], R.entries[j][i]
+            diff = a - b
+            scale = max(a.scale(), b.scale(), 1.0)
+            if not np.max(np.abs(diff.num)) <= rel * scale * max(1.0, np.max(np.abs(diff.den))):
+                return False
+    return True
+
+
+def counted_adds(monkeypatch):
+    """A list that gets one item per RationalScalar.__add__ call (subtraction included)."""
+    calls = []
+    add = RationalScalar.__add__
+    monkeypatch.setattr(RationalScalar, "__add__", lambda self, other: calls.append(1) or add(self, other))
+    return calls
+
+
+def nudged(R, i, j, rel):
+    """R with the largest numerator coefficient of entry (i, j) alone scaled by 1 + rel."""
+    e = R.entries[i][j]
+    num = e.num.copy()
+    num[np.argmax(np.abs(num))] *= 1.0 + rel
+    entries = [list(row) for row in R.entries]
+    entries[i][j] = RationalScalar(num, e.den, reduce=False)
+    return RationalMatrix(entries, R.domain)
+
+
+@pytest.mark.parametrize("gen", ["ct_ni", "ct_pr", "ct_mixed", "dt_ni", "dt_pr", "dt_mixed"])
+def test_symmetry_by_identical_bytes_agrees_with_subtraction(monkeypatch, gen):
+    for m in range(1, 5):
+        for seed in range(3):
+            G = getattr(corpus, gen)(np.random.default_rng(seed), m=m, nterms=3)
+            assert all(G.entries[i][j] is not G.entries[j][i] for i in range(m) for j in range(i))
+            for R, want, subtracts in [(G, True, False)] + [
+                    (nudged(G, m - 1, 0, rel), rel < DEFAULT.coeff_rel, True) for rel in (1e-12, 1e-3) if m > 1]:
+                assert subtracting_is_symmetric(R) == want
+                adds = counted_adds(monkeypatch)
+                assert rm_is_symmetric(R) == want
+                assert bool(adds) == subtracts  # the twins' bytes are equal only before the nudge
+                monkeypatch.undo()
+
+
+def test_a_parsed_symmetric_document_is_symmetric_without_rational_arithmetic(monkeypatch):
+    G = parse_document(jsonable(document_of(corpus.ct_ni(np.random.default_rng(0), m=6, nterms=3))))
+    adds = counted_adds(monkeypatch)
+    assert rm_is_symmetric(G)
+    assert adds == []
