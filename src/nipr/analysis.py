@@ -29,17 +29,20 @@ it the rounded form keeps a spike that only an exact split removes.  So the
 principal parts at the boundary poles (and the polynomial part of an improper
 CT G) are split off by deflation (``ratmat.rm_split_boundary``), which puts
 each such pole exactly on the boundary; the rest is read from its
-coefficients, and the share of each split-off term in the form is added in
-closed form (``Domain.expand``).  A term whose share is zero within the
+coefficients.  Each split-off term is written once, as partial fractions in
+the continuous-time frequency w (``Domain.expand``; w = tan(t/2) in discrete
+time, ``Domain.to_freq``), and its share of the form is one (w0, k, M) row
+of one table (``Analysis.shares``).  A term whose share is zero within the
 Hermitian tolerance of the residue checks is dropped, so a residue those
 checks accept adds exactly nothing.  No sign form is built as a rational
 matrix.
 
-The sign comes from the crossings: the rest is realized once, the shares
-join that realization (moved to continuous time in discrete time) as
-partial fractions in the continuous-time frequency, and
-``boundary.boundary_det_zeros`` finds where the form is singular on the
-boundary, and whether it is singular everywhere (``Analysis.singular``).
+The sign samples and ``nipr sweep`` sum that table at the frequencies of
+their parameters.  The sign comes from the crossings: the rest is realized
+once, the same table joins that realization (moved to continuous time in
+discrete time), and ``boundary.boundary_det_zeros`` finds where the form is
+singular on the boundary, and whether it is singular everywhere
+(``Analysis.singular``).
 The crossings and the boundary poles cut the upper half of the boundary
 into intervals, and ``boundary.crossing_scan`` reads the form at one sample
 in each (``Analysis.sign_scan``).
@@ -76,20 +79,20 @@ class Domain:
     ``boundary`` functions up when they run, so that a wrapper put on one of
     those module attributes sees every call.
     ``expand(b, j)`` writes (x - b)**-j (x**j for b = inf in continuous time)
-    at the boundary point x of parameter t as a sum of complex constants c
-    times real functions r(t), so that a principal part's share of the form
-    that is zero comes out exactly zero; with each r it gives r as a partial
-    fraction in the continuous-time frequency w (w = tan(t/2) in discrete
-    time), a list of (w0, k, a) for a (w - w0)**-k, a w**k when w0 = inf.
+    at the boundary point x of frequency w = ``to_freq(t)`` as partial
+    fractions in w, a list of (c, w0, k, a) for c a (w - w0)**-k (c a w**k
+    when w0 = inf, c a when k = 0) with complex c and real a, so that a
+    principal part's share of the form that is zero comes out exactly zero.
     """
 
     param: str                # witness key of a boundary parameter
     point: Callable           # boundary parameters -> boundary points
     freq: Callable            # boundary point -> its frequency w >= 0 on the upper half of the boundary
+    to_freq: Callable         # boundary parameters -> their frequencies w (t in CT, tan(t/2) in DT, inf at t = pi)
     from_freq: Callable       # frequencies w -> boundary parameters on the upper half
     ends: dict                # form -> the boundary parameters that end the closed boundary the form is read on
     project: Callable         # boundary pole -> the boundary point it is taken to lie on
-    expand: Callable          # (boundary point b, j) -> [(r, c, partial fraction of r)]: (x - b)**-j = sum c * r(t)
+    expand: Callable          # (boundary point b, j) -> [(c, w0, k, a)]: (x - b)**-j = sum c a (w - w0)**-k
     on_boundary: Callable     # (pole, tol) -> the pole lies on the boundary
     outside: Callable         # pole off the boundary -> it lies in the unstable region
     inside: Callable          # (pole, margin) -> it lies in the stable region, margin away
@@ -109,10 +112,8 @@ class Domain:
 
 
 def _ct_expand(b, j):
-    """(i t - i w0)**-j = (-i)**j (t - w0)**-j, and (i t)**j at b = inf."""
-    if b == np.inf:
-        return [(lambda t: t ** j, 1j ** j, [(np.inf, j, 1.0)])]
-    return [(lambda t: (t - b.imag) ** -j, (-1j) ** j, [(b.imag, j, 1.0)])]
+    """(i w - i w0)**-j = (-i)**j (w - w0)**-j, and (i w)**j at b = inf."""
+    return [(1j ** j, np.inf, j, 1.0)] if b == np.inf else [((-1j) ** j, b.imag, j, 1.0)]
 
 
 def _dt_expand(b, j):
@@ -121,23 +122,18 @@ def _dt_expand(b, j):
     With w = tan(t/2) and wb = tan(arg b / 2), k = -wb - (1 + wb**2)/(w - wb):
     -1/w at b = 1 and w at b = -1.  j > 1 only at the real b = 1, -1.
     """
-    def k(t):
-        return 1.0 / np.tan((np.angle(b) - t) / 2.0)
-    one = [(0.0, 0, 1.0)]
     if j == 1 and b != -1.0 and b != 1.0:
         wb = np.tan(np.angle(b) / 2.0)
-        return [(np.ones_like, -0.5 / b, one), (k, 0.5j / b, [(0.0, 0, -wb), (wb, 1, -(1.0 + wb * wb))])]
-
-    def k_pow(ell):  # k**ell as a partial fraction in w
-        return one if ell == 0 else [(np.inf, ell, 1.0)] if b == -1.0 else [(0.0, ell, (-1.0) ** ell)]
-    return [(np.ones_like if ell == 0 else k if ell == 1 else (lambda t, ell=ell: k(t) ** ell),
-             math.comb(j, ell) * (-0.5) ** j * (-1j) ** ell / b ** j, k_pow(ell)) for ell in range(j + 1)]
+        return [(-0.5 / b, 0.0, 0, 1.0), (0.5j / b, 0.0, 0, -wb), (0.5j / b, wb, 1, -(1.0 + wb * wb))]
+    return [(math.comb(j, ell) * (-0.5) ** j * (-1j) ** ell / b ** j,  # times k**ell
+             np.inf if b == -1.0 and ell else 0.0, ell, 1.0 if b == -1.0 else (-1.0) ** ell) for ell in range(j + 1)]
 
 
 CT_DOMAIN = Domain(
     param="omega",
     point=lambda t: 1j * t,
     freq=lambda p: abs(p.imag),
+    to_freq=lambda t: t,
     from_freq=lambda w: w,
     ends={"pr": [0.0], "ni": []},
     project=lambda p: 1j * p.imag,
@@ -165,6 +161,7 @@ DT_DOMAIN = Domain(
     param="theta",
     point=lambda t: np.exp(1j * t),
     freq=lambda p: abs(p.imag) / (1.0 + p.real) if p.real > -1.0 else np.inf,  # tan(t/2) = sin t / (1 + cos t)
+    to_freq=lambda t: np.where(t == np.pi, np.inf, np.tan(t / 2.0)),
     from_freq=lambda w: 2.0 * np.arctan(w),
     ends={"pr": [0.0, np.pi], "ni": []},
     project=lambda p: p / abs(p),
@@ -246,17 +243,18 @@ class Analysis:
         return self._once("parts", compute)
 
     def shares(self, form):
-        """[(r, M, partial fraction of r)]: the split-off terms' shares M r(t) of the form that are not zero.
+        """[(w0, k, M)]: the split-off terms' shares M (w - w0)**-k of the form that are not zero.
 
-        A part's coefficient enters per term c r(t) of ``Domain.expand`` and is
-        dropped where its share M = herm(2 PREMUL[form] c A) vanishes within
+        The share is M w**k at w0 = inf and M at k = 0.  A part's coefficient A
+        enters per term (c, w0, k, a) of ``Domain.expand`` as M = a herm(2
+        PREMUL[form] c A), and is dropped where c A's share vanishes within
         ``hermitian_enough``, the tolerance of the residue checks.
         """
         def compute():
             premul = 2.0 * PREMUL[form]
-            return [(r, herm(premul * c * A), pf) for b, coeffs in self.boundary_parts()[1]
+            return [(w0, k, a * herm(premul * c * A)) for b, coeffs in self.boundary_parts()[1]
                     for j, A in enumerate(coeffs, 1)
-                    for r, c, pf in self.domain.expand(b, j)
+                    for c, w0, k, a in self.domain.expand(b, j)
                     if not hermitian_enough(1j * PREMUL[form] * (c / abs(c)) * A)]
         return self._once(("shares", form), compute)
 
@@ -264,21 +262,18 @@ class Analysis:
         """(R, extra): the form at boundary parameters t is herm(2 PREMUL[form] R(point(t))) + extra(t).
 
         R is G without the parts of ``boundary_parts``, and extra(t) gives
-        (the sum of their ``shares``, where it is finite), or extra is None
-        when no share is left.
+        (the sum of their ``shares`` at w = ``Domain.to_freq(t)``, where it is
+        finite), or extra is None when no share is left.
         """
-        def compute():
-            terms = [(r, M) for r, M, _ in self.shares(form)]
-            if not terms:
-                return None
+        shares, to_freq = self.shares(form), self.domain.to_freq
 
-            def extra(ts):
-                with np.errstate(divide="ignore", invalid="ignore"):
-                    H = sum(r(ts)[:, None, None] * M for r, M in terms)
-                return H, np.isfinite(H).all(axis=(1, 2))
-            return extra
+        def extra(ts):
+            w = to_freq(ts)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                H = sum((w ** k if w0 == np.inf else (w - w0) ** -k)[:, None, None] * M for w0, k, M in shares)
+            return H, np.isfinite(H).all(axis=(1, 2))
         rest = self.boundary_parts()[0]
-        return self.G if rest is None else rest, self._once(("terms", form), compute)
+        return self.G if rest is None else rest, extra if shares else None
 
     def realization(self):
         """A minimal realization of G without its ``boundary_parts``."""
@@ -293,10 +288,8 @@ class Analysis:
 
     def det_zeros(self, form):
         """boundary_det_zeros of the form: one crossing search per form, on ``realization`` and the ``shares``."""
-        def compute():
-            pieces = [(w0, k, a * M) for _, M, pf in self.shares(form) for w0, k, a in pf]
-            return boundary.boundary_det_zeros(self.realization(), self.G.domain, form, self.cfg, pieces)
-        return self._once(("det", form), compute)
+        return self._once(("det", form), lambda: boundary.boundary_det_zeros(
+            self.realization(), self.G.domain, form, self.cfg, self.shares(form)))
 
     def sign_scan(self, form):
         """crossing_scan of the form: (worst margin, its parameter, samples, crossing parameters).

@@ -362,7 +362,7 @@ def crossing_scan(R: RationalMatrix, cuts, ends, from_freq, to_points, premul, c
     Parameters
     ----------
     cuts : the boundary frequencies w (continuous-time frequencies; tan(t/2)
-        in discrete time) where the form may change sign
+        in discrete time) where the form may change sign; a repeated w is one cut
     ends : boundary parameters sampled as well (the ends of a closed arc)
     from_freq : frequencies -> boundary parameters
     to_points, premul, extra : as for ``form_values``
@@ -379,5 +379,5 @@ def crossing_scan(R: RationalMatrix, cuts, ends, from_freq, to_points, premul, c
     worst_margin : float (>= 0 passes), worst_param : float, samples : int
     """
     params = np.concatenate([np.asarray(ends, dtype=float),
-                             from_freq(_interval_samples(sorted(w for w in cuts if 0.0 < w < np.inf)))])
+                             from_freq(_interval_samples(sorted({w for w in cuts if 0.0 < w < np.inf})))])
     return _worst_margin(R, params, to_points, premul, cfg, extra)

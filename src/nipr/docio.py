@@ -85,7 +85,7 @@ def parse_document(doc: dict):
             A, B, C, D = (np.array(doc[k], dtype=float) for k in "ABCD")
         except KeyError as exc:
             raise ValueError(f"an 'ss' document needs {exc}") from exc
-        except TypeError as exc:
+        except (TypeError, OverflowError) as exc:  # an integer beyond the float range overflows
             raise ValueError(f"'ss' document arrays must hold numbers: {exc}") from exc
         if not all(np.isfinite(M).all() for M in (A, B, C, D)):
             raise ValueError("'ss' document coefficients must be finite")
@@ -113,7 +113,7 @@ def _cell(cell, i, j):
         return num, den
     except KeyError as exc:
         raise ValueError(f"entry ({i}, {j}): missing {exc}") from exc
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"entry ({i}, {j}): {exc}") from exc
 
 

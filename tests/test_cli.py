@@ -75,6 +75,23 @@ def test_malformed_cells_exit_2_with_the_entry_named(tmp_path, capsys, command, 
     assert capsys.readouterr().err.startswith(f"error: {message}")
 
 
+HUGE = "1" + "0" * 400  # a JSON integer beyond the float range
+
+
+@pytest.mark.parametrize("text,message", [
+    pytest.param('{"domain": "ct", "form": "tfm", "entries": [[{"num": [%s], "den": [1.0, 1.0]}]]}' % HUGE,
+                 "entry (0, 0): ", id="tfm-cell"),
+    pytest.param('{"domain": "ct", "form": "ss", "A": [[%s]], "B": [[1.0]], "C": [[1.0]], "D": [[0.0]]}' % HUGE,
+                 "'ss' document arrays must hold numbers: ", id="ss-A"),
+])
+def test_an_integer_beyond_the_float_range_exits_2_with_a_typed_error(tmp_path, capsys, text, message):
+    bad = tmp_path / "huge.json"
+    bad.write_text(text)
+    assert main(["classify", str(bad), "--class", "cpr"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {message}") and "Traceback" not in err
+
+
 def test_missing_file(tmp_path):
     assert main(["classify", str(tmp_path / "none.json"), "--class", "dni"]) == 2
 

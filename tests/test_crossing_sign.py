@@ -221,3 +221,13 @@ def test_the_sign_witness_says_how_it_was_decided(tmp_path, capsys, cls, cid):
     assert wit["worst_margin"] > 0.0 and "omega" in wit
     if cid == "strict-boundary-sign":
         assert wit["det_zeros"] == [] and wit["identically_zero"] is False
+
+
+def test_a_crossing_and_its_mirror_are_sampled_once():
+    # the "pr" form reports the axis zero s = i w and its mirror -i w, the same |w| bit for bit
+    G = corpus.ct_mixed(np.random.default_rng([1, 1]), m=1, nterms=3)
+    zeros, _ = analysis_of(G).det_zeros("pr")
+    assert len(zeros) == 2 and abs(zeros[0]) == abs(zeros[1])
+    wit = classify_cpr(G).condition("boundary-psd").witness
+    # w = 0, and one sample on each side of the one crossing
+    assert len(wit["crossings"]) == 1 and wit["samples"] == 3

@@ -6,8 +6,10 @@ scans and ``nipr sweep`` read them from G on the boundary itself.  A pole on
 the boundary sits about 1e-16 off it once the coefficients are rounded, and
 near it the rounded form keeps a spike of order eps ||G||^2 / distance**2, far
 above ``psd_rel``.  So its principal part is split off by deflation
-(``Analysis.boundary_parts``) and its share of the form is added in closed
-form (``Analysis.sign_terms``).  The guards are lossless sums and improper
+(``Analysis.boundary_parts``) and its share of the form is added from one
+table of partial fractions in the frequency (``Analysis.shares``), which the
+samples (``Analysis.sign_terms``) and the crossing pencil both read; tests pin
+that table to its definition.  The guards are lossless sums and improper
 matrices, the negative controls the same sums made slightly lossy, and small
 violations next to a zero of the form, with and without a boundary pole,
 must be rejected.  The parity tests compare the scan with the rational
@@ -260,6 +262,71 @@ def test_the_split_form_is_the_form_of_g_away_from_the_poles(domain, form):
     assert ok[far].all()
     err = np.abs(boundary.herm(split) - direct)[far].max(axis=(1, 2))
     assert np.all(err <= 1e-9 * (1.0 + np.abs(direct[far]).max(axis=(1, 2))))
+
+
+def summed(rows, w):
+    """sum f (w - w0)**-k over the rows (w0, k, f), with f w**k at w0 = inf."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return sum(np.multiply.outer(w ** k if w0 == np.inf else (w - w0) ** -k, f) for w0, k, f in rows)
+
+
+# (domain, b, j): the boundary points where a principal part of order j is split off
+EXPANSIONS = [("ct", 2.5j, 1), ("ct", 2.5j, 2), ("ct", np.inf, 1), ("ct", np.inf, 2), ("dt", np.exp(1.1j), 1)] + [
+    ("dt", b, j) for b in (1.0, -1.0) for j in (1, 2, 3)]
+
+
+@pytest.mark.parametrize("domain,b,j", EXPANSIONS)
+def test_the_partial_fractions_of_expand_are_the_power_of_the_boundary_point(domain, b, j):
+    dom = DOMAINS[domain]
+    # a dozen parameters away from b; in discrete time t = pi (w = inf) among them where b is not -1
+    ts = np.linspace(-7.0, 7.0, 12) if domain == "ct" else np.pi * np.array(
+        [0.1, 0.25, 0.4, 0.55, 0.7, 0.85, 1.15, 1.3, 1.5, 1.7, 1.85, 1.95] + ([1.0] if b != -1.0 else []))
+    x = dom.point(ts)
+    want = x ** j if b == np.inf else (x - b) ** -j
+    rows = [(w0, k, c * a) for c, w0, k, a in dom.expand(b, j)]
+    got = summed(rows, dom.to_freq(ts))
+    assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want))
+    if b == -1.0:  # t = pi is w = inf, the pole itself
+        assert not np.isfinite(summed(rows, dom.to_freq(np.array([np.pi])))).any()
+
+
+# in continuous time a lossless sum's shares of its own form vanish; those of the other form do not
+OTHER = {"pr": "ni", "ni": "pr"}
+
+
+@pytest.mark.parametrize("domain,form", list(CLASSIFY))
+def test_the_crossing_pencil_reads_the_shares_table_itself(monkeypatch, domain, form):
+    G = CASES[domain](0, 2, OTHER[form])  # the analysis holds G weakly
+    a = analysis_of(G)
+    received = []
+    orig = boundary.boundary_det_zeros
+
+    def recording(ss, dom, frm, cfg, pieces):
+        received.append(pieces)
+        return orig(ss, dom, frm, cfg, pieces)
+
+    monkeypatch.setattr(boundary, "boundary_det_zeros", recording)
+    a.det_zeros(form)
+    assert len(received) == 1 and received[0] is a.shares(form) and received[0]
+
+
+@pytest.mark.parametrize("domain,form", list(CLASSIFY))
+def test_the_samples_sum_the_shares_table(domain, form):
+    dom = DOMAINS[domain]
+    ts = dom.grid[form](DEFAULT)
+    for seed in range(3):
+        for case in (form, OTHER[form]):
+            G = CASES[domain](seed, 2, case)
+            a = analysis_of(G)
+            shares = a.shares(form)
+            if domain == "ct" and case == form:
+                assert shares == [] and a.sign_terms(form)[1] is None
+                continue
+            H, finite = a.sign_terms(form)[1](ts)
+            want = summed(shares, dom.to_freq(ts))
+            assert shares and finite.any()
+            assert np.array_equal(finite, np.isfinite(want).all(axis=(1, 2)))
+            np.testing.assert_allclose(H[finite], want[finite], rtol=1e-14, atol=0.0)
 
 
 def test_sweep_of_a_lossless_dpr_sum_stays_psd(tmp_path):
