@@ -25,7 +25,7 @@ completeness only, never soundness.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -198,6 +198,21 @@ def _certify(X, lyap_fn, eq_residual_fn, iterations, infeasible, extras=None):
     )
 
 
+def _certified_search(X0, Ns, cone_maps, lyap_fn, eq_residual_fn, extras):
+    """``_certify`` of the searched X, with gap and farkas in extras; a found X keeps the certificate verify made."""
+    made = []
+
+    def verify(X):
+        made[:] = [_certify(X, lyap_fn, eq_residual_fn, 0, False)]
+        return made[0].status == FEASIBLE
+
+    X, iters, gap, farkas = _search_affine_cones(X0, Ns, cone_maps, verify)
+    extras = {**extras, "gap": gap, "farkas": farkas}
+    if made and made[0].X is X:
+        return replace(made[0], iterations=iters, extras=extras)
+    return _certify(X, lyap_fn, eq_residual_fn, iters, farkas or not len(Ns), extras)
+
+
 # ---------------------------------------------------------------------------
 # the discrete PR lemma
 
@@ -229,15 +244,9 @@ def dpr_lemma_check(ss: StateSpace, cfg: Config = DEFAULT) -> FeasibilityCertifi
     X0 = np.eye(n)
     eta = 5e-9 * (1.0 + np.linalg.norm(block(X0), 2))
     cone_maps = [(lambda X: X, mu), (block, -eta)]
-
-    def verify(X):
-        return _certify(X, block, lambda _x: 0.0, 0, False).status == FEASIBLE
-
-    X, iters, gap, farkas = _search_affine_cones(X0, _sym_basis(n), cone_maps, verify)
-    cert = _certify(X, block, lambda _x: 0.0, iters, farkas,
-                    extras={"gap": gap, "farkas": farkas})
+    cert = _certified_search(X0, _sym_basis(n), cone_maps, block, lambda _x: 0.0, {})
     if cert.status == FEASIBLE:
-        lam, V = np.linalg.eigh(block(X))
+        lam, V = np.linalg.eigh(block(cert.X))
         R = np.diag(np.sqrt(np.maximum(lam, 0.0))) @ V.T
         cert.extras["L"] = R[:, :n]
         cert.extras["W"] = R[:, n:]
@@ -304,21 +313,11 @@ def _dni_lemma(ss: StateSpace, cfg: Config, form: str) -> FeasibilityCertificate
     def lyap(X):
         return X - Ad.T @ X @ Ad
 
-    def eq_residual(X):
-        return np.linalg.norm(S @ X - R)
-
     scale = 1.0 + np.linalg.norm(X0, 2)
     mu, eta = 1e-9 * scale, 5e-9 * scale
     cone_maps = [(lambda X: X, mu), (lyap, -eta)]
-
-    def verify(X):
-        return _certify(X, lyap, eq_residual, 0, False).status == FEASIBLE
-
-    X, iters, gap, farkas = _search_affine_cones(X0, null, cone_maps, verify)
-    return _certify(
-        X, lyap, eq_residual, iters, farkas or not len(null),
-        extras={"free_parameters": len(null), "form": form, "gap": gap, "farkas": farkas},
-    )
+    return _certified_search(X0, null, cone_maps, lyap, lambda X: np.linalg.norm(S @ X - R),
+                             {"free_parameters": len(null), "form": form})
 
 
 def dni_lemma_check(ss: StateSpace, cfg: Config = DEFAULT) -> FeasibilityCertificate:

@@ -12,6 +12,8 @@ eigensolve per degree and one companion matrix per distinct polynomial,
 bitwise ``np.roots``; ``reduced_scalars`` builds a whole document's scalars
 from one such call.  ``RationalScalar.equals`` finds scalars with the same
 coefficient bytes equal, as twins shared by ``docio.parse_document``, unsubtracted.
+A constant operand cancels nothing: a sum with a polynomial or a product with a
+constant is built unreduced over the other operand's denominator and roots.
 """
 
 from __future__ import annotations
@@ -275,6 +277,7 @@ class RationalScalar:
     A ``den_roots`` given must be ``roots`` of the monic den.  With reduce=True
     a ``num_roots`` given with it must be the first of ``roots_many(_to_root(num,
     den))``; the reduction then finds no roots itself (``reduced_scalars``).
+    ``+`` with a polynomial and ``*`` with a constant cancel nothing and do not reduce.
     """
 
     __slots__ = ("num", "den", "_den_roots")
@@ -343,6 +346,8 @@ class RationalScalar:
     def __add__(self, other):
         other = _coerce(other)
         num = polyadd(polymul(self.num, other.den), polymul(other.num, self.den))
+        if self.den.size == 1 or other.den.size == 1:  # n/d + p: gcd(n + p d, d) = gcd(n, d)
+            return (other if self.den.size == 1 else self)._over_den(num)
         return RationalScalar(num, polymul(self.den, other.den))
 
     def __radd__(self, other):
@@ -359,7 +364,10 @@ class RationalScalar:
 
     def __mul__(self, other):
         other = _coerce(other)
-        return RationalScalar(polymul(self.num, other.num), polymul(self.den, other.den))
+        num = polymul(self.num, other.num)
+        if self.den.size == self.num.size == 1 or other.den.size == other.num.size == 1:  # gcd(c n, d) = gcd(n, d)
+            return (other if self.den.size == self.num.size == 1 else self)._over_den(num)
+        return RationalScalar(num, polymul(self.den, other.den))
 
     def __rmul__(self, other):
         return self.__mul__(other)
@@ -371,20 +379,9 @@ class RationalScalar:
     def __rtruediv__(self, other):
         return _coerce(other).__truediv__(self)
 
-    def minus(self, c) -> "RationalScalar":
-        """self - c for a real constant c, as (num - c den)/den over the same denominator.
-
-        gcd(num - c den, den) = gcd(num, den), so a reduced scalar's difference
-        is reduced too and keeps its denominator roots; nothing is re-reduced.
-        """
-        if c == 0.0:
-            return self
-        num = np.zeros(max(self.num.size, self.den.size))
-        num[:self.num.size] = self.num
-        num[:self.den.size] -= c * self.den
-        if degree(num) < 0:
-            return RationalScalar.zero()
-        return RationalScalar(num, self.den, reduce=False, den_roots=self._den_roots)
+    def _over_den(self, num) -> "RationalScalar":
+        """num/self.den unreduced, with self's den_roots (a constant operand cancels nothing); a zero num is 0/1."""
+        return RationalScalar(num, self.den, reduce=False, den_roots=self._den_roots) if num.any() else self.zero()
 
     def times_factors(self, zero=None, pole=None, cfg: Config = DEFAULT) -> "RationalScalar":
         """self (x - zero) / (x - pole) for real zero and pole (None: no such factor), reduced without root finding.

@@ -29,17 +29,16 @@ def _require_symmetric_constant(M, what):
     return M
 
 
-def _minus_times(G: RationalMatrix, consts, cfg: Config, **factors) -> RationalMatrix:
-    """(G - consts) times (x - zero)/(x - pole), entry by entry and without finding roots (``times_factors``)."""
-    return RationalMatrix([[e.minus(consts[i, j]).times_factors(cfg=cfg, **factors) for j, e in enumerate(row)]
-                           for i, row in enumerate(G.entries)], G.domain)
+def _times_factors(G: RationalMatrix, cfg: Config, **factors) -> RationalMatrix:
+    """G times (x - zero)/(x - pole) entry by entry, finding no roots (``times_factors``), nor does G - a constant."""
+    return RationalMatrix([[e.times_factors(cfg=cfg, **factors) for e in row] for row in G.entries], G.domain)
 
 
 def ct_ni_to_pr(G: RationalMatrix, cfg: Config = DEFAULT) -> RationalMatrix:
     """F(s) = s * (G(s) - G(inf)); maps NI transfer matrices to PR ones."""
     if not G.is_proper():
         raise ImproperInput("the NI-to-PR map needs a proper matrix")
-    return _minus_times(G, G.value_at_inf(), cfg, zero=0.0)
+    return _times_factors(G - G.value_at_inf(), cfg, zero=0.0)
 
 
 def ct_pr_to_ni(F: RationalMatrix, D) -> RationalMatrix:
@@ -82,9 +81,8 @@ def cssni_to_csspr(G: RationalMatrix, cfg: Config = DEFAULT):
     """F = (s + eps) * (G(s) - G(inf)) for a certified eps with F strongly strict PR (classify_csspr)."""
     if not G.is_proper():
         raise ImproperInput("the NI-to-PR map needs a proper matrix")
-    core = _minus_times(G, G.value_at_inf(), cfg)
-    return _certified_epsilon(
-        G, lambda eps: _minus_times(core, np.zeros((G.size, G.size)), cfg, zero=-eps), classify_csspr, "PR", cfg)
+    core = G - G.value_at_inf()
+    return _certified_epsilon(G, lambda eps: _times_factors(core, cfg, zero=-eps), classify_csspr, "PR", cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -103,7 +101,7 @@ def dt_ni_to_pr(G: RationalMatrix, cfg: Config = DEFAULT) -> RationalMatrix:
         raise PoleAtMinusOne("G has a pole at z = -1")
     Gm1 = np.real(rm_eval(G, -1.0))
     try:
-        return _minus_times(G, Gm1, cfg, zero=1.0, pole=-1.0)
+        return _times_factors(G - Gm1, cfg, zero=1.0, pole=-1.0)
     except CancellationFailure as exc:
         raise CancellationFailure("residual pole at z = -1 after the map") from exc
 

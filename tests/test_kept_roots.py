@@ -5,7 +5,9 @@ matrix clusters its entry poles once per root_cluster value; and the minimal
 realization reads the matrix's own clusters and residues, D included.  These
 tests check that the kept roots are exactly the roots that would be found
 again, and that parsing, realizing, classifying and the NI-to-PR transforms do
-not find them again.
+not find them again.  A constant operand cancels nothing, so a sum or product
+with one keeps the other operand's roots and leaves every corpus input as the
+reducing construction builds it.
 """
 
 import sys
@@ -102,8 +104,8 @@ def test_kept_roots_after_a_cancellation(num, den):
 def test_kept_roots_of_arithmetic_results():
     G = parsed(reference("ct_mixed", 2))
     a, b = G.entries[0][0], G.entries[1][1]
-    results = [a + b, a - b, a * b, a / b, -a, 2.0 + a, 2.0 - a, 2.0 * a, 2.0 / a,
-               RationalScalar.constant(2.5), RationalScalar.zero(), a.derivative(), a.minus(a.value_at_inf())]
+    results = [a + b, a - b, a * b, a / b, -a, 2.0 + a, 2.0 - a, 2.0 * a, 2.0 / a, 2.5 * a, a + 2.5, -1e-3 - a,
+               RationalScalar.constant(2.5), RationalScalar.zero(), a.derivative(), a - a.value_at_inf()]
     for r in results:
         assert same_roots(r)
 
@@ -114,7 +116,7 @@ def test_strictly_proper_part_is_g_minus_its_value_at_infinity(gen, m):
     G = reference(gen, m)
     old = G - RationalMatrix.constant(G.value_at_inf(), G.domain)
     for e, o in zip(entries(G), entries(old)):
-        part = e.minus(e.value_at_inf())
+        part = e - e.value_at_inf()
         assert part.is_strictly_proper()
         assert part.equals(o)
         assert np.array_equal(part.den, e.den) or part.den_degree == 0
@@ -123,8 +125,91 @@ def test_strictly_proper_part_is_g_minus_its_value_at_infinity(gen, m):
 
 def test_strictly_proper_part_of_a_constant_is_zero():
     e = RationalScalar([3.0, 6.0], [1.0, 2.0])  # reduces to the constant 3
-    part = e.minus(e.value_at_inf())
+    part = e - e.value_at_inf()
     assert part.num_degree < 0 and part.den_degree == 0
+
+
+# ---------------------------------------------------------------------------
+# a constant operand cancels nothing
+
+
+def reducing_add(a, b):
+    """a + b through the reducing construction, whatever the operands."""
+    b = poly._coerce(b)
+    return RationalScalar(poly.polyadd(poly.polymul(a.num, b.den), poly.polymul(b.num, a.den)),
+                          poly.polymul(a.den, b.den))
+
+
+def reducing_mul(a, b):
+    b = poly._coerce(b)
+    return RationalScalar(poly.polymul(a.num, b.num), poly.polymul(a.den, b.den))
+
+
+def same_scalar(r, s):
+    return r.num.tobytes() == s.num.tobytes() and r.den.tobytes() == s.den.tobytes()
+
+
+SWEEP_POINTS = np.array([1.5j, 0.9 + 0.4j, -0.1 + 2.0j, 2.5, -0.3 + 1.7j])
+
+
+@pytest.mark.parametrize("gen", GENERATORS)
+def test_a_constant_operand_gives_the_reducing_construction_or_keeps_a_pole(gen):
+    """e c, c e, e + c and c + e equal the reducing construction bitwise where it keeps every pole.
+
+    Where it cancels one (a sum with c = 1e6, whose zero lands near a pole), the result keeps the pole
+    and equals e(x) + c at the points within 1e-14 relative.
+    """
+    for seed in range(6):
+        for m in (1, 2, 3):
+            for e in entries(getattr(corpus, gen)(np.random.default_rng([seed, m]), m=m, nterms=3)):
+                at = e(SWEEP_POINTS)
+                for c in (0.0, -0.0, 2.5, -1e-3, 3.0, e.value_at_inf(), 1e6):
+                    # the coefficients of e c and c e are the same products, and those of e + c and c + e
+                    # the same sums, so one reducing construction serves both orders
+                    product, total = reducing_mul(e, c), reducing_add(e, c)
+                    for got, want, value in ((e * c, product, c * at), (c * e, product, c * at),
+                                             (e + c, total, at + c), (c + e, total, at + c)):
+                        if want.den_degree == got.den_degree:
+                            assert same_scalar(got, want)
+                        else:
+                            assert want.den_degree < got.den_degree == e.den_degree
+                            assert np.all(np.abs(got(SWEEP_POINTS) - value) <= 1e-14 * np.abs(value))
+
+
+@pytest.mark.parametrize("c", [0.0, -0.0])
+def test_a_zero_constant_times_a_scalar_is_the_zero_scalar(c):
+    a = parsed(reference("ct_mixed", 2)).entries[0][0]
+    for r in (c * a, a * c, RationalScalar.constant(c) * a):
+        assert same_scalar(r, RationalScalar.zero())
+
+
+def test_building_a_corpus_matrix_eigensolves_only_its_sums_of_modes(monkeypatch):
+    # a weight times a mode, and the feedthrough plus that product, are reduced without a root
+    eigvals = np.linalg.eigvals
+    solved = []
+
+    def counted(A):
+        solved.append(len(A) if np.ndim(A) == 3 else 1)
+        return eigvals(A)
+
+    monkeypatch.setattr(np.linalg, "eigvals", counted)
+    corpus.ct_ni(np.random.default_rng(0), m=6, nterms=3)
+    # one companion matrix per mode, and a numerator and a denominator for each of a cell's two sums of
+    # weighted modes: 3 + 36 x 2 x 2 = 147 (291 when every constant product and sum was reduced)
+    assert sum(solved) <= 150
+
+
+@pytest.mark.parametrize("gen,kwargs", [(gen, {}) for gen in GENERATORS]
+                         + [("ct_ni", {"resonant": True, "strictly_proper": False}), ("dt_ni", {"pole_at_one": True})])
+def test_corpus_inputs_equal_the_reducing_construction(monkeypatch, gen, kwargs):
+    """Weighted modes plus a feedthrough have the coefficient bytes of an all-reducing build: inputs stay fixed."""
+    built = {(m, seed): getattr(corpus, gen)(np.random.default_rng(seed), m=m, nterms=3, **kwargs)
+             for m in (1, 2, 3, 4) for seed in (0, 1, 2)}
+    monkeypatch.setattr(RationalScalar, "__add__", reducing_add)
+    monkeypatch.setattr(RationalScalar, "__mul__", reducing_mul)
+    for (m, seed), G in built.items():
+        H = getattr(corpus, gen)(np.random.default_rng(seed), m=m, nterms=3, **kwargs)
+        assert all(same_scalar(e, h) for e, h in zip(entries(G), entries(H)))
 
 
 # ---------------------------------------------------------------------------
