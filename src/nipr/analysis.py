@@ -29,10 +29,12 @@ it the rounded form keeps a spike that only an exact split removes.  So the
 principal parts at the boundary poles (and the polynomial part of an improper
 CT G) are split off by deflation (``ratmat.rm_split_boundary``), which puts
 each such pole exactly on the boundary; the rest is read from its
-coefficients.  Each split-off term is written once, as partial fractions in
-the continuous-time frequency w (``Domain.expand``; w = tan(t/2) in discrete
-time, ``Domain.to_freq``), and its share of the form is one (w0, k, M) row
-of one table (``Analysis.shares``).  A term whose share is zero within the
+coefficients.  The poles that project onto one boundary point split there
+together; the pole table of ``ratmat`` says which entries have them.  Each
+split-off term is written once, as partial fractions in the continuous-time
+frequency w (``Domain.expand``; w = tan(t/2) in discrete time,
+``Domain.to_freq``), and its share of the form is one (w0, k, M) row of one
+table (``Analysis.shares``).  A term whose share is zero within the
 Hermitian tolerance of the residue checks is dropped, so a residue those
 checks accept adds exactly nothing.  No sign form is built as a rational
 matrix.
@@ -232,13 +234,14 @@ class Analysis:
     def boundary_parts(self):
         """rm_split_boundary of G at its boundary poles and, for an improper CT G, at infinity."""
         def compute():
-            points = []  # poles that scatter about one boundary point split there together
-            for p, _ in self.pole_split()[1]:
+            points = {}  # boundary point -> indexes in ``poles`` of the poles that scatter about it, split together
+            _, upper, at = self.pole_split()
+            for (p, _), n in zip(upper, at):
                 b = self.domain.project(p)
-                if all(abs(b - c) > self.cfg.root_cluster * (1.0 + abs(b)) for c in points):
-                    points.append(b)
-            improper = self.G.domain == CT and not self.G.is_proper()
-            rest, parts = rm_split_boundary(self.G, points, self.infinity().poly_coeffs if improper else (), self.cfg)
+                b = next((c for c in points if abs(b - c) <= self.cfg.root_cluster * (1.0 + abs(b))), b)
+                points.setdefault(b, []).append(n)
+            infinity = self.infinity().poly_coeffs if self.G.domain == CT and not self.G.is_proper() else ()
+            rest, parts = rm_split_boundary(self.G, list(points.items()), infinity, self.cfg)
             return None if rest is self.G else rest, parts  # the memo must not keep G alive
         return self._once("parts", compute)
 
@@ -309,16 +312,18 @@ class Analysis:
         return self._once(("scan", form), compute)
 
     def pole_split(self):
-        """(unstable poles, boundary poles in the closed upper half-plane) as (pole, multiplicity) lists."""
+        """(unstable poles, boundary poles in the closed upper half-plane) as (pole, multiplicity) lists, and
+        the boundary poles' indexes in ``poles``."""
         def split():
-            unstable, upper = [], []
-            for p, mult in self.poles():
+            unstable, upper, at = [], [], []
+            for n, (p, mult) in enumerate(self.poles()):
                 if self.domain.on_boundary(p, self.cfg.root_cluster):
                     if p.imag >= 0.0:
                         upper.append((p, mult))
+                        at.append(n)
                 elif self.domain.outside(p):
                     unstable.append((p, mult))
-            return unstable, upper
+            return unstable, upper, at
         return self._once("split", split)
 
     def laurent(self):
@@ -352,7 +357,7 @@ class Analysis:
         return [Condition("symmetry", ok, {} if ok else {"note": "G != G^T as rational identity"})]
 
     def no_unstable_poles(self, form):
-        unstable, _ = self.pole_split()
+        unstable = self.pole_split()[0]
         return Condition(self.domain.unstable_id[form], not unstable, {"poles": unstable} if unstable else {})
 
     def sign_witness(self, form):

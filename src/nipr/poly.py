@@ -12,8 +12,9 @@ eigensolve per degree and one companion matrix per distinct polynomial,
 bitwise ``np.roots``; ``reduced_scalars`` builds a whole document's scalars
 from one such call.  ``RationalScalar.equals`` finds scalars with the same
 coefficient bytes equal, as twins shared by ``docio.parse_document``, unsubtracted.
-A constant operand cancels nothing: a sum with a polynomial or a product with a
-constant is built unreduced over the other operand's denominator and roots.
+A constant operand cancels nothing: a sum with a polynomial, or a product with or
+a quotient by a constant, is built unreduced over the other operand's
+denominator and roots.
 """
 
 from __future__ import annotations
@@ -277,18 +278,19 @@ class RationalScalar:
     A ``den_roots`` given must be ``roots`` of the monic den.  With reduce=True
     a ``num_roots`` given with it must be the first of ``roots_many(_to_root(num,
     den))``; the reduction then finds no roots itself (``reduced_scalars``).
-    ``+`` with a polynomial and ``*`` with a constant cancel nothing and do not reduce.
+    ``+`` with a polynomial, and ``*`` and ``/`` with a constant, cancel nothing and do not reduce.
+    Reduction clusters roots at ``DEFAULT.root_cluster``, whatever Config an analysis is given.
     """
 
     __slots__ = ("num", "den", "_den_roots")
 
-    def __init__(self, num, den=(1.0,), reduce=True, cfg: Config = DEFAULT, den_roots=None, num_roots=None):
+    def __init__(self, num, den=(1.0,), reduce=True, den_roots=None, num_roots=None):
         num = trim(np.asarray(num, dtype=float))
         den = trim(np.asarray(den, dtype=float))
         if degree(den) < 0:
             raise ZeroDivisionError("denominator is identically zero")
         if reduce:
-            num, den, den_roots = _reduce(num, den, cfg, num_roots, den_roots)
+            num, den, den_roots = _reduce(num, den, DEFAULT, num_roots, den_roots)
         lead = den[-1]
         self.num = num / lead
         self.den = den / lead
@@ -374,6 +376,10 @@ class RationalScalar:
 
     def __truediv__(self, other):
         other = _coerce(other)
+        if other.den.size == other.num.size == 1:  # gcd(n / c, d) = gcd(n, d)
+            if other.num[0] == 0.0:
+                raise ZeroDivisionError("denominator is identically zero")
+            return self._over_den(self.num / other.num[0])
         return RationalScalar(polymul(self.num, other.den), polymul(self.den, other.num))
 
     def __rtruediv__(self, other):

@@ -1,4 +1,7 @@
-"""Square rational transfer-function matrices and their pole/residue data."""
+"""Square rational transfer-function matrices and their pole/residue data.
+
+One place decides which entries have each matrix pole: the pole table of ``_pole_clusters``, made once per
+matrix as the clusters merge into poles.  ``rm_residues_at`` and ``rm_split_boundary`` read it."""
 
 from __future__ import annotations
 
@@ -47,10 +50,6 @@ class InfinityExpansion:
 
     poly_coeffs: list  # list of real m x m arrays, index k holds A_{k+1}
 
-    @property
-    def polynomial_degree(self) -> int:
-        return len(self.poly_coeffs)
-
 
 class RationalMatrix:
     """m x m grid of reduced rational scalars with a CT/DT domain tag."""
@@ -75,20 +74,12 @@ class RationalMatrix:
         return len(self.entries)
 
     @staticmethod
-    def from_scalar(r: RationalScalar, domain) -> "RationalMatrix":
-        return RationalMatrix([[r]], domain)
-
-    @staticmethod
     def constant(M, domain) -> "RationalMatrix":
         M = np.atleast_2d(np.asarray(M, dtype=float))
         return RationalMatrix(
             [[RationalScalar.constant(M[i, j]) for j in range(M.shape[1])] for i in range(M.shape[0])],
             domain,
         )
-
-    @staticmethod
-    def identity(m, domain) -> "RationalMatrix":
-        return RationalMatrix.constant(np.eye(m), domain)
 
     def transpose(self) -> "RationalMatrix":
         m = self.size
@@ -225,12 +216,11 @@ def rm_eval_many(R: RationalMatrix, points):
 
 
 def _merge_poles(cluster_sets, cfg: Config):
-    """``rm_poles`` from the entries' distinct cluster sets, in the order the entries first have them.
-
-    A set merged again would find, for each of its poles, the item it found or made the first time, so
-    merging each distinct set once gives the merge of every entry's."""
-    found = []  # list of [location, mult]
-    for clusters in cluster_sets:
+    """(``rm_poles``, joins): each cluster of the sets joins the first pole within root_cluster (1 + |cluster|)
+    of it or makes a new one, and joins[n] maps the position of each set with clusters in pole n to their
+    multiplicities.  A set merged again finds the poles it found or made before, as every entry's would."""
+    found = []  # list of [location, mult, {set position: [multiplicities]}]
+    for s, clusters in enumerate(cluster_sets):
         for loc, mult in clusters:
             hit = None
             for item in found:
@@ -238,9 +228,10 @@ def _merge_poles(cluster_sets, cfg: Config):
                     hit = item
                     break
             if hit is None:
-                found.append([loc, mult])
-            else:
-                hit[1] = max(hit[1], mult)
+                hit = [loc, mult, {}]
+                found.append(hit)
+            hit[1] = max(hit[1], mult)
+            hit[2].setdefault(s, []).append(mult)
     # exact conjugate pairing
     for item in found:
         loc = item[0]
@@ -252,48 +243,36 @@ def _merge_poles(cluster_sets, cfg: Config):
                     mid = 0.5 * (loc + np.conj(other[0]))
                     item[0] = mid
                     other[0] = np.conj(mid)
-    return sorted(((complex(l), int(m)) for l, m in found), key=lambda t: (abs(t[0]), t[0].real, t[0].imag))
+    found = sorted(((complex(l), int(m), j) for l, m, j in found), key=lambda t: (abs(t[0]), t[0].real, t[0].imag))
+    return [(l, m) for l, m, _ in found], [j for _, _, j in found]
 
 
 def _pole_clusters(R: RationalMatrix, cfg: Config):
-    """(entry_poles, poles, dens): each entry's clustered (location, multiplicity) poles as an m x m grid
-    of tuples, ``rm_poles``, and R's distinct denominators as (den, its clusters, the row-major indexes of
-    the entries over it).
-
-    Entries are over the same denominator when their den and den_roots have the same bytes.
-    ``cluster_roots`` runs once per distinct den_roots, the entries that have them share one tuple, and
-    ``_merge_poles`` merges each tuple once.  All this is done once per root_cluster value, so entries must
-    not change after."""
+    """(poles, table): ``rm_poles`` and the pole table.  table[n] lists (den, the row-major indexes of the
+    entries over it, ks) for each distinct denominator with clusters that ``_merge_poles`` joined into
+    poles[n], ks their multiplicities (one in all but a degenerate case).  Entries are over the same
+    denominator when their den and den_roots have the same bytes.  Each distinct den_roots is clustered
+    once, and all this is done once per root_cluster value, so entries must not change after."""
     tol = cfg.root_cluster
     if tol not in R._clusters_by_tol:
-        clusters = {}  # (dtype, bytes) of den_roots -> their clusters, in the order the entries have them
-        dens = {}  # (den bytes, den_roots key) -> (den, clusters, [entry indexes])
-        flat = []
+        clusters = {}  # (dtype, bytes) of den_roots -> their clusters
+        dens = {}  # (den bytes, den_roots key) -> (den, clusters, [entry indexes]), in the order the entries have them
         for n, e in enumerate(e for row in R.entries for e in row):
             key = (e.den_roots.dtype.str, e.den_roots.tobytes())
             if key not in clusters:
                 clusters[key] = tuple(cluster_roots(e.den_roots, tol=tol))
-            flat.append(clusters[key])
             dens.setdefault((e.den.tobytes(), key), (e.den, clusters[key], []))[2].append(n)
-        m = R.size
-        entry_poles = tuple(tuple(flat[i * m:(i + 1) * m]) for i in range(m))
-        R._clusters_by_tol[tol] = (entry_poles, tuple(_merge_poles(clusters.values(), cfg)),
-                                   tuple((den, cl, np.array(idx)) for den, cl, idx in dens.values()))
+        poles, joins = _merge_poles([cl for _, cl, _ in dens.values()], cfg)
+        dens = [(den, np.array(idx)) for den, _, idx in dens.values()]
+        R._clusters_by_tol[tol] = tuple(poles), tuple(tuple((*dens[d], tuple(ks)) for d, ks in js.items())
+                                                      for js in joins)
     return R._clusters_by_tol[tol]
 
 
 def rm_poles(R: RationalMatrix, cfg: Config = DEFAULT):
     """Union of entry poles with matrix multiplicity = max entry multiplicity.  An imaginary part is exactly
     0.0 or above root_cluster (1 + |p|) in size, and complex poles come in exact conjugate pairs."""
-    return list(_pole_clusters(R, cfg)[1])
-
-
-def _entry_multiplicity(clusters, p, cfg: Config) -> int:
-    mult = 0
-    for loc, m in clusters:
-        if abs(loc - p) <= cfg.root_cluster * (1.0 + abs(p)):
-            mult = m
-    return mult
+    return list(_pole_clusters(R, cfg)[0])
 
 
 def _values_at(C, p):
@@ -317,32 +296,34 @@ def _values_at(C, p):
 def rm_residues_at(R: RationalMatrix, p, cfg: Config = DEFAULT) -> PoleDatum:
     """Matrix residue data at a pole of multiplicity <= 2, by deflation of the denominators that have it.
 
-    The entries' poles are R's ``_pole_clusters``: clustered once, not once per call.  Each distinct
-    (den, multiplicity at p) is deflated and evaluated once, and all numerators (and, at a double pole,
-    their derivatives) are evaluated at p as one stack; each residue entry is bitwise what deflating
-    and evaluating that entry alone gives.
+    The pole table of ``_pole_clusters`` lists those denominators and their multiplicities, decided once
+    per matrix.  Each listed den is deflated and evaluated once, and all numerators (and, at a double
+    pole, their derivatives) are evaluated at p as one stack; each residue entry is bitwise what
+    deflating and evaluating that entry alone gives.  A den with two clusters at p keeps a root there
+    after any deflation, so its entries have no finite residue.
     """
     p = complex(p)
     m = R.size
-    _, poles, dens = _pole_clusters(R, cfg)
-    mult = 0
-    for loc, k in poles:
+    poles, table = _pole_clusters(R, cfg)
+    pole = None
+    for n, (loc, _) in enumerate(poles):
         if abs(loc - p) <= cfg.root_cluster * (1.0 + abs(p)):
-            mult = k
-            p = loc  # snap to the clustered location
-    if mult == 0:
+            pole, p = n, loc  # snap to the clustered location
+    if pole is None:
         raise ValueError(f"{p} is not a pole of the matrix")
+    mult = poles[pole][1]
     if mult > 2:
         raise MultiplicityTooHigh(f"pole at {p} has multiplicity {mult}")
     num = R._coefficient_stacks[0]
     nv = _values_at(num, p).ravel()
-    A1, A2 = A = np.zeros((2, m * m), dtype=complex)  # row-major, as the entry indexes of dens
+    A1, A2 = A = np.zeros((2, m * m), dtype=complex)  # row-major, as the table's entry indexes
     ndv = None
     with np.errstate(all="ignore"):  # a zero or tiny q(p) is reported below
-        for den, clusters, idx in dens:
-            k = _entry_multiplicity(clusters, p, cfg)
-            if k == 0:
+        for den, idx, ks in table[pole]:
+            if len(ks) > 1:
+                A[:, idx] = np.nan
                 continue
+            k = ks[0]
             q = np.asarray(den, dtype=complex)
             for _ in range(k):
                 q = deflate(q, p)
@@ -392,19 +373,30 @@ def rm_infinity_expansion(R: RationalMatrix) -> InfinityExpansion:
     return InfinityExpansion(coeffs)
 
 
+def _entry_multiplicities(R: RationalMatrix, at, cfg: Config):
+    """Each entry's pole-table multiplicity summed over the poles at the indexes ``at``, as an m x m list."""
+    table = _pole_clusters(R, cfg)[1]
+    mult = np.zeros(R.size * R.size, dtype=int)
+    for n in at:
+        for _, idx, ks in table[n]:
+            mult[idx] += sum(ks)
+    return mult.reshape(R.size, R.size).tolist()
+
+
 def rm_split_boundary(R: RationalMatrix, points, infinity=(), cfg: Config = DEFAULT):
     """(rest, parts): R without its principal parts at the boundary points b, and those parts.
 
-    An entry's poles within 2 root_cluster (1 + |b|) of b, not taken by an
-    earlier point, count as poles at b; e is their total.  With f the real
-    factor with roots b and conj(b), the entry n/d splits as c/f**e + h/q,
-    where q = d / f**e, c = n/q mod f**e and h = (n - c q) / f**e.  Both
-    divisions drop their remainders, the rounding that moved the poles off b.
-    Simple poles and real poles of any multiplicity split; complex ones of
-    multiplicity two or more stay in rest.  ``parts``
-    lists (b, [A1, A2, ...]) for b and conj(b), A_j the coefficient of
-    (x - b)**-j.  A nonempty ``infinity`` lists the coefficients A_j of x**j
-    of an improper CT R; they go to parts as (inf, infinity), the constant stays.
+    ``points`` lists (b, the indexes in ``rm_poles`` of the poles at b), and
+    an entry's multiplicity e at b is the pole table's total at those poles
+    (``_entry_multiplicities``).  With f the real factor with roots b and
+    conj(b), the entry n/d splits as c/f**e + h/q, where q = d / f**e,
+    c = n/q mod f**e and h = (n - c q) / f**e.  Both divisions drop their
+    remainders, the rounding that moved the poles off b.  Simple poles and
+    real poles of any multiplicity split; complex ones of multiplicity two or
+    more stay in rest.  ``parts`` lists (b, [A1, A2, ...]) for b and conj(b),
+    A_j the coefficient of (x - b)**-j.  A nonempty ``infinity`` lists the
+    coefficients A_j of x**j of an improper CT R; they go to parts as
+    (inf, infinity), the constant stays.
     """
     if not points and not infinity:
         return R, []
@@ -418,12 +410,8 @@ def rm_split_boundary(R: RationalMatrix, points, infinity=(), cfg: Config = DEFA
             for j in range(m):
                 q, r = polydivmod(num[i][j], den[i][j])
                 num[i][j] = polyadd(r, q[0] * den[i][j])
-    left = _pole_clusters(R, cfg)[0]  # each entry's pole clusters not yet taken by a point
-    for b in points:
-        near = 2.0 * cfg.root_cluster * (1.0 + abs(b))
-        mult = [[sum(k for loc, k in left[i][j] if abs(loc - b) <= near) for j in range(m)] for i in range(m)]
-        left = [[[(loc, k) for loc, k in cl if min(abs(loc - b), abs(loc - np.conj(b))) > near] for cl in row]
-                for row in left]
+    for b, at in points:
+        mult = _entry_multiplicities(R, at, cfg)
         k = max(max(row) for row in mult)
         if k > 1 and b.imag != 0:
             continue

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .analysis import pole_at
+from .analysis import CT_DOMAIN, pole_at
 from .analysis_ct import classify_csspr, classify_cssni
 from .config import DEFAULT, Config
 from .errors import (
@@ -55,7 +55,7 @@ def _certified_epsilon(R: RationalMatrix, make, classify, what, cfg: Config):
     imaginary axis (within root_cluster) leaves no margin, and no eps is tried.
     """
     poles = [p for p, _ in rm_poles(R, cfg)]
-    if any(abs(p.real) <= cfg.root_cluster * (1.0 + abs(p)) for p in poles):
+    if any(CT_DOMAIN.on_boundary(p, cfg.root_cluster) for p in poles):
         raise EpsilonSearchFailed(f"a pole on the imaginary axis leaves no eps for the {what} verdict")
     eps = 0.5 * min(abs(p.real) for p in poles) if poles else 1.0
     history = []

@@ -183,6 +183,26 @@ def test_a_zero_constant_times_a_scalar_is_the_zero_scalar(c):
         assert same_scalar(r, RationalScalar.zero())
 
 
+def test_a_quotient_by_a_constant_is_built_over_the_dividends_denominator_without_a_root(monkeypatch):
+    a = parsed(reference("ct_mixed", 2)).entries[0][0]
+    eigvals = np.linalg.eigvals
+    solved = []
+
+    def counted(A):
+        solved.append(len(A) if np.ndim(A) == 3 else 1)
+        return eigvals(A)
+
+    monkeypatch.setattr(np.linalg, "eigvals", counted)
+    for c in (2.0, -1e-3, 3.0):
+        q = a / c
+        assert q.num.tobytes() == (a.num / c).tobytes() and q.den.tobytes() == a.den.tobytes()
+        assert q.den_roots is a.den_roots
+    assert solved == []  # the reducing construction eigensolved a numerator and a denominator for each
+    with pytest.raises(ZeroDivisionError):
+        a / 0.0
+    assert same_scalar(RationalScalar.zero() / 2.0, RationalScalar.zero())
+
+
 def test_building_a_corpus_matrix_eigensolves_only_its_sums_of_modes(monkeypatch):
     # a weight times a mode, and the feedthrough plus that product, are reduced without a root
     eigvals = np.linalg.eigvals
@@ -242,7 +262,7 @@ def test_poles_and_residues_cluster_each_entry_once(monkeypatch):
     poles = rm_poles(G)
     for p, _ in poles:
         rm_residues_at(G, p)
-    rm_split_boundary(G, [1.0])
+    rm_split_boundary(G, [(1.0, [])])
     assert rm_poles(G) == poles
     assert found == [] and len(clustered) == 1
     # another root_cluster clusters again, and only then
@@ -255,7 +275,7 @@ def test_poles_and_residues_cluster_each_entry_once(monkeypatch):
     H = RationalMatrix([[a, b], [b, 2.0 * a]], "dt")
     for p, _ in rm_poles(H):
         rm_residues_at(H, p)
-    rm_split_boundary(H, [1.0])
+    rm_split_boundary(H, [(1.0, [])])
     assert len(clustered) == 4
 
 

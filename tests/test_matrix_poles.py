@@ -2,11 +2,17 @@
 
 The per-entry functions they replace are kept below as references, verbatim
 but for their names and for the clusters cache, which the reference does not
-share with the matrix.  Every location, multiplicity, cluster, residue and
-coefficient stack must be byte-equal to the reference's, on the corpus
-generators (as built and as parsed from a document), on the lemma corpus and
-on hand-built matrices with distinct, partly cancelled, double, complex and
-zero entries.
+share with the matrix.  Every location, multiplicity, residue and coefficient
+stack must be byte-equal to the reference's, on the corpus generators (as
+built and as parsed from a document), on the lemma corpus and on hand-built
+matrices with distinct, partly cancelled, double, complex and zero entries.
+
+Which entries have each pole is decided once per matrix, in the pole table of
+``ratmat._pole_clusters``.  The two rules it replaces are kept as references
+too: the residue's (an entry's cluster within root_cluster (1 + |p|) of the
+pole) and the boundary split's (an entry's clusters within 2 root_cluster
+(1 + |b|) of the boundary point, not taken by an earlier point).  On the
+corpora the table gives the multiplicities both rules give.
 """
 
 import numpy as np
@@ -14,12 +20,15 @@ import numpy.polynomial.polynomial as npp
 import pytest
 
 import corpus
+from nipr import analysis, ratmat
+from nipr.analysis import analysis_of
 from nipr.config import DEFAULT
 from nipr.docio import document_of, jsonable, parse_document
 from nipr.errors import MultiplicityTooHigh, PoleProximity
 from nipr.poly import RationalScalar, cluster_roots, deflate, polyval, reduced_scalars
-from nipr.ratmat import (CT, PoleDatum, RationalMatrix, _horner, _pole_clusters, rm_eval_many, rm_poles,
-                         rm_residues_at)
+from nipr.ratmat import (CT, PoleDatum, RationalMatrix, _entry_multiplicities, _horner, _pole_clusters, rm_eval_many,
+                         rm_poles, rm_residues_at)
+from test_sign_source import CASES, lossy
 
 GENERATORS = ("ct_ni", "ct_pr", "ct_mixed", "dt_ni", "dt_pr", "dt_mixed")
 
@@ -79,6 +88,20 @@ def reference_entry_multiplicity(clusters, p, cfg):
         if abs(loc - p) <= cfg.root_cluster * (1.0 + abs(p)):
             mult = m
     return mult
+
+
+def reference_split_multiplicities(entry_poles, points, cfg):
+    """The boundary split's old rule: at each point b, an entry's total multiplicity over its clusters within
+    2 root_cluster (1 + |b|) of b that no earlier point took."""
+    m = len(entry_poles)
+    left = entry_poles  # each entry's pole clusters not yet taken by a point
+    out = []
+    for b in points:
+        near = 2.0 * cfg.root_cluster * (1.0 + abs(b))
+        out.append([[sum(k for loc, k in left[i][j] if abs(loc - b) <= near) for j in range(m)] for i in range(m)])
+        left = [[[(loc, k) for loc, k in cl if min(abs(loc - b), abs(loc - np.conj(b))) > near] for cl in row]
+                for row in left]
+    return out
 
 
 def reference_residues_at(R, p, cfg=DEFAULT):
@@ -149,11 +172,8 @@ def outcome(fn, R, p):
 def assert_matches_the_reference(R, cfg=DEFAULT):
     for got, want in zip(R._coefficient_stacks, reference_stacks(R)):
         assert bitwise(got, want)
-    entry_poles, poles = reference_pole_clusters(R, cfg)
-    got_entry_poles, got_poles, _ = _pole_clusters(R, cfg)
-    assert same_poles(got_poles, poles)
-    for got_row, row in zip(got_entry_poles, entry_poles):
-        assert all(same_poles(g, w) for g, w in zip(got_row, row))
+    poles = reference_pole_clusters(R, cfg)[1]
+    assert same_poles(_pole_clusters(R, cfg)[0], poles)
     for p, _ in poles:
         got, want = outcome(rm_residues_at, R, p), outcome(reference_residues_at, R, p)
         if isinstance(want, type):
@@ -305,9 +325,8 @@ def test_hand_built_pole_data_is_byte_equal_to_the_per_entry_reference(name):
 def test_the_hand_built_matrices_cover_what_they_claim():
     assert [k for p, k in rm_poles_of("double") if abs(p + 1.0) < 1e-6] == [2]
     R = HAND_BUILT["double"]
-    entry_poles = _pole_clusters(R, DEFAULT)[0]
-    ks = sorted({sum(k for loc, k in cl if abs(loc + 1.0) < 1e-6) for row in entry_poles for cl in row})
-    assert ks == [0, 1, 2]
+    at = [n for n, (p, _) in enumerate(rm_poles(R)) if abs(p + 1.0) < 1e-6]
+    assert sorted({k for row in _entry_multiplicities(R, at, DEFAULT) for k in row}) == [0, 1, 2]
     assert any(p.imag != 0 and k == 2 for p, k in rm_poles_of("complex double"))
     assert any(p.imag != 0 for p, _ in rm_poles_of("dt complex"))
     assert any(abs(abs(p) - 1.0) < 1e-12 and p.imag != 0 for p, _ in rm_poles_of("dt boundary"))
@@ -319,7 +338,7 @@ def test_the_hand_built_matrices_cover_what_they_claim():
 
 
 def rm_poles_of(name):
-    return _pole_clusters(HAND_BUILT[name], DEFAULT)[1]
+    return _pole_clusters(HAND_BUILT[name], DEFAULT)[0]
 
 
 def test_a_double_pole_with_a_constant_numerator_everywhere():
@@ -348,3 +367,100 @@ def test_each_distinct_denominator_is_deflated_once_per_pole(monkeypatch):
         seen.clear()
         rm_residues_at(G, p)
         assert len(seen) == 1  # one shared denominator, one simple pole: one deflation for 16 entries
+
+
+# ---------------------------------------------------------------------------
+# the pole table against the rules it replaces
+
+
+def table_multiplicities(R, cfg=DEFAULT):
+    """(poles, m * m) array: each entry's multiplicity at each pole, from the pole table, in which each
+    denominator listed at a pole has one cluster there."""
+    poles, table = _pole_clusters(R, cfg)
+    out = np.zeros((len(poles), R.size * R.size), dtype=int)
+    for n, listed in enumerate(table):
+        for _, idx, ks in listed:
+            assert len(ks) == 1
+            out[n, idx] = ks[0]
+    return out
+
+
+def split_points(R, cfg=DEFAULT):
+    """The (b, pole indexes) that a fresh ``Analysis.boundary_parts`` hands ``rm_split_boundary``."""
+    seen = []
+
+    def recording(R, points, *args):
+        seen.extend(points)
+        return ratmat.rm_split_boundary(R, points, *args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(analysis, "rm_split_boundary", recording)
+        analysis.Analysis(R, cfg).boundary_parts()
+    return seen
+
+
+def assert_the_table_gives_the_old_multiplicities(R, cfg=DEFAULT):
+    """The residue's and the split's multiplicities are the old rules'; returns the number of split points."""
+    entry_poles, poles = reference_pole_clusters(R, cfg)
+    want = [[reference_entry_multiplicity(cl, p, cfg) for row in entry_poles for cl in row] for p, _ in poles]
+    assert np.array_equal(table_multiplicities(R, cfg), np.array(want, dtype=int).reshape(len(poles), R.size * R.size))
+    points = split_points(R, cfg)
+    for (b, at), old in zip(points, reference_split_multiplicities(entry_poles, [b for b, _ in points], cfg)):
+        assert _entry_multiplicities(R, at, cfg) == old
+    return len(points)
+
+
+@pytest.mark.parametrize("gen", GENERATORS)
+def test_the_pole_table_keeps_the_old_multiplicities_on_the_corpus(gen):
+    for seed in range(6):
+        for m in range(1, 7):
+            G = getattr(corpus, gen)(np.random.default_rng([seed, m]), m=m, nterms=3)
+            assert_the_table_gives_the_old_multiplicities(G)
+            assert_the_table_gives_the_old_multiplicities(parsed(G))
+
+
+def test_the_pole_table_keeps_the_old_multiplicities_on_the_lemma_corpus():
+    for G in corpus.dt_lemma_corpus(7, 100):
+        assert_the_table_gives_the_old_multiplicities(G)
+
+
+@pytest.mark.parametrize("domain", ["ct", "dt"])
+def test_the_pole_table_keeps_the_old_multiplicities_on_lossless_sums(domain):
+    split = 0
+    for form in ("pr", "ni"):
+        for m in (1, 2, 3):
+            for seed in range(20):
+                G = CASES[domain](seed, m, form)
+                split += assert_the_table_gives_the_old_multiplicities(G)
+                split += assert_the_table_gives_the_old_multiplicities(lossy(G, form))
+    assert split >= 2 * 2 * 3 * 20 * 3  # three boundary modes, at least, in each lossless sum and its control
+
+
+@pytest.mark.parametrize("name", sorted(HAND_BUILT))
+def test_the_pole_table_keeps_the_old_multiplicities_on_the_hand_built_matrices(name):
+    assert_the_table_gives_the_old_multiplicities(HAND_BUILT[name])
+
+
+def test_a_residue_deflates_only_the_denominators_the_table_lists(monkeypatch):
+    # 1/(s - x) joins the pole at 10, x being within root_cluster (1 + |x|) of it, and z makes a pole of its
+    # own; x also lies within root_cluster (1 + |z|) of z, which the old per-call rule read as a pole there
+    x, z = 10.0 + 0.9e-6, 10.0 + 1.5e-6
+    tol = DEFAULT.root_cluster
+    assert abs(x - 10.0) <= tol * (1.0 + x) < abs(z - 10.0) and abs(z - x) <= tol * (1.0 + z)
+    r = RationalScalar
+    R = RationalMatrix([[r([1.0], [-10.0, 1.0]), r.zero(), r.zero()],
+                        [r.zero(), r([1.0], [-x, 1.0]), r.zero()],
+                        [r.zero(), r.zero(), r([1.0], [-z, 1.0])]], "ct")
+    assert rm_poles(R) == [(10.0, 1), (z, 1)]
+    seen = []
+
+    def counted(c, p):
+        seen.append(np.asarray(c).tobytes())
+        return deflate(c, p)
+
+    monkeypatch.setattr(ratmat, "deflate", counted)
+    datum = rm_residues_at(R, z)
+    assert len(seen) == 1 and bitwise(datum.residue_A1, np.diag([0.0, 0.0, 1.0]).astype(complex))
+    seen.clear()
+    datum = rm_residues_at(R, 10.0)
+    assert len(seen) == 2 and bitwise(datum.residue_A1, np.diag([1.0, 1.0, 0.0]).astype(complex))
