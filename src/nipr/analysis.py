@@ -29,15 +29,15 @@ it the rounded form keeps a spike that only an exact split removes.  So the
 principal parts at the boundary poles (and the polynomial part of an improper
 CT G) are split off by deflation (``ratmat.rm_split_boundary``), which puts
 each such pole exactly on the boundary; the rest is read from its
-coefficients.  The poles that project onto one boundary point split there
-together; the pole table of ``ratmat`` says which entries have them.  Each
-split-off term is written once, as partial fractions in the continuous-time
-frequency w (``Domain.expand``; w = tan(t/2) in discrete time,
-``Domain.to_freq``), and its share of the form is one (w0, k, M) row of one
-table (``Analysis.shares``).  A term whose share is zero within the
-Hermitian tolerance of the residue checks is dropped, so a residue those
-checks accept adds exactly nothing.  No sign form is built as a rational
-matrix.
+coefficients.  The poles whose projections are one boundary point by
+``poly.close`` split there together; the pole table of ``ratmat`` says
+which entries have them.  Each split-off term is written once, as partial
+fractions in the continuous-time frequency w (``Domain.expand``; w =
+tan(t/2) in discrete time, ``Domain.to_freq``), and its share of the form
+is one (w0, k, M) row of one table (``Analysis.shares``).  A term whose
+share is zero within the Hermitian tolerance of the residue checks is
+dropped, so a residue those checks accept adds exactly nothing.  No sign
+form is built as a rational matrix.
 
 The sign samples and ``nipr sweep`` sum that table at the frequencies of
 their parameters.  The sign comes from the crossings: the rest is realized
@@ -63,6 +63,7 @@ from . import boundary
 from .boundary import herm, is_nsd, is_pd, is_psd
 from .config import DEFAULT, Config
 from .errors import ImproperInput
+from .poly import close, nearest
 from .ratmat import (CT, DT, RationalMatrix, rm_infinity_expansion, rm_is_symmetric, rm_poles, rm_residues_at,
                      rm_split_boundary)
 from .realization import minimal_realization
@@ -97,7 +98,6 @@ class Domain:
     expand: Callable          # (boundary point b, j) -> [(c, w0, k, a)]: (x - b)**-j = sum c a (w - w0)**-k
     on_boundary: Callable     # (pole, tol) -> the pole lies on the boundary
     outside: Callable         # pole off the boundary -> it lies in the unstable region
-    inside: Callable          # (pole, margin) -> it lies in the stable region, margin away
     grid: dict                # form -> builder of the ``nipr sweep`` parameter grid from a Config
     unstable_id: dict         # form -> id of the no-unstable-poles condition
     stable_id: str            # id of the strictly-stable-poles condition
@@ -111,6 +111,10 @@ class Domain:
     limits: type              # the report's limits
     loop_points: tuple        # (x0, x_inf): the real boundary points the loop stability test reads
     var: str                  # the name of the complex variable
+
+    def inside(self, p, margin):
+        """p lies strictly inside the stable region: neither ``outside`` nor ``on_boundary`` at the margin."""
+        return not (self.outside(p) or self.on_boundary(p, margin))
 
 
 def _ct_expand(b, j):
@@ -142,7 +146,6 @@ CT_DOMAIN = Domain(
     expand=_ct_expand,
     on_boundary=lambda p, tol: abs(p.real) <= tol * (1.0 + abs(p)),
     outside=lambda p: p.real > 0,
-    inside=lambda p, margin: p.real < -margin * (1.0 + abs(p)),
     grid={"pr": lambda cfg: np.concatenate([[0.0], boundary.ct_grid(cfg)]),
           "ni": lambda cfg: boundary.ct_grid(cfg)},
     unstable_id={"pr": "no-rhp-poles", "ni": "no-rhp-poles"},
@@ -170,7 +173,6 @@ DT_DOMAIN = Domain(
     expand=_dt_expand,
     on_boundary=lambda p, tol: abs(abs(p) - 1.0) <= tol * 2.0,
     outside=lambda p: abs(p) > 1.0,
-    inside=lambda p, margin: abs(p) < 1.0 - margin,
     grid={"pr": lambda cfg: boundary.dt_grid_full(cfg), "ni": lambda cfg: boundary.dt_grid_half(cfg)},
     unstable_id={"pr": "analytic-outside-disc", "ni": "no-outside-poles"},
     stable_id="schur-poles",
@@ -196,11 +198,6 @@ CLASSES = ("cpr", "csspr", "cwspr", "cni", "cssni", "cwsni", "dpr", "dsspr", "dn
 def hermitian_enough(M, rel=1e-7):
     M = np.asarray(M)
     return np.linalg.norm(M - M.conj().T, 2) <= rel * (1.0 + np.linalg.norm(M, 2))
-
-
-def near(p, points, cfg: Config):
-    """The first of the points within root_cluster (1 + |point|) of p, the radius of a pole cluster, or None."""
-    return next((z0 for z0 in points if abs(p - z0) <= cfg.root_cluster * (1.0 + abs(z0))), None)
 
 
 class Analysis:
@@ -238,8 +235,8 @@ class Analysis:
             _, upper, at = self.pole_split()
             for (p, _), n in zip(upper, at):
                 b = self.domain.project(p)
-                b = next((c for c in points if abs(b - c) <= self.cfg.root_cluster * (1.0 + abs(b))), b)
-                points.setdefault(b, []).append(n)
+                c = nearest(b, points, self.cfg.root_cluster)
+                points.setdefault(b if c is None else c, []).append(n)
             infinity = self.infinity().poly_coeffs if self.G.domain == CT and not self.G.is_proper() else ()
             rest, parts = rm_split_boundary(self.G, list(points.items()), infinity, self.cfg)
             return None if rest is self.G else rest, parts  # the memo must not keep G alive
@@ -292,7 +289,7 @@ class Analysis:
     def det_zeros(self, form):
         """boundary_det_zeros of the form: one crossing search per form, on ``realization`` and the ``shares``."""
         return self._once(("det", form), lambda: boundary.boundary_det_zeros(
-            self.realization(), self.G.domain, form, self.cfg, self.shares(form)))
+            self.realization(), form, self.cfg, self.shares(form)))
 
     def sign_scan(self, form):
         """crossing_scan of the form: (worst margin, its parameter, samples, crossing parameters).
@@ -341,7 +338,8 @@ class Analysis:
         return self._once(("slope", z0), compute)
 
     def strictly_stable(self):
-        """Every pole lies in the stable region, at least root_cluster inside it."""
+        """Every pole is ``Domain.inside`` at root_cluster, off the boundary of ``pole_split``: in continuous
+        time Re p < -root_cluster (1 + |p|), in discrete time |p| < 1 - 2 root_cluster."""
         return all(self.domain.inside(p, self.cfg.root_cluster) for p, _ in self.poles())
 
     # -- conditions ----------------------------------------------------------
@@ -398,13 +396,13 @@ class Analysis:
 
     def ni_conditions(self, pole_data):
         """Symmetry, no unstable poles, the boundary sign, and the boundary poles: one condition for the
-        poles off the endpoints and one per endpoint (``near`` it), each with the witness of its last
-        failing pole."""
+        poles off the endpoints and one per endpoint (the nearest a pole is ``close`` to), each with the
+        witness of its last failing pole."""
         d = self.domain
         conds = self.symmetry() + [self.no_unstable_poles("ni"), self.boundary_sign("ni")]
         wit = dict.fromkeys([None, *d.endpoints])
         for p, mult in self.pole_split()[1]:
-            end = near(p, d.endpoints, self.cfg)
+            end = nearest(p, d.endpoints, self.cfg.root_cluster)
             wit[end] = self.pole_witness(p, mult, pole_data, end) or wit[end]
         ids = [d.pole_id["ni"]] + [pole_id for pole_id, _, _ in d.endpoints.values()]
         return conds + [Condition(cid, w is None, w or {}) for cid, w in zip(ids, wit.values())]
@@ -533,5 +531,5 @@ def classify(G: RationalMatrix, class_id: str, cfg: Config = DEFAULT) -> Classif
 
 
 def pole_at(G: RationalMatrix, points, cfg: Config = DEFAULT):
-    """The first pole of G ``near`` one of the points, or None."""
-    return next((p for p, _ in analysis_of(G, cfg).poles() if near(p, points, cfg) is not None), None)
+    """The first pole of G ``close`` to one of the points at root_cluster, or None."""
+    return next((p for p, _ in analysis_of(G, cfg).poles() if any(close(p, x, cfg.root_cluster) for x in points)), None)

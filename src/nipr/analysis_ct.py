@@ -11,7 +11,7 @@ import numpy as np
 
 from .analysis import classify
 from .config import DEFAULT, Config
-from .poly import RationalScalar, cluster_roots, degree, roots
+from .poly import RationalScalar, close, cluster_roots, degree, roots
 from .ratmat import RationalMatrix
 
 
@@ -64,7 +64,7 @@ def scalar_ni_structure_checks(g: RationalScalar, cfg: Config = DEFAULT):
     zs = list(roots(g.num))
     origin_mult = 0
     for z0, m in cluster_roots(np.asarray(zs), tol=cfg.root_cluster):
-        if abs(z0) <= cfg.root_cluster:
+        if close(z0, 0.0, cfg.root_cluster):
             origin_mult = m
     rhp_zeros = [z for z in zs if z.real > cfg.root_cluster * (1.0 + abs(z))]
     return {

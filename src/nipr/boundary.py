@@ -287,12 +287,12 @@ def _smallest_sv(M):
     return np.linalg.svd(M, compute_uv=False)[-1]
 
 
-def boundary_det_zeros(ss, domain, form, cfg: Config = DEFAULT, pieces=()):
+def boundary_det_zeros(ss, form, cfg: Config = DEFAULT, pieces=()):
     """(The boundary points that cut the sign intervals of the form, det of the form singular everywhere).
 
     The form of a matrix G is R(x) = G(x) +- G(mirror(x))^T ("+" for "pr");
     on the boundary R ("pr") or i R ("ni") is Hermitian.  ss realizes, in
-    the domain, the part of G whose form is read from coefficients, and
+    its domain, the part of G whose form is read from coefficients, and
     ``pieces`` the rest of the form, as (w0, k, M) terms that add up to the
     map of ``_form_system``.  A discrete-time ss is moved to continuous time
     by ``cayley_ss``: z = e^{it} is s = i tan(t/2) and z = -1 is s = inf,
@@ -313,7 +313,7 @@ def boundary_det_zeros(ss, domain, form, cfg: Config = DEFAULT, pieces=()):
     ct, ct_pieces, turn = ss, {}, 1.0
     for w0, k, M in pieces:
         ct_pieces[w0, k] = ct_pieces.get((w0, k), 0.0) + M
-    if domain != CT:
+    if ss.domain != CT:
         I = np.eye(ss.order)
         if ss.order and _smallest_sv(ss.A + I) < _smallest_sv(ss.A - I):
             ct, ct_pieces, turn = StateSpace(-ss.A, ss.B, -ss.C, ss.D, ss.domain), _turned(ct_pieces), -1.0
@@ -332,7 +332,7 @@ def boundary_det_zeros(ss, domain, form, cfg: Config = DEFAULT, pieces=()):
                 raise
     points = [s for s in zeros if abs(s.real) <= CROSSING_BAND * (1.0 + abs(s))
               and (form == "pr" or s.imag > CROSSING_BAND * (1.0 + abs(s)))]
-    if domain == CT:
+    if ss.domain == CT:
         return [1j * s.imag for s in points], singular
     points = [turn * (1.0 + 1j * s.imag) / (1.0 - 1j * s.imag) for s in points]
     if form == "pr" and at_inf is not None and _smallest_sv(at_inf) <= rank_tol:

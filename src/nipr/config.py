@@ -13,7 +13,7 @@ from dataclasses import dataclass, fields, replace
 @dataclass(frozen=True)
 class Config:
     # polynomial / rational arithmetic
-    root_cluster: float = 1e-7      # roots merge when |r1-r2| <= root_cluster*(1+|r|)
+    root_cluster: float = 1e-7      # poly.close: a is b iff |a-b| <= root_cluster*(1+|b|), b decided first
     coeff_rel: float = 1e-9         # coefficient comparisons after normalization
 
     # cone checks

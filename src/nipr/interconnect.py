@@ -1,9 +1,9 @@
 """Redheffer star products, positive feedback, and the NI stability test, in either domain.
 
-A closed loop is internally stable when its spectrum lies root_cluster inside
-the stable region (``Domain.inside``), the rule ``Analysis.strictly_stable``
-applies to poles: Re lam < -root_cluster (1 + |lam|) in continuous time, a
-margin that grows with |lam|, and |lam| < 1 - root_cluster in discrete time.
+A closed loop is internally stable when its spectrum is ``Domain.inside`` at root_cluster, neither
+outside nor on the boundary, the rule ``Analysis.strictly_stable`` applies to poles: Re lam <
+-root_cluster (1 + |lam|) in continuous time, a margin that grows with |lam|, and |lam| < 1 -
+2 root_cluster in discrete time.
 """
 
 from __future__ import annotations
@@ -126,7 +126,7 @@ def ni_stability_test(P: RationalMatrix, Q: RationalMatrix, cfg: Config = DEFAUL
         raise ValueError("domain mismatch")
     d = DOMAINS[P.domain]
     x0, xinf = d.loop_points
-    # ``near`` counts inf as near every pole, so a pole at inf is an improper P
+    # every pole is ``close`` to inf, so a pole at inf is an improper P
     p = pole_at(P, [x for x in (x0, xinf) if x != np.inf], cfg)
     if p is None and xinf == np.inf and not P.is_proper():
         p = np.inf

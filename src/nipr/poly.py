@@ -2,12 +2,13 @@
 
 Coefficients are stored in ascending degree order as numpy arrays.  Public
 rational scalars keep real coefficients; internal helpers accept complex
-arrays (deflation at complex poles).  Reduction of a rational scalar cancels
-matched numerator/denominator roots within the documented clustering
-tolerance and leaves the denominator monic.  A rational scalar keeps its
-denominator roots (``den_roots``): the ones reduction found when it cancelled
-nothing, otherwise found on first use; so num and den must not change after
-construction.  Roots are found by ``roots_many``, one stacked companion
+arrays (deflation at complex poles).  Every root and pole match in nipr is
+``close``: |a - b| <= root_cluster (1 + |b|), b the point already decided.
+Reduction of a rational scalar cancels the numerator roots ``close`` to a
+denominator root and leaves the denominator monic.  A rational scalar keeps
+its denominator roots (``den_roots``): the ones reduction found when it
+cancelled nothing, otherwise found on first use; so num and den must not
+change after construction.  Roots are found by ``roots_many``, one stacked companion
 eigensolve per degree and one companion matrix per distinct polynomial,
 bitwise ``np.roots``; ``reduced_scalars`` builds a whole document's scalars
 from one such call.  ``RationalScalar.equals`` finds scalars with the same
@@ -141,6 +142,18 @@ def roots_many(polys):
     return out
 
 
+def close(a, b, tol):
+    """|a - b| <= tol (1 + |b|), b the point already decided: a is the point b.  Elementwise over arrays, with
+    np.hypot, which is bitwise the scalar abs(complex) (np.abs of a complex array is not)."""
+    d = a - b
+    return (np.hypot(d.real, d.imag) if isinstance(d, np.ndarray) else abs(d)) <= tol * (1.0 + abs(b))
+
+
+def nearest(p, points, tol):
+    """The point of ``points`` nearest p (the first of equals) that p is ``close`` to, or None."""
+    return min((z for z in points if close(p, z, tol)), key=lambda z: abs(p - z), default=None)
+
+
 def cluster_roots(rts, tol=DEFAULT.root_cluster):
     """Merge nearby roots into (location, multiplicity) pairs.
 
@@ -155,9 +168,7 @@ def cluster_roots(rts, tol=DEFAULT.root_cluster):
         if used[i]:
             continue
         used[i] = True
-        # np.hypot is bitwise the scalar abs(complex); np.abs of a complex array is not
-        d = rts - rts[i]
-        near = ~used & (np.hypot(d.real, d.imag) <= tol * (1.0 + abs(rts[i])))
+        near = ~used & close(rts, rts[i], tol)
         if not near.any():
             out.append([rts[i] + 0.0, 1])  # np.mean of one root: the root, with -0.0 parts made +0.0
             continue
@@ -179,7 +190,7 @@ def cluster_roots(rts, tol=DEFAULT.root_cluster):
                 if j == i or j in group:
                     continue
                 radius = max(tol, 1e-13 ** (1.0 / max(3, total + out[j][1])))
-                if any(abs(out[j][0] - out[g][0]) <= radius * (1.0 + abs(out[j][0])) for g in group):
+                if any(close(out[j][0], out[g][0], radius) for g in group):
                     group.append(j)
                     total += out[j][1]
             if len(group) > 1 and total >= 3:
@@ -191,7 +202,7 @@ def cluster_roots(rts, tol=DEFAULT.root_cluster):
     # snap near-real roots
     for item in out:
         loc = item[0]
-        if abs(loc.imag) <= tol * (1.0 + abs(loc)):
+        if close(loc.real, loc, tol):
             item[0] = complex(loc.real, 0.0)
     # symmetrize conjugate pairs
     done = [False] * len(out)
@@ -199,9 +210,7 @@ def cluster_roots(rts, tol=DEFAULT.root_cluster):
         if done[i] or loc.imag == 0.0:
             continue
         for j, (loc2, mult2) in enumerate(out):
-            if j == i or done[j]:
-                continue
-            if abs(np.conj(loc) - loc2) <= tol * (1.0 + abs(loc)) and mult2 == mult:
+            if j != i and not done[j] and close(loc2, loc.conjugate(), tol) and mult2 == mult:
                 mid = 0.5 * (loc + np.conj(loc2))
                 out[i][0] = mid
                 out[j][0] = np.conj(mid)
@@ -395,9 +404,9 @@ class RationalScalar:
         Only the new factors can cancel in a reduced scalar.  x - pole must
         cancel a numerator root, which holds when num(pole) = 0 within
         coeff_rel of sum_k |n_k| |pole|^k; otherwise CancellationFailure is
-        raised.  x - zero cancels a kept denominator root within
-        root_cluster (1 + |zero|) of zero; the denominator roots are kept
-        unless it did.
+        raised.  x - zero cancels a kept denominator root that zero is
+        ``close`` to at root_cluster; the denominator roots are kept unless
+        it did.
         """
         num, den, den_roots = self.num, self.den, self._den_roots
         if degree(num) < 0:
@@ -408,7 +417,7 @@ class RationalScalar:
                 raise CancellationFailure(f"no numerator root at {pole} cancels the new pole there")
             num = np.real(q)
         if zero is not None:
-            if (np.abs(self.den_roots - zero) <= cfg.root_cluster * (1.0 + abs(self.den_roots))).any():
+            if close(zero, self.den_roots, cfg.root_cluster).any():
                 den, den_roots = np.real(_synth_div(den, zero)[0]), None
             else:
                 num = polymul(num, [-zero, 1.0])
@@ -532,16 +541,12 @@ def _reduce(num, den, cfg: Config, num_roots=None, den_roots=None):
         return np.zeros(1), np.ones(1), None
     if num_roots is None:
         num_roots, den_roots = roots_many(_to_root(num, den))
-    rn = list(num_roots)
+    rn = num_roots.tolist()  # Python complex: plain scalar arithmetic in the loop, bitwise numpy's
     den_roots = _read_only(den_roots)
-    rd = list(den_roots)
+    rd = den_roots.tolist()
     keep_n, cancelled = [], 0
     for r in rn:
-        hit = None
-        for k, q in enumerate(rd):
-            if abs(r - q) <= cfg.root_cluster * (1.0 + abs(q)):
-                hit = k
-                break
+        hit = next((k for k, q in enumerate(rd) if close(r, q, cfg.root_cluster)), None)
         if hit is None:
             keep_n.append(r)
         else:

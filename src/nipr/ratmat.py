@@ -1,7 +1,8 @@
 """Square rational transfer-function matrices and their pole/residue data.
 
 One place decides which entries have each matrix pole: the pole table of ``_pole_clusters``, made once per
-matrix as the clusters merge into poles.  ``rm_residues_at`` and ``rm_split_boundary`` read it."""
+matrix as the clusters merge into poles.  ``rm_residues_at`` and ``rm_split_boundary`` read it.  A cluster
+joins a pole, and a query finds one, by ``poly.close``, the one test of point identity."""
 
 from __future__ import annotations
 
@@ -15,9 +16,11 @@ from .config import DEFAULT, Config
 from .errors import MultiplicityTooHigh, PoleProximity
 from .poly import (
     RationalScalar,
+    close,
     cluster_roots,
     deflate,
     degree,
+    nearest,
     polyadd,
     polydivmod,
     polymul,
@@ -216,17 +219,13 @@ def rm_eval_many(R: RationalMatrix, points):
 
 
 def _merge_poles(cluster_sets, cfg: Config):
-    """(``rm_poles``, joins): each cluster of the sets joins the first pole within root_cluster (1 + |cluster|)
-    of it or makes a new one, and joins[n] maps the position of each set with clusters in pole n to their
-    multiplicities.  A set merged again finds the poles it found or made before, as every entry's would."""
+    """(``rm_poles``, joins): each cluster of the sets joins the first pole it is ``close`` to or makes a new
+    one, and joins[n] maps the position of each set with clusters in pole n to their multiplicities.  A set
+    merged again finds the poles it found or made before, as every entry's would."""
     found = []  # list of [location, mult, {set position: [multiplicities]}]
     for s, clusters in enumerate(cluster_sets):
         for loc, mult in clusters:
-            hit = None
-            for item in found:
-                if abs(item[0] - loc) <= cfg.root_cluster * (1.0 + abs(loc)):
-                    hit = item
-                    break
+            hit = next((item for item in found if close(loc, item[0], cfg.root_cluster)), None)
             if hit is None:
                 hit = [loc, mult, {}]
                 found.append(hit)
@@ -237,9 +236,7 @@ def _merge_poles(cluster_sets, cfg: Config):
         loc = item[0]
         if loc.imag > 0:
             for other in found:
-                if other is item:
-                    continue
-                if abs(np.conj(loc) - other[0]) <= cfg.root_cluster * (1.0 + abs(loc)):
+                if other is not item and close(other[0], loc.conjugate(), cfg.root_cluster):
                     mid = 0.5 * (loc + np.conj(other[0]))
                     item[0] = mid
                     other[0] = np.conj(mid)
@@ -294,7 +291,8 @@ def _values_at(C, p):
 
 
 def rm_residues_at(R: RationalMatrix, p, cfg: Config = DEFAULT) -> PoleDatum:
-    """Matrix residue data at a pole of multiplicity <= 2, by deflation of the denominators that have it.
+    """Matrix residue data at the pole of ``rm_poles`` nearest p that p is ``close`` to, of multiplicity <= 2,
+    by deflation of the denominators that have it.
 
     The pole table of ``_pole_clusters`` lists those denominators and their multiplicities, decided once
     per matrix.  Each listed den is deflated and evaluated once, and all numerators (and, at a double
@@ -305,12 +303,11 @@ def rm_residues_at(R: RationalMatrix, p, cfg: Config = DEFAULT) -> PoleDatum:
     p = complex(p)
     m = R.size
     poles, table = _pole_clusters(R, cfg)
-    pole = None
-    for n, (loc, _) in enumerate(poles):
-        if abs(loc - p) <= cfg.root_cluster * (1.0 + abs(p)):
-            pole, p = n, loc  # snap to the clustered location
-    if pole is None:
+    locs = [loc for loc, _ in poles]
+    loc = nearest(p, locs, cfg.root_cluster)
+    if loc is None:
         raise ValueError(f"{p} is not a pole of the matrix")
+    pole, p = locs.index(loc), loc
     mult = poles[pole][1]
     if mult > 2:
         raise MultiplicityTooHigh(f"pole at {p} has multiplicity {mult}")

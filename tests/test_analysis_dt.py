@@ -193,3 +193,15 @@ def test_a_resonance_just_off_plus_one_is_refused_with_a_typed_error(tmp_path, c
     save_document(document_of(G), path)
     assert main(["classify", str(path), "--class", "dni"]) == 2
     assert capsys.readouterr().err.startswith("error: entry (0, 0): ")
+
+
+@pytest.mark.parametrize("a", [1.0 - 1.5e-7, -(1.0 - 1.5e-7)])
+def test_a_pole_the_pole_checks_read_on_the_circle_is_not_schur(a):
+    # |a| = 1 - 1.5e-7 lies within 2 root_cluster of the circle: D-NI reads 1/(z - a) at its endpoint, so the
+    # strict classes must not count the same pole strictly inside the disc
+    G = scalar([1.0], [-a, 1.0])
+    report = classify_dni(G)
+    assert [pd.location for pd in report.pole_data] == [a]
+    assert report.condition("pole-at-plus-one" if a > 0 else "pole-at-minus-one").passed
+    for classify in (classify_dwsni, classify_dssni):
+        assert not classify(G).condition("schur-poles").passed

@@ -114,7 +114,7 @@ def test_a_form_singular_everywhere_is_searched_shifted(form):
     # retries with det(form + psd_rel I), whose "pr" zeros are where 2 Re g = -psd_rel
     g, zero = RationalScalar([1.0], [-0.5, 1.0]), RationalScalar([0.0], [1.0])
     ss = minimal_realization(RationalMatrix([[g, zero], [zero, zero]], "dt"))
-    points, singular = boundary.boundary_det_zeros(ss, "dt", form, DEFAULT)
+    points, singular = boundary.boundary_det_zeros(ss, form, DEFAULT)
     assert singular
     if form == "pr":
         assert len(points) == 2
@@ -130,7 +130,7 @@ def test_a_singular_form_is_searched_once(monkeypatch, classify, form):
     search = boundary.boundary_det_zeros
 
     def counted(*args, **kwargs):
-        calls.append(args[2])
+        calls.append(args[1])
         return search(*args, **kwargs)
 
     monkeypatch.setattr(boundary, "boundary_det_zeros", counted)

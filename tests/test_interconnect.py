@@ -413,3 +413,12 @@ def test_the_product_at_x_inf_vanishes_within_root_cluster(domain, eps, admissib
     else:
         with pytest.raises(PreconditionViolated, match="!= 0"):
             ni_stability_test(P, Q, DEFAULT)
+
+
+@pytest.mark.parametrize("a", [1.0 - 1.5e-7, -(1.0 - 1.5e-7)])
+def test_a_loop_eigenvalue_on_the_circle_for_the_pole_checks_is_not_stable(a):
+    # |a| = 1 - 1.5e-7 lies within 2 root_cluster of the circle, where a pole is a boundary pole
+    P = StateSpace(np.array([[a]]), np.array([[1.0]]), np.array([[0.0]]), np.array([[0.0]]), "dt")
+    res = internal_stability(P, static_ss(np.zeros((1, 1))))
+    assert res.closed_loop_spectrum == pytest.approx([a], abs=1e-15)
+    assert not res.internally_stable

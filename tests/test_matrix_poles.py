@@ -13,6 +13,16 @@ too: the residue's (an entry's cluster within root_cluster (1 + |p|) of the
 pole) and the boundary split's (an entry's clusters within 2 root_cluster
 (1 + |b|) of the boundary point, not taken by an earlier point).  On the
 corpora the table gives the multiplicities both rules give.
+
+Every root and pole match is ``poly.close``, anchored at the point already
+decided.  The inline rules it replaces, each anchored where it was, are kept
+as references (``reference_cluster_roots``, ``reference_merge_poles``, the
+lookup of ``reference_residues_at``, ``reference_pole_split`` and
+``reference_boundary_points``).  On the corpora ``rm_poles``, the pole table,
+``Analysis.pole_split``, the boundary points and strict stability are theirs,
+bit for bit; only a query between two poles (the nearer now answers) and a
+discrete-time pole within 2 root_cluster of the circle (no longer stable)
+differ.
 """
 
 import numpy as np
@@ -25,7 +35,7 @@ from nipr.analysis import analysis_of
 from nipr.config import DEFAULT
 from nipr.docio import document_of, jsonable, parse_document
 from nipr.errors import MultiplicityTooHigh, PoleProximity
-from nipr.poly import RationalScalar, cluster_roots, deflate, polyval, reduced_scalars
+from nipr.poly import RationalScalar, close, deflate, polyval, reduced_scalars
 from nipr.ratmat import (CT, PoleDatum, RationalMatrix, _entry_multiplicities, _horner, _pole_clusters, rm_eval_many,
                          rm_poles, rm_residues_at)
 from test_sign_source import CASES, lossy
@@ -46,6 +56,63 @@ def reference_stacks(R):
         return np.array([np.pad(c, (0, n - c.size)) for c in coeffs]).T.reshape(n, *shape)
 
     return stack([e.num for e in flat]), stack([e.den for e in flat])
+
+
+def reference_cluster_roots(rts, tol=DEFAULT.root_cluster):
+    rts = np.asarray(rts, dtype=complex)
+    out = []
+    used = np.zeros(rts.size, dtype=bool)
+    order = np.argsort(np.abs(rts))
+    for i in order:
+        if used[i]:
+            continue
+        used[i] = True
+        # np.hypot is bitwise the scalar abs(complex); np.abs of a complex array is not
+        d = rts - rts[i]
+        near = ~used & (np.hypot(d.real, d.imag) <= tol * (1.0 + abs(rts[i])))
+        if not near.any():
+            out.append([rts[i] + 0.0, 1])  # np.mean of one root: the root, with -0.0 parts made +0.0
+            continue
+        group = [i, *order[near[order]]]
+        used[near] = True
+        out.append([np.mean(rts[group]), len(group)])
+    changed = True
+    while changed:
+        changed = False
+        for i in range(len(out)):
+            group = [i]
+            total = out[i][1]
+            for j in range(len(out)):
+                if j == i or j in group:
+                    continue
+                radius = max(tol, 1e-13 ** (1.0 / max(3, total + out[j][1])))
+                if any(abs(out[j][0] - out[g][0]) <= radius * (1.0 + abs(out[j][0])) for g in group):
+                    group.append(j)
+                    total += out[j][1]
+            if len(group) > 1 and total >= 3:
+                loc = sum(out[g][1] * out[g][0] for g in group) / total
+                out = [c for g, c in enumerate(out) if g not in group]
+                out.append([loc, total])
+                changed = True
+                break
+    for item in out:
+        loc = item[0]
+        if abs(loc.imag) <= tol * (1.0 + abs(loc)):
+            item[0] = complex(loc.real, 0.0)
+    done = [False] * len(out)
+    for i, (loc, mult) in enumerate(out):
+        if done[i] or loc.imag == 0.0:
+            continue
+        for j, (loc2, mult2) in enumerate(out):
+            if j == i or done[j]:
+                continue
+            if abs(np.conj(loc) - loc2) <= tol * (1.0 + abs(loc)) and mult2 == mult:
+                mid = 0.5 * (loc + np.conj(loc2))
+                out[i][0] = mid
+                out[j][0] = np.conj(mid)
+                done[i] = done[j] = True
+                break
+    return [(complex(l), int(m)) for l, m in out]
 
 
 def reference_merge_poles(entry_poles, cfg):
@@ -78,7 +145,7 @@ def reference_merge_poles(entry_poles, cfg):
 
 def reference_pole_clusters(R, cfg):
     tol = cfg.root_cluster
-    entry_poles = tuple(tuple(tuple(cluster_roots(e.den_roots, tol=tol)) for e in row) for row in R.entries)
+    entry_poles = tuple(tuple(tuple(reference_cluster_roots(e.den_roots, tol=tol)) for e in row) for row in R.entries)
     return entry_poles, tuple(reference_merge_poles(entry_poles, cfg))
 
 
@@ -102,6 +169,33 @@ def reference_split_multiplicities(entry_poles, points, cfg):
         left = [[[(loc, k) for loc, k in cl if min(abs(loc - b), abs(loc - np.conj(b))) > near] for cl in row]
                 for row in left]
     return out
+
+
+def reference_pole_split(domain, poles, cfg):
+    """``Analysis.pole_split`` over the poles, and ``strictly_stable``, with the CT or DT ``Domain``'s
+    ``on_boundary``, ``outside`` and the ``inside`` it had as a field written out."""
+    tol, ct = cfg.root_cluster, domain == CT
+    unstable, upper, at = [], [], []
+    for n, (p, mult) in enumerate(poles):
+        if abs(p.real) <= tol * (1.0 + abs(p)) if ct else abs(abs(p) - 1.0) <= tol * 2.0:
+            if p.imag >= 0.0:
+                upper.append((p, mult))
+                at.append(n)
+        elif p.real > 0 if ct else abs(p) > 1.0:
+            unstable.append((p, mult))
+    stable = all(p.real < -tol * (1.0 + abs(p)) if ct else abs(p) < 1.0 - tol for p, _ in poles)
+    return unstable, upper, at, stable
+
+
+def reference_boundary_points(domain, upper, at, cfg):
+    """``Analysis.boundary_parts``' (b, pole indexes): each boundary pole's projection b joins the first point
+    within root_cluster (1 + |b|) of it, or makes a new one."""
+    points = {}
+    for (p, _), n in zip(upper, at):
+        b = 1j * p.imag if domain == CT else p / abs(p)
+        b = next((c for c in points if abs(b - c) <= cfg.root_cluster * (1.0 + abs(b))), b)
+        points.setdefault(b, []).append(n)
+    return list(points.items())
 
 
 def reference_residues_at(R, p, cfg=DEFAULT):
@@ -400,11 +494,20 @@ def split_points(R, cfg=DEFAULT):
 
 
 def assert_the_table_gives_the_old_multiplicities(R, cfg=DEFAULT):
-    """The residue's and the split's multiplicities are the old rules'; returns the number of split points."""
+    """rm_poles, ``Analysis.pole_split``, the boundary points and strict stability are the references', and
+    the residue's and the split's multiplicities the old rules'; returns the number of split points."""
     entry_poles, poles = reference_pole_clusters(R, cfg)
+    assert same_poles(rm_poles(R, cfg), poles)
+    a = analysis.Analysis(R, cfg)
+    unstable, upper, at, stable = reference_pole_split(R.domain, poles, cfg)
+    got = a.pole_split()
+    assert same_poles(got[0], unstable) and same_poles(got[1], upper) and got[2] == at
+    assert a.strictly_stable() == stable
+    points = split_points(R, cfg)
+    want = reference_boundary_points(R.domain, upper, at, cfg)
+    assert bitwise([b for b, _ in points], [b for b, _ in want]) and [n for _, n in points] == [n for _, n in want]
     want = [[reference_entry_multiplicity(cl, p, cfg) for row in entry_poles for cl in row] for p, _ in poles]
     assert np.array_equal(table_multiplicities(R, cfg), np.array(want, dtype=int).reshape(len(poles), R.size * R.size))
-    points = split_points(R, cfg)
     for (b, at), old in zip(points, reference_split_multiplicities(entry_poles, [b for b, _ in points], cfg)):
         assert _entry_multiplicities(R, at, cfg) == old
     return len(points)
@@ -464,3 +567,32 @@ def test_a_residue_deflates_only_the_denominators_the_table_lists(monkeypatch):
     seen.clear()
     datum = rm_residues_at(R, 10.0)
     assert len(seen) == 2 and bitwise(datum.residue_A1, np.diag([1.0, 1.0, 0.0]).astype(complex))
+
+
+# ---------------------------------------------------------------------------
+# a query reads the pole it is ``close`` to, the nearer of two
+
+
+def diagonal(*poles):
+    r = RationalScalar
+    m = len(poles)
+    return RationalMatrix([[r([1.0], [-poles[i], 1.0]) if i == j else r.zero() for j in range(m)] for i in range(m)],
+                          "ct")
+
+
+def test_a_query_at_a_pole_reads_that_pole_and_not_a_neighbour():
+    # c lies within root_cluster (1 + 10) of 10 but 10 not within root_cluster (1 + |c|) of c: a lookup that
+    # re-snapped the query to each pole it matched went on from 10 to c and read diag(0, 1) there
+    c = 10.0 - 1.1e-6 + 5e-14
+    datum = rm_residues_at(diagonal(10.0, c), 10.0)
+    assert datum.location == 10.0 and datum.residue_A1[0, 0] == 1.0
+
+
+def test_a_query_that_two_poles_admit_reads_the_nearer():
+    z = 10.0 + 1.5e-6
+    R = diagonal(10.0, z)
+    assert rm_poles(R) == [(10.0, 1), (z, 1)]
+    for q, k in ((10.0 + 0.7e-6, 0), (10.0 + 0.8e-6, 1)):
+        assert close(q, 10.0, DEFAULT.root_cluster) and close(q, z, DEFAULT.root_cluster)
+        datum = rm_residues_at(R, q)
+        assert datum.location == (10.0, z)[k] and datum.residue_A1[k, k] == 1.0

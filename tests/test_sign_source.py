@@ -301,9 +301,9 @@ def test_the_crossing_pencil_reads_the_shares_table_itself(monkeypatch, domain, 
     received = []
     orig = boundary.boundary_det_zeros
 
-    def recording(ss, dom, frm, cfg, pieces):
+    def recording(ss, frm, cfg, pieces):
         received.append(pieces)
-        return orig(ss, dom, frm, cfg, pieces)
+        return orig(ss, frm, cfg, pieces)
 
     monkeypatch.setattr(boundary, "boundary_det_zeros", recording)
     a.det_zeros(form)
