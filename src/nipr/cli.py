@@ -59,8 +59,9 @@ def _load_rational(path):
     return _rational(parse_document(load_document(path)))
 
 
-def _emit(payload):
-    sys.stdout.write(json.dumps(jsonable(payload), indent=2) + "\n")
+def _emit(payload, out=None):
+    """Write payload as indented JSON to out (standard output by default); json hands ``jsonable`` what it cannot write itself."""
+    (out or sys.stdout).write(json.dumps(payload, indent=2, default=jsonable) + "\n")
 
 
 def _report_dict(rep):
@@ -100,7 +101,7 @@ def cmd_classify(args):
     out = open(args.out, "w") if args.out else sys.stdout
     try:
         if args.json:
-            out.write(json.dumps(jsonable([_report_dict(r) for r in reports]), indent=2) + "\n")
+            _emit([_report_dict(r) for r in reports], out)
         else:
             for r in reports:
                 _print_report(r, out)

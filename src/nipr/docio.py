@@ -119,7 +119,7 @@ def _cell(cell, i, j):
 
 def save_document(doc: dict, path):
     with open(path, "w") as fh:
-        json.dump(jsonable(doc), fh, indent=2)
+        json.dump(doc, fh, indent=2, default=jsonable)
         fh.write("\n")
 
 

@@ -20,12 +20,14 @@ barrier path of max t  s.t.  slack - floors >= t I  (Vandenberghe & Boyd,
   Newton budget ran out.
 
 Every answer is checked independently of the search, so solver quality affects
-completeness only, never soundness.
+completeness only, never soundness.  Minimality, a lemma precondition, is read
+from a ``minimal_realization`` at the Config's rank_rel and tested otherwise.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import cache
 
 import numpy as np
 
@@ -49,12 +51,14 @@ class FeasibilityCertificate:
     extras: dict = field(default_factory=dict)
 
 
+@cache
 def _sym_basis(n):
-    """An orthonormal basis of the symmetric n x n matrices, stacked (n(n+1)/2, n, n)."""
+    """An orthonormal basis of the symmetric n x n matrices, stacked (n(n+1)/2, n, n), built once per n and read-only."""
     i, j = np.nonzero(np.arange(n)[:, None] <= np.arange(n))  # the upper triangle, row by row
     k = np.arange(len(i))
     basis = np.zeros((len(i), n, n))
     basis[k, i, j] = basis[k, j, i] = np.where(i == j, 1.0, 1.0 / np.sqrt(2.0))
+    basis.flags.writeable = False
     return basis
 
 
@@ -101,11 +105,12 @@ def _search_affine_cones(X0, Ns, cone_maps, verify):
         blk = slice(end - s, end)
         F[blk, blk] = v - fl * np.eye(s)
         D[:k, blk, blk] = f(X0 + Ns) - v  # theta moves block j along f_j(N_k)
-    D[k] = -np.eye(size)  # t moves every block along -I
+    eye = np.eye(size)
+    D[k] = -eye  # t moves every block along -I
     owner = np.repeat(np.arange(len(sizes)), sizes)
     cols = np.flatnonzero(owner[:, None] == owner)  # the entries of the blocks, block by block
     Dflat = D.reshape(k + 1, -1)
-    vec_eye = np.eye(size).ravel()[cols]
+    vec_eye, J, f_cols = eye.ravel()[cols], Dflat[:k, cols].T, F.ravel()[cols]  # J, f_cols: for _farkas_infeasible
 
     def factor(x):
         """The Cholesky factor of S at x, or None if S is not PD."""
@@ -124,7 +129,7 @@ def _search_affine_cones(X0, Ns, cone_maps, verify):
     Li = np.linalg.inv(L)
     # the weight that centers the start in t, so the gap bound starts near spread
     w = float(np.sum(Li ** 2))
-    X, steps = X0, 0
+    X, steps, f0 = X0, 0, None  # f0: the barrier at x for the current w, once known
     ok = margin >= 0.0 and verify(X)
     while not ok and steps < _MAX_NEWTON:
         W = (Li @ D @ Li.T).reshape(k + 1, -1)  # L^-1 D L^-T
@@ -139,26 +144,28 @@ def _search_affine_cones(X0, Ns, cone_maps, verify):
         dx = U @ (y / sv ** 2)
         dec = np.sum((y / sv) ** 2)  # squared Newton decrement
         if dec < 1.0 and x[-1] < 0.0:
-            Z = Li.T @ (np.eye(size) - (dx @ W).reshape(size, size)) @ Li / w
-            if _farkas_infeasible(Z.ravel()[cols], Dflat[:k, cols].T, F.ravel()[cols], sizes):
+            Z = Li.T @ (eye - (dx @ W).reshape(size, size)) @ Li / w
+            if _farkas_infeasible(Z.ravel()[cols], J, f_cols, sizes):
                 return None, steps, size / w, True
         if dec < 1e-8:
             if size / w <= 1e-12 * spread:
                 break
-            w *= 10.0
+            w, f0 = w * 10.0, None
             continue
-        f0, alpha = barrier(x, L), 1.0
+        f0, alpha = barrier(x, L) if f0 is None else f0, 1.0
         while True:
-            Lc = factor(x + alpha * dx)
-            if Lc is not None and barrier(x + alpha * dx, Lc) <= f0 - 0.25 * alpha * dec:
+            xc = x + alpha * dx
+            Lc = factor(xc)
+            if Lc is not None and (fc := barrier(xc, Lc)) <= f0 - 0.25 * alpha * dec:
                 break
             alpha *= 0.5
             if alpha < 1e-12:
                 return None, steps, size / w, False
-        x, L = x + alpha * dx, Lc
+        x, L, f0, steps = xc, Lc, fc, steps + 1
         Li = np.linalg.inv(L)
-        X, steps = X0 + (x[:-1] @ Ns.reshape(k, -1)).reshape(X0.shape), steps + 1
-        ok = x[-1] >= 0.0 and verify(X)
+        if x[-1] >= 0.0:  # X is formed only for verify, which sees no iterate with t < 0
+            X = X0 + (x[:-1] @ Ns.reshape(k, -1)).reshape(X0.shape)
+            ok = verify(X)
     return (X if ok else None), steps, size / w, False
 
 
@@ -180,18 +187,14 @@ def _farkas_infeasible(z, J, f, sizes):
 
 def _certify(X, lyap_fn, eq_residual_fn, iterations, infeasible, extras=None):
     """Re-verify X; ``infeasible`` says the search proved that no X exists."""
-    scale = 1.0 + (np.linalg.norm(X, 2) if X is not None and X.size else 0.0)
-    lam_x = float(np.linalg.eigvalsh(X)[0]) if X is not None and X.size else np.inf
+    ev = np.linalg.eigvalsh(X) if X is not None and X.size else None
+    scale = 1.0 + (max(-ev[0], ev[-1]) if ev is not None else 0.0)  # ||X||_2, as X is symmetric
+    lam_x = float(ev[0]) if ev is not None else np.inf
     L = lyap_fn(X) if X is not None else None
     lam_l = float(np.linalg.eigvalsh(L)[0]) if L is not None and L.size else np.inf
     res = eq_residual_fn(X) if X is not None else np.inf
     ok = lam_x > 0.0 and lam_l >= -1e-8 * scale and res <= 1e-7 * scale
-    if ok:
-        status = FEASIBLE
-    elif infeasible:
-        status = INFEASIBLE
-    else:
-        status = INCONCLUSIVE
+    status = FEASIBLE if ok else INFEASIBLE if infeasible else INCONCLUSIVE
     return FeasibilityCertificate(
         X=X, residual_affine=float(res), lambda_min_X=lam_x, lambda_min_lyap=lam_l,
         iterations=iterations, status=status, extras=extras or {},
@@ -258,16 +261,13 @@ def dpr_lemma_check(ss: StateSpace, cfg: Config = DEFAULT) -> FeasibilityCertifi
 
 
 def _check_the2_preconditions(ss: StateSpace, cfg: Config):
-    A, D = ss.A, ss.D
-    n = ss.order
-    if np.linalg.norm(D - D.T, 2) > 1e-9 * (1.0 + np.linalg.norm(D, 2)):
+    D = ss.D
+    sv = np.linalg.svd(np.stack([D - D.T, D]), compute_uv=False)  # ||D - D'||_2 and ||D||_2
+    if sv[0, 0] > 1e-9 * (1.0 + sv[1, 0]):
         raise AsymmetricD("the NI lemma requires D = D^T")
-    if n == 0:
-        return
     if not is_minimal(ss, cfg):
         raise NonMinimalRealization("the NI lemma requires a minimal realization")
-    require_no_eigenvalue_at(A, -1.0)
-    require_no_eigenvalue_at(A, 1.0)
+    require_no_eigenvalue_at(ss.A, -1.0, 1.0)
 
 
 def _affine_solution_set(S, R):

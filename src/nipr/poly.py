@@ -291,7 +291,7 @@ class RationalScalar:
     Reduction clusters roots at ``DEFAULT.root_cluster``, whatever Config an analysis is given.
     """
 
-    __slots__ = ("num", "den", "_den_roots")
+    __slots__ = ("num", "den", "_den_roots", "_num_degree")
 
     def __init__(self, num, den=(1.0,), reduce=True, den_roots=None, num_roots=None):
         num = trim(np.asarray(num, dtype=float))
@@ -317,11 +317,15 @@ class RationalScalar:
     # queries --------------------------------------------------------------
     @property
     def num_degree(self) -> int:
-        return degree(self.num)
+        try:
+            return self._num_degree
+        except AttributeError:  # the first read: num and den do not change after construction
+            self._num_degree = degree(self.num)
+            return self._num_degree
 
     @property
     def den_degree(self) -> int:
-        return degree(self.den)
+        return self.den.size - 1  # degree(den), as den is monic
 
     def is_proper(self) -> bool:
         return self.num_degree <= self.den_degree

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -21,6 +21,7 @@ class StateSpace:
     C: np.ndarray
     D: np.ndarray
     domain: str
+    minimal_at: float | None = field(default=None, init=False, repr=False, compare=False)  # see is_minimal
 
     def __post_init__(self):
         self.A = np.atleast_2d(np.asarray(self.A, dtype=float))
@@ -116,9 +117,10 @@ def observable_reduction(A, B, C, rel):
 
 
 def is_minimal(ss: StateSpace, cfg: Config = DEFAULT) -> bool:
-    """True iff the realization is both reachable and observable."""
+    """True iff the realization is both reachable and observable: read from a ``minimal_realization``
+    built at cfg.rank_rel, which is minimal as built, and otherwise tested by the Krylov ranks."""
     n = ss.order
-    if n == 0:
+    if n == 0 or ss.minimal_at == cfg.rank_rel:
         return True
     reach = _reachable_basis(ss.A, ss.B, cfg.rank_rel).shape[1]
     obsv = _reachable_basis(ss.A.T, ss.C.T, cfg.rank_rel).shape[1]
@@ -232,36 +234,41 @@ def minimal_realization(R: RationalMatrix, cfg: Config = DEFAULT) -> StateSpace:
     """Minimal state-space realization of a proper rational matrix, from R's own pole data.
 
     The poles are R's clusters (``rm_poles``).  When all are simple, Gilbert's
-    blocks from R's residues, which are minimal as built; otherwise a block
-    controllable canonical form of R - D over the common denominator,
-    followed by staircase reduction.
+    blocks from R's residues; otherwise a block controllable canonical form of
+    R - D over the common denominator, followed by staircase reduction.  Both
+    are minimal as built, and the result records the rank_rel its ranks were
+    decided at, for ``is_minimal`` to read.
     """
     if not R.is_proper():
         raise ImproperInput("minimal_realization requires a proper rational matrix")
     D = R.value_at_inf()
     pole_list = rm_poles(R, cfg)
     if all(mult == 1 for _, mult in pole_list):
-        return StateSpace(*_gilbert_blocks(R, pole_list, cfg), D, R.domain)
-    A, B, C = reachable_reduction(*_block_companion(R, pole_list, D, cfg), cfg.rank_rel)
-    return StateSpace(*observable_reduction(A, B, C, cfg.rank_rel), D, R.domain)
+        ss = StateSpace(*_gilbert_blocks(R, pole_list, cfg), D, R.domain)
+    else:
+        A, B, C = reachable_reduction(*_block_companion(R, pole_list, D, cfg), cfg.rank_rel)
+        ss = StateSpace(*observable_reduction(A, B, C, cfg.rank_rel), D, R.domain)
+    ss.minimal_at = cfg.rank_rel
+    return ss
 
 
 # ---------------------------------------------------------------------------
 # bilinear state-space maps
 
 
-def require_no_eigenvalue_at(A, z0):
-    """Raise when A has an eigenvalue at z0 = 1 or -1: A is within 1e-12 max(1, ||A - z0 I||) of a matrix that has.
+def require_no_eigenvalue_at(A, *points):
+    """Raise when A has an eigenvalue at a point z0 = 1 or -1, tested in the order given: A is within 1e-12 max(1, ||A - z0 I||) of a matrix that has.
 
-    That distance is the smallest singular value of A - z0 I.  Eigenvalues
-    near z0 but off it do not count, however many there are (they make the
-    determinant tiny); a Jordan block near z0 does, as its distance is the
-    square of its offset.
+    That distance is the smallest singular value of A - z0 I, taken for every
+    point by one stacked SVD.  Eigenvalues near z0 but off it do not count,
+    however many there are (they make the determinant tiny); a Jordan block
+    near z0 does, as its distance is the square of its offset.
     """
-    sv = np.linalg.svd(A - z0 * np.eye(A.shape[0]), compute_uv=False)
-    if sv.size and sv[-1] <= 1e-12 * max(1.0, sv[0]):
-        exc = EigenvalueAtPlusOne if z0 == 1.0 else EigenvalueAtMinusOne
-        raise exc(f"state matrix has an eigenvalue at {z0:+g}")
+    svs = np.linalg.svd(A - np.multiply.outer(points, np.eye(A.shape[0])), compute_uv=False)
+    for z0, sv in zip(points, svs):
+        if sv.size and sv[-1] <= 1e-12 * max(1.0, sv[0]):
+            exc = EigenvalueAtPlusOne if z0 == 1.0 else EigenvalueAtMinusOne
+            raise exc(f"state matrix has an eigenvalue at {z0:+g}")
 
 
 def cayley_ss(ss: StateSpace) -> StateSpace:

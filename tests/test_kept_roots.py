@@ -237,6 +237,18 @@ def test_corpus_inputs_equal_the_reducing_construction(monkeypatch, gen, kwargs)
 
 
 @pytest.mark.parametrize("gen", GENERATORS)
+def test_a_scalar_finds_its_degrees_once(monkeypatch, gen):
+    scalars = entries(parsed(reference(gen, 3))) + entries(reference(gen, 3))
+    scalars += [e - 1.0 for e in scalars] + [RationalScalar.zero(), RationalScalar([0.0, 0.0, 2.0], [1.0, 3.0])]
+    found = [(poly.degree(e.num), poly.degree(e.den)) for e in scalars]
+    seen = record_calls(monkeypatch, "degree")
+    for _ in range(3):
+        assert [(e.num_degree, e.den_degree) for e in scalars] == found
+    # at most one degree() per scalar, of its num: den is monic, so its degree is its length - 1
+    assert len({id(c) for c in seen}) == len(seen) and {id(c) for c in seen} <= {id(e.num) for e in scalars}
+
+
+@pytest.mark.parametrize("gen", GENERATORS)
 def test_realizing_a_parsed_document_finds_no_roots(monkeypatch, gen):
     G = parsed(reference(gen, 2))
     # D != 0 on all but the strictly proper ct_ni, so a strictly proper copy would be clustered again

@@ -596,3 +596,14 @@ def test_a_query_that_two_poles_admit_reads_the_nearer():
         assert close(q, 10.0, DEFAULT.root_cluster) and close(q, z, DEFAULT.root_cluster)
         datum = rm_residues_at(R, q)
         assert datum.location == (10.0, z)[k] and datum.residue_A1[k, k] == 1.0
+
+
+@pytest.mark.xfail(strict=True, reason="_merge_poles joins each cluster to the first pole it is close to, and close "
+                                       "is anchored at one of its two points, so the matrix poles depend on the "
+                                       "order of the entries (ROADMAP item 1, the point-identity rule)")
+def test_the_matrix_poles_do_not_depend_on_the_order_of_the_entries():
+    # c lies within root_cluster (1 + 10) of 10 but 10 not within root_cluster (1 + |c|) of c
+    c = 10.0 - 1.1e-6 + 5e-14
+    forward, backward = rm_poles(diagonal(10.0, c)), rm_poles(diagonal(c, 10.0))
+    assert len(forward) == len(backward)
+    assert [p for p, _ in forward] == pytest.approx([p for p, _ in backward], abs=DEFAULT.root_cluster * 11.0)
