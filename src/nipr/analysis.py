@@ -44,7 +44,9 @@ their parameters.  The sign comes from the crossings: the rest is realized
 once, the same table joins that realization (moved to continuous time in
 discrete time), and ``boundary.boundary_det_zeros`` finds where the form is
 singular on the boundary, and whether it is singular everywhere
-(``Analysis.singular``).
+(``Analysis.singular``).  The limits at infinity and at the endpoints read
+expansions of all entries at once (``series``), and the norm tests take their
+2-norms from one SVD per stack of matrices of one dtype (``boundary.norm2``).
 The crossings and the boundary poles cut the upper half of the boundary
 into intervals, and ``boundary.crossing_scan`` reads the form at one sample
 in each (``Analysis.sign_scan``).
@@ -60,7 +62,7 @@ from typing import Callable
 import numpy as np
 
 from . import boundary
-from .boundary import herm, is_nsd, is_pd, is_psd
+from .boundary import herm, is_nsd, is_pd, is_psd, norm2
 from .config import DEFAULT, Config
 from .errors import ImproperInput
 from .poly import close, nearest
@@ -196,8 +198,10 @@ CLASSES = ("cpr", "csspr", "cwspr", "cni", "cssni", "cwsni", "dpr", "dsspr", "dn
 
 
 def hermitian_enough(M, rel=1e-7):
+    """||M - M^H||_2 <= rel (1 + ||M||_2), both norms from one stacked SVD (``boundary.norm2``)."""
     M = np.asarray(M)
-    return np.linalg.norm(M - M.conj().T, 2) <= rel * (1.0 + np.linalg.norm(M, 2))
+    skew, size = norm2(np.stack([M - M.conj().T, M]))
+    return skew <= rel * (1.0 + size)
 
 
 class Analysis:
@@ -334,7 +338,7 @@ class Analysis:
         def compute():
             g = matrix_taylor(self.G, z0, 2)
             Q = -np.real(herm(g[1] + g[1].T))
-            return Q, np.linalg.norm(g[0] - g[0].T, 2) <= 1e-7 * (1.0 + np.linalg.norm(Q, 2))
+            return Q, norm2(g[0] - g[0].T) <= 1e-7 * (1.0 + norm2(Q))  # complex and real: two SVDs
         return self._once(("slope", z0), compute)
 
     def strictly_stable(self):
@@ -457,9 +461,11 @@ class Analysis:
         if order is None:
             return [], {}
         sign = 1.0 if form == "pr" else -1.0
-        laurent = [c + sign * (-1.0) ** k * c.T for k, c in enumerate(self.laurent())]
-        coeffs = [np.real(herm(PREMUL[form] * (1j) ** -k * c.astype(complex))) for k, c in enumerate(laurent)]
-        scale = 1.0 + max(np.linalg.norm(c, 2) for c in coeffs)
+        c = self.laurent()  # (8, m, m): the eight coefficient transforms are one stack, with one SVD for their norms
+        k = np.arange(len(c)).reshape(-1, 1, 1)
+        unit = np.array([PREMUL[form] * (1j) ** -j for j in range(len(c))]).reshape(-1, 1, 1)
+        coeffs = np.real(herm(unit * (c + sign * (-1.0) ** k * c.swapaxes(1, 2)).astype(complex)))
+        scale = 1.0 + norm2(coeffs).max()
         ok, margin, worst_order = decay_condition(coeffs, order, 1e-11 * scale)
         wit = {"sigma0_margin": margin, "worst_order": worst_order}
         if order == 2 and not ok and worst_order > 2:

@@ -22,7 +22,10 @@ them.  The dense grid (``grid_psd_scan``, ``ct_grid``, ``dt_grid_half``,
 Both evaluate through one batched kernel: ``rm_eval_many`` evaluates every
 point at once and ``psd_margin`` takes the margins of the (npts, m, m) stack
 with one ``eigvalsh``, with max |lambda| as ||H||_2 (no SVD); ``is_psd``,
-``is_nsd`` and ``is_pd`` are its one-matrix case.
+``is_nsd`` and ``is_pd`` are its one-matrix case.  A decision that needs
+several 2-norms takes them from one SVD of their stack (``norm2``), and a
+discrete-time realization's Cayley image is made once, for both forms, and
+kept on the realization (``realization.cayley_image``).
 """
 
 from __future__ import annotations
@@ -35,7 +38,7 @@ import numpy.polynomial.polynomial as npp
 from .config import DEFAULT, Config
 from .errors import RootFindingFailure
 from .ratmat import CT, RationalMatrix, rm_eval_many, rm_mobius
-from .realization import StateSpace, block_diag, cayley_ss
+from .realization import block_diag, cayley_image
 
 # a zero s of the boundary form's realization is a crossing when |Re s| <= CROSSING_BAND (1 + |s|);
 # an "ni" crossing also needs Im s above that bound
@@ -283,8 +286,10 @@ def _turned(pieces):
     return out
 
 
-def _smallest_sv(M):
-    return np.linalg.svd(M, compute_uv=False)[-1]
+def norm2(M):
+    """||M||_2 of a matrix, or of each matrix of a stack, from one SVD: bitwise ``np.linalg.norm(M, 2)``,
+    as numpy runs the same LAPACK call on each matrix of a stack."""
+    return np.linalg.svd(M, compute_uv=False).max(axis=-1)
 
 
 def boundary_det_zeros(ss, form, cfg: Config = DEFAULT, pieces=()):
@@ -295,10 +300,10 @@ def boundary_det_zeros(ss, form, cfg: Config = DEFAULT, pieces=()):
     its domain, the part of G whose form is read from coefficients, and
     ``pieces`` the rest of the form, as (w0, k, M) terms that add up to the
     map of ``_form_system``.  A discrete-time ss is moved to continuous time
-    by ``cayley_ss``: z = e^{it} is s = i tan(t/2) and z = -1 is s = inf,
-    where the values of G near z = -1 end up in the realization's D.  When A
-    has its spectrum nearer -1 than 1 (by the smallest singular value of
-    A +- I), G(-z) is mapped instead, and the boundary turns by pi.  The
+    by ``realization.cayley_image``, once per realization for both forms:
+    z = e^{it} is s = i tan(t/2) and z = -1 is s = inf, where the values of
+    G near z = -1 end up in the realization's D.  When A has its spectrum
+    nearer -1 than 1, G(-z) is mapped instead, and the boundary turns by pi.  The
     points are the zeros of det R on the boundary: finite zeros s of the
     form's realization with |Re s| <= CROSSING_BAND (1 + |s|), for "ni"
     (whose form vanishes at z = 1 and -1 by symmetry) with Im s above that
@@ -310,18 +315,16 @@ def boundary_det_zeros(ss, form, cfg: Config = DEFAULT, pieces=()):
     eigenvalue crosses -psd_rel, and a singular shifted pencil raises
     RootFindingFailure.  Points are in the domain variable.
     """
-    ct, ct_pieces, turn = ss, {}, 1.0
+    ct_pieces = {}
     for w0, k, M in pieces:
         ct_pieces[w0, k] = ct_pieces.get((w0, k), 0.0) + M
-    if ss.domain != CT:
-        I = np.eye(ss.order)
-        if ss.order and _smallest_sv(ss.A + I) < _smallest_sv(ss.A - I):
-            ct, ct_pieces, turn = StateSpace(-ss.A, ss.B, -ss.C, ss.D, ss.domain), _turned(ct_pieces), -1.0
-        ct = cayley_ss(ct)
-    scale = max([np.linalg.norm(ct.D, 2)] + [np.linalg.norm(M, 2) for _, _, M in pieces])
+    turn, ct = (1.0, ss) if ss.domain == CT else cayley_image(ss)
+    if turn < 0.0:
+        ct_pieces = _turned(ct_pieces)
+    scale = max([norm2(ct.D), *(norm2(np.array([M for _, _, M in pieces])) if pieces else ())])
     for singular, shift in ((False, 0.0), (True, cfg.psd_rel)):
         A, B, C, D, at_inf = _form_system(ct, form, ct_pieces, shift)
-        rank_tol = cfg.rank_rel * max(np.linalg.norm(np.block([[A, B], [C, D]]), 2), scale)
+        rank_tol = cfg.rank_rel * max(norm2(np.block([[A, B], [C, D]])), scale)
         if shift:  # the shift must lift the form's null space, however small it is next to the rank tolerance
             rank_tol = min(rank_tol, shift / 2.0)
         try:
@@ -335,7 +338,7 @@ def boundary_det_zeros(ss, form, cfg: Config = DEFAULT, pieces=()):
     if ss.domain == CT:
         return [1j * s.imag for s in points], singular
     points = [turn * (1.0 + 1j * s.imag) / (1.0 - 1j * s.imag) for s in points]
-    if form == "pr" and at_inf is not None and _smallest_sv(at_inf) <= rank_tol:
+    if form == "pr" and at_inf is not None and np.linalg.svd(at_inf, compute_uv=False)[-1] <= rank_tol:
         points.append(-turn + 0j)
     return points, singular
 

@@ -1,4 +1,7 @@
-"""Command-line frontend for classification, sweeps, transforms, and lemmas."""
+"""Command-line frontend for classification, sweeps, transforms, and lemmas.
+
+Every JSON it writes goes through ``docio.json_text``, bytewise ``json.dumps(..., indent=2, default=jsonable)``.
+"""
 
 from __future__ import annotations
 
@@ -14,7 +17,7 @@ from . import analysis_ct, analysis_dt
 from .analysis import CLASSES, DOMAINS, PREMUL, analysis_of
 from .boundary import form_values, herm
 from .config import DEFAULT
-from .docio import document_of, jsonable, load_document, parse_document, save_document
+from .docio import document_of, json_text, jsonable, load_document, parse_document, save_document
 from .errors import NiprError
 from .interconnect import PartitionedSystem, internal_stability, ni_stability_test, redheffer_star
 from .nilemma import FEASIBLE, dni_lemma_check, dpr_lemma_check, dual_dni_lemma_check
@@ -60,8 +63,8 @@ def _load_rational(path):
 
 
 def _emit(payload, out=None):
-    """Write payload as indented JSON to out (standard output by default); json hands ``jsonable`` what it cannot write itself."""
-    (out or sys.stdout).write(json.dumps(payload, indent=2, default=jsonable) + "\n")
+    """Write payload as indented JSON to out (standard output by default), by ``docio.json_text``."""
+    (out or sys.stdout).write(json_text(payload) + "\n")
 
 
 def _report_dict(rep):

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import math
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -19,7 +20,7 @@ def jsonable(x):
     if isinstance(x, (list, tuple)):
         return [jsonable(v) for v in x]
     if isinstance(x, np.ndarray):
-        return jsonable(x.tolist())
+        return x.tolist() if x.dtype.kind in "biuf" else jsonable(x.tolist())
     if isinstance(x, (np.bool_, bool)):
         return bool(x)
     if isinstance(x, (np.floating, float)):
@@ -117,10 +118,38 @@ def _cell(cell, i, j):
         raise ValueError(f"entry ({i}, {j}): {exc}") from exc
 
 
+def _json_key(k):
+    """The text of a dict key that is not a str, as json converts it."""
+    if k is None or isinstance(k, (int, float)):
+        return json_text(k)
+    raise TypeError(f"keys must be str, int, float, bool or None, not {type(k).__name__}")
+
+
+def json_text(x, pad="\n"):
+    """``json.dumps(x, indent=2, default=jsonable)``, nested at pad (a newline and x's indent), without json's
+    indenting encoder, which is pure Python: scalars and their subclasses, and dict keys, as json writes
+    them, and what json cannot write as ``jsonable`` converts it."""
+    if isinstance(x, float):
+        return float.__repr__(x) if math.isfinite(x) else "NaN" if x != x else "Infinity" if x > 0 else "-Infinity"
+    if isinstance(x, str):
+        return encode_basestring_ascii(x)
+    if x is None or isinstance(x, int):
+        return "null" if x is None else "true" if x is True else "false" if x is False else int.__repr__(x)
+    inner = pad + "  "
+    if isinstance(x, dict):
+        items = [inner + encode_basestring_ascii(k if isinstance(k, str) else _json_key(k)) + ": " + json_text(v, inner)
+                 for k, v in x.items()]
+        return "{" + ",".join(items) + pad + "}" if x else "{}"
+    if isinstance(x, (list, tuple)):
+        return "[" + ",".join([inner + json_text(v, inner) for v in x]) + pad + "]" if x else "[]"
+    if (y := jsonable(x)) is x:
+        raise ValueError(f"cannot write a {type(x).__name__} as JSON")
+    return json_text(y, pad)
+
+
 def save_document(doc: dict, path):
     with open(path, "w") as fh:
-        json.dump(doc, fh, indent=2, default=jsonable)
-        fh.write("\n")
+        fh.write(json_text(doc) + "\n")
 
 
 def load_document(path) -> dict:

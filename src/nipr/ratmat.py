@@ -456,12 +456,15 @@ def rm_cayley(R: RationalMatrix) -> RationalMatrix:
 
 
 def rm_is_symmetric(R: RationalMatrix, rel=DEFAULT.coeff_rel) -> bool:
-    m = R.size
-    scale = max(1.0, R.coeff_scale())
+    """Each entry ``equals`` its transpose twin at rel times the matrix's coefficient scale, which is found
+    only for a pair that is not one shared scalar (as ``parse_document`` shares a symmetric document's)."""
+    m, scale = R.size, None
     for i in range(m):
         for j in range(i + 1, m):
-            if not R.entries[i][j].equals(R.entries[j][i], rel=rel * scale):
-                return False
+            if R.entries[i][j] is not R.entries[j][i]:
+                scale = scale or max(1.0, R.coeff_scale())
+                if not R.entries[i][j].equals(R.entries[j][i], rel=rel * scale):
+                    return False
     return True
 
 

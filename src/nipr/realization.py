@@ -22,6 +22,7 @@ class StateSpace:
     D: np.ndarray
     domain: str
     minimal_at: float | None = field(default=None, init=False, repr=False, compare=False)  # see is_minimal
+    cayley: tuple | None = field(default=None, init=False, repr=False, compare=False)  # see cayley_image
 
     def __post_init__(self):
         self.A = np.atleast_2d(np.asarray(self.A, dtype=float))
@@ -264,7 +265,11 @@ def require_no_eigenvalue_at(A, *points):
     however many there are (they make the determinant tiny); a Jordan block
     near z0 does, as its distance is the square of its offset.
     """
-    svs = np.linalg.svd(A - np.multiply.outer(points, np.eye(A.shape[0])), compute_uv=False)
+    _no_eigenvalue_at(points, np.linalg.svd(A - np.multiply.outer(points, np.eye(A.shape[0])), compute_uv=False))
+
+
+def _no_eigenvalue_at(points, svs):
+    """``require_no_eigenvalue_at`` from the singular values svs of A - z0 I, one row per point z0."""
     for z0, sv in zip(points, svs):
         if sv.size and sv[-1] <= 1e-12 * max(1.0, sv[0]):
             exc = EigenvalueAtPlusOne if z0 == 1.0 else EigenvalueAtMinusOne
@@ -277,19 +282,38 @@ def cayley_ss(ss: StateSpace) -> StateSpace:
     DT -> CT realizes G((1+s)/(1-s)); CT -> DT realizes G((z-1)/(z+1)).  The
     sqrt(2) input/output scaling makes the two maps exact inverses.
     """
+    if ss.order:
+        require_no_eigenvalue_at(ss.A, -1.0 if ss.domain == DT else 1.0)
+    return _swap(ss)
+
+
+def cayley_image(ss: StateSpace):
+    """(turn, image): ``cayley_ss`` of the discrete-time ss (turn 1), or of ss turned by z -> -z, (-A, B, -C, D),
+    when A's spectrum is nearer -1 than 1 (turn -1).  One stacked SVD of A + I and A - I decides that and the
+    image's eigenvalue test, as -A + I = -(A - I).  Kept in ``ss.cayley``, so ss must not change after."""
+    if ss.cayley is None:
+        I, k = np.eye(ss.order), 0
+        if ss.order:
+            sv = np.linalg.svd(np.stack([ss.A + I, ss.A - I]), compute_uv=False)
+            k = int(sv[0, -1] < sv[1, -1])
+            _no_eigenvalue_at((-1.0,), sv[k:])
+        ss.cayley = 1.0 - 2.0 * k, _swap(StateSpace(-ss.A, ss.B, -ss.C, ss.D, ss.domain) if k else ss)
+    return ss.cayley
+
+
+def _swap(ss: StateSpace) -> StateSpace:
+    """``cayley_ss`` of ss, whose A has no eigenvalue at -1 (DT) or 1 (CT)."""
     n = ss.order
     if n == 0:
         return StateSpace(ss.A, ss.B, ss.C, ss.D, CT if ss.domain == DT else DT)
     I = np.eye(n)
     if ss.domain == DT:
-        require_no_eigenvalue_at(ss.A, -1.0)
         Minv = np.linalg.inv(ss.A + I)
         Ac = Minv @ (ss.A - I)
         Bc = np.sqrt(2.0) * (Minv @ ss.B)
         Cc = np.sqrt(2.0) * (ss.C @ Minv)
         Dc = ss.D - ss.C @ Minv @ ss.B
         return StateSpace(Ac, Bc, Cc, Dc, CT)
-    require_no_eigenvalue_at(ss.A, 1.0)
     Minv = np.linalg.inv(I - ss.A)
     Ad = (I + ss.A) @ Minv
     Bd = np.sqrt(2.0) * (Minv @ ss.B)

@@ -6,7 +6,8 @@ c != 0 (or is identically zero through the available terms).  The branch
 orders and leading coefficients are extracted by recursive Schur-complement
 reduction onto the kernel of the leading coefficient.  This decides limit
 conditions of the form ``liminf x**-k * lambda_min(H(x)) > 0`` without any
-sampling.
+sampling.  ``matrix_taylor`` expands all entries of a matrix at once, bitwise
+as each entry's own ``RationalScalar.taylor``.
 """
 
 from __future__ import annotations
@@ -18,27 +19,39 @@ from .ratmat import RationalMatrix
 
 
 def matrix_taylor(R: RationalMatrix, p, nterms):
-    """Taylor coefficients of R at the point p, as a list of complex arrays."""
-    m = R.size
-    out = [np.zeros((m, m), dtype=complex) for _ in range(nterms)]
-    for i in range(m):
-        for j in range(m):
-            c = R.entries[i][j].taylor(p, nterms)
-            for k in range(nterms):
-                out[k][i, j] = c[k]
+    """Taylor coefficients of R at the point p, as a list of complex arrays, each entry bitwise its
+    ``RationalScalar.taylor``, for all entries at once from ``R._coefficient_stacks``: one Horner pass
+    over the stacks per synthetic division of ``poly.shift_poly``, then the series division of
+    ``poly._series_div``, in real arithmetic, as in ``ratmat._values_at``.  The zero padding above an
+    entry's leading coefficient stays +0 and adds nothing to it, as it is not zero unless the entry is a
+    constant, whose remainder is taken as it is."""
+    num, den = R._coefficient_stacks
+    W = np.zeros((max(len(num), len(den), nterms), 2, 2) + num.shape[1:])  # axes: (re, im), (num, den), entry
+    W[:len(num), 0, 0], W[:len(den), 0, 1] = num, den
+    top = np.array([[e.num.size, e.den.size] for row in R.entries for e in row]).T.reshape(W.shape[2:]) - 1
+    dsize, p, shifted = top[1] + 1, complex(p), []
+    flip = np.array([-p.imag, p.imag]).reshape(2, 1, 1, 1)  # acc * p = acc * p.real + acc[::-1] * flip
+    for _ in range(nterms):
+        acc = np.zeros(W.shape[1:])
+        for t in range(top.max(), 0, -1):  # the quotient overwrites the work from its top
+            acc = W[t] = W[t] + (acc * p.real + acc[::-1] * flip)
+        shifted.append(np.where(top == 0, W[0], W[0] + (acc * p.real + acc[::-1] * flip)))
+        W, top = W[1:], top - 1
+    d0, out = np.stack(shifted[0][:, 1], axis=-1).view(complex)[..., 0], []  # (re, im) -> complex, bitwise
+    if not (d0 != 0.0).all():
+        raise ZeroDivisionError("series division at a pole")
+    for k in range(nterms):
+        acc = shifted[k][:, 0]
+        for j in range(1, k + 1):  # minus d_j out_{k-j}, for j below the entry's den size
+            d, o = shifted[j][:, 1], out[k - j]
+            acc = np.where(j < dsize, acc - (d * o.real + d[::-1] * (o.imag * [[[-1.0]], [[1.0]]])), acc)
+        out.append(np.stack(acc, axis=-1).view(complex)[..., 0] / d0)
     return out
 
 
 def matrix_laurent_inf(R: RationalMatrix, nterms):
-    """Coefficients c_k of R(w) = sum_k c_k w**-k for large |w| (proper R)."""
-    m = R.size
-    out = [np.zeros((m, m)) for _ in range(nterms)]
-    for i in range(m):
-        for j in range(m):
-            c = R.entries[i][j].laurent_at_inf(nterms)
-            for k in range(nterms):
-                out[k][i, j] = c[k]
-    return out
+    """Coefficients c_k of R(w) = sum_k c_k w**-k for large |w| (proper R), as an (nterms, m, m) array."""
+    return np.moveaxis(np.array([[e.laurent_at_inf(nterms) for e in row] for row in R.entries]), -1, 0).copy()
 
 
 def _inv_series(A, nterms):

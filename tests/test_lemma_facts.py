@@ -3,7 +3,8 @@
 Minimality is read from a ``minimal_realization`` built at the same rank_rel
 and tested by its Krylov ranks otherwise; the precondition SVDs are stacked
 without changing a bit; every command writes JSON through one serializer whose
-output is that of ``json.dumps(jsonable(payload), indent=2)``.
+output is that of ``json.dumps(payload, indent=2, default=jsonable)``, which is
+``json.dumps(jsonable(payload), indent=2)`` where every dict key is a str.
 """
 
 import io
@@ -14,7 +15,7 @@ import numpy as np
 import pytest
 
 import corpus
-from nipr import cli, nilemma, realization, transforms
+from nipr import cli, docio, nilemma, realization, transforms
 from nipr.config import DEFAULT
 from nipr.docio import document_of, jsonable, save_document
 from nipr.errors import NonMinimalRealization
@@ -207,6 +208,47 @@ def test_the_writer_converts_numpy_values_as_jsonable_did():
         "nested": [{"x": np.array([np.nan])}, "text", None],
     }
     assert written(cli._emit, payload) == json.dumps(jsonable(payload), indent=2) + "\n"
+    # what json itself converts, and json's conversion of keys: the bytes of json.dumps with jsonable as its hook
+    payloads = [
+        {True: 1, False: [], None: {}, 3: (), -2.5: "x", 1e300: 0, float("nan"): 1, float("inf"): -np.inf, "k": 2},
+        {np.float64(0.25): np.int8(-4), 7: np.uint64(2 ** 63), "s": np.str_("numpy text")},
+        [float("nan"), float("inf"), -float("inf"), -0.0, 5e-324, 1.7976931348623157e308, 2 ** 70, -(2 ** 70)],
+        [np.float16(0.1), np.float32(-2.5), np.longdouble(0.5), np.int16(3), np.bool_(False), np.complex64(2 + 0j)],
+        ((1, (2.0, ())), [], {}, [[]], [{}], {"e": [[], {}]}, ("t",)),
+        {"ünïcødé ✓": "naïve – “quoted” \\ \" \n \t \u0000 \U0001f600", "": "", "\x7f": ["ß"]},
+        {"arrays": [np.arange(4, dtype=np.int32), np.array([True]), np.zeros((2, 0)), np.array([1.5, np.nan]),
+                    np.array([[1 + 1j, -0.0]]), np.array(["a", "b"]), np.float64(np.inf)]},
+        [], {}, "top", 1.5, None, np.float64(-np.inf), np.int64(-9), np.array(3.0),
+    ]
+    for payload in payloads:
+        assert written(cli._emit, payload) == json.dumps(payload, indent=2, default=jsonable) + "\n"
+    for bad, error in (({(1, 2): 3}, TypeError), ({np.int64(1): 3}, TypeError), ({1, 2}, ValueError)):
+        for write in (lambda x: json.dumps(x, indent=2, default=jsonable), lambda x: written(cli._emit, x)):
+            with pytest.raises(error):
+                write(bad)
+
+
+
+def test_jsonable_gives_a_real_arrays_list_without_recursing(monkeypatch):
+    calls = []
+    convert = docio.jsonable
+    monkeypatch.setattr(docio, "jsonable", lambda x: calls.append(1) or convert(x))
+    for array in (np.arange(6.0).reshape(2, 3), np.arange(3, dtype=np.uint8), np.array([[True], [False]])):
+        calls.clear()
+        assert docio.jsonable(array) == array.tolist() and len(calls) == 1
+        assert type(docio.jsonable(array.ravel())[0]) is type(array.item(0))
+    calls.clear()
+    assert docio.jsonable(np.array([1j, 2.0])) == [{"re": 0.0, "im": 1.0}, 2.0] and len(calls) == 4
+
+
+def test_save_document_writes_what_json_dump_wrote(tmp_path):
+    docs = [document_of(G, name=f"g{k}", meta={"eps": np.float64(1e-3), "n": np.int64(k), "tag": "ü"})
+            for k, G in enumerate(corpus.dt_lemma_corpus(7, 3) + [corpus.ct_ni(np.random.default_rng(1), m=3)])]
+    docs.append(document_of(minimal_realization(corpus.dt_pr(np.random.default_rng(2), m=2)), name="ss"))
+    for doc in docs:
+        path = tmp_path / "doc.json"
+        save_document(doc, path)
+        assert path.read_text() == json.dumps(doc, indent=2, default=jsonable) + "\n"
 
 
 def test_every_op_writes_what_jsonable_wrote(tmp_path, monkeypatch):

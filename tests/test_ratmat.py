@@ -235,3 +235,14 @@ def test_a_parsed_symmetric_document_is_symmetric_without_rational_arithmetic(mo
     adds = counted_adds(monkeypatch)
     assert rm_is_symmetric(G)
     assert adds == []
+
+
+def test_the_coefficient_scale_is_found_only_for_a_pair_that_is_not_shared(monkeypatch):
+    calls = []
+    scale = RationalMatrix.coeff_scale
+    monkeypatch.setattr(RationalMatrix, "coeff_scale", lambda self: calls.append(self) or scale(self))
+    G = corpus.ct_ni(np.random.default_rng(0), m=4, nterms=3)
+    parsed = parse_document(jsonable(document_of(G)))
+    assert rm_is_symmetric(parsed) and calls == []  # every twin is one shared scalar
+    assert rm_is_symmetric(G) and calls == [G]  # once, however many pairs are compared
+    assert not rm_is_symmetric(nudged(G, 3, 0, 1e-3)) and len(calls) == 2
