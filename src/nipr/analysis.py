@@ -65,7 +65,7 @@ from . import boundary
 from .boundary import herm, is_nsd, is_pd, is_psd, norm2
 from .config import DEFAULT, Config
 from .errors import ImproperInput
-from .poly import close, nearest
+from .poly import close, join, nearest
 from .ratmat import (CT, DT, RationalMatrix, rm_infinity_expansion, rm_is_symmetric, rm_poles, rm_residues_at,
                      rm_split_boundary)
 from .realization import minimal_realization
@@ -233,16 +233,17 @@ class Analysis:
         return self._once(("residue", complex(p)), lambda: rm_residues_at(self.G, p, self.cfg))
 
     def boundary_parts(self):
-        """rm_split_boundary of G at its boundary poles and, for an improper CT G, at infinity."""
+        """rm_split_boundary of G at its boundary poles and, for an improper CT G, at infinity.
+
+        The projections b of the upper boundary poles ``join`` in pole order: each group is one boundary
+        point, its first b, with the indexes in ``poles`` of the poles that scatter about it, split together.
+        """
         def compute():
-            points = {}  # boundary point -> indexes in ``poles`` of the poles that scatter about it, split together
             _, upper, at = self.pole_split()
-            for (p, _), n in zip(upper, at):
-                b = self.domain.project(p)
-                c = nearest(b, points, self.cfg.root_cluster)
-                points.setdefault(b if c is None else c, []).append(n)
+            bs = [self.domain.project(p) for p, _ in upper]
+            points = [(bs[g[0]], [at[k] for k in g]) for g in join(bs, range(len(bs)), self.cfg.root_cluster)]
             infinity = self.infinity().poly_coeffs if self.G.domain == CT and not self.G.is_proper() else ()
-            rest, parts = rm_split_boundary(self.G, list(points.items()), infinity, self.cfg)
+            rest, parts = rm_split_boundary(self.G, points, infinity, self.cfg)
             return None if rest is self.G else rest, parts  # the memo must not keep G alive
         return self._once("parts", compute)
 

@@ -3,7 +3,9 @@
 Coefficients are stored in ascending degree order as numpy arrays.  Public
 rational scalars keep real coefficients; internal helpers accept complex
 arrays (deflation at complex poles).  Every root and pole match in nipr is
-``close``: |a - b| <= root_cluster (1 + |b|), b the point already decided.
+``close``: |a - b| <= root_cluster (1 + |b|), b the point already decided;
+``join`` is the one loop that groups points by it (root clusters, matrix
+poles, boundary points).
 Reduction of a rational scalar cancels the numerator roots ``close`` to a
 denominator root and leaves the denominator monic.  A rational scalar keeps
 its denominator roots (``den_roots``): the ones reduction found when it
@@ -59,26 +61,6 @@ def degree(c) -> int:
     if c.size == 1 and c[0] == 0:
         return -1  # the zero polynomial
     return c.size - 1
-
-
-def polyval(c, x):
-    return npp.polyval(x, np.asarray(c))
-
-
-def polymul(a, b):
-    return npp.polymul(np.asarray(a), np.asarray(b))
-
-
-def polyadd(a, b):
-    return npp.polyadd(np.asarray(a), np.asarray(b))
-
-
-def polysub(a, b):
-    return npp.polysub(np.asarray(a), np.asarray(b))
-
-
-def polyder(c):
-    return npp.polyder(np.asarray(c))
 
 
 def polydivmod(n, d):
@@ -154,27 +136,31 @@ def nearest(p, points, tol):
     return min((z for z in points if close(p, z, tol)), key=lambda z: abs(p - z), default=None)
 
 
+def join(points, order, tol):
+    """The one grouping loop: taken in ``order`` (indexes into points), each point joins the first group
+    whose first point, its anchor, it is ``close`` to, or else starts a group.  Returns the groups as lists
+    of indexes in the order they joined, each led by its anchor."""
+    groups = []
+    for k in order:
+        group = next((g for g in groups if close(points[k], points[g[0]], tol)), None)
+        if group is None:
+            groups.append([k])
+        else:
+            group.append(k)
+    return groups
+
+
 def cluster_roots(rts, tol=DEFAULT.root_cluster):
     """Merge nearby roots into (location, multiplicity) pairs.
 
-    Conjugate pairs are symmetrized so they come out exactly conjugate, and
-    near-real roots are snapped onto the real axis.
+    The roots ``join`` in |r| order, each group at its mean.  Near-real
+    clusters are snapped onto the real axis and conjugate pairs symmetrized,
+    so the clusters of a real polynomial come out in exact conjugate pairs.
     """
     rts = np.asarray(rts, dtype=complex)
-    out = []
-    used = np.zeros(rts.size, dtype=bool)
-    order = np.argsort(np.abs(rts))
-    for i in order:
-        if used[i]:
-            continue
-        used[i] = True
-        near = ~used & close(rts, rts[i], tol)
-        if not near.any():
-            out.append([rts[i] + 0.0, 1])  # np.mean of one root: the root, with -0.0 parts made +0.0
-            continue
-        group = [i, *order[near[order]]]
-        used[near] = True
-        out.append([np.mean(rts[group]), len(group)])
+    # np.mean of one root is the root with -0.0 parts made +0.0
+    out = [[np.mean(rts[g]) if len(g) > 1 else rts[g[0]] + 0.0, len(g)]
+           for g in join(rts.tolist(), np.argsort(np.abs(rts)), tol)]
     # a multiplicity-m root scatters by ~eps**(1/m) under rounding, which for
     # m >= 3 exceeds tol.  Merge connected groups of clusters that fall within
     # the scatter radius of a root of their combined multiplicity, but only
@@ -219,28 +205,20 @@ def cluster_roots(rts, tol=DEFAULT.root_cluster):
     return [(complex(l), int(m)) for l, m in out]
 
 
-def poly_from_roots_real(rts, lead=1.0):
-    """Real polynomial with the given roots; conjugate pairs give quadratics."""
-    rts = list(np.asarray(rts, dtype=complex))
+def poly_from_roots_real(rts, tol, lead=1.0):
+    """lead prod (x - r) as a real polynomial.  A root ``close`` to its real part at tol, or with no root
+    of the rest ``close`` to its conjugate, gives the factor of its real part; otherwise it and the
+    ``nearest`` such root give a quadratic."""
+    remaining = np.asarray(rts, dtype=complex).tolist()
     c = np.array([float(np.real(lead))])
-    remaining = rts[:]
     while remaining:
         r = remaining.pop(0)
-        if abs(r.imag) <= 1e-9 * (1.0 + abs(r)):
-            c = polymul(c, np.array([-r.real, 1.0]))
-            continue
-        # find the conjugate partner; an unmatched near-real root falls back
-        # to its real part instead of stealing an unrelated root
-        best, bestd = None, np.inf
-        for k, q in enumerate(remaining):
-            d = abs(np.conj(r) - q)
-            if d < bestd:
-                best, bestd = k, d
-        if best is None or bestd > 1e-6 * (1.0 + abs(r)):
-            c = polymul(c, np.array([-r.real, 1.0]))
-            continue
-        remaining.pop(best)
-        c = polymul(c, np.array([abs(r) ** 2, -2.0 * r.real, 1.0]))
+        q = None if close(r.real, r, tol) else nearest(r.conjugate(), remaining, tol)
+        if q is None:
+            c = npp.polymul(c, [-r.real, 1.0])
+        else:
+            remaining.remove(q)
+            c = npp.polymul(c, [abs(r) ** 2, -2.0 * r.real, 1.0])
     return np.real_if_close(c).astype(float)
 
 
@@ -352,7 +330,7 @@ class RationalScalar:
         raise ValueError("not proper; no finite value at infinity")
 
     def __call__(self, x):
-        return polyval(self.num, x) / polyval(self.den, x)
+        return npp.polyval(x, self.num) / npp.polyval(x, self.den)
 
     def scale(self) -> float:
         return float(max(np.max(np.abs(self.num)), np.max(np.abs(self.den))))
@@ -360,10 +338,10 @@ class RationalScalar:
     # arithmetic -----------------------------------------------------------
     def __add__(self, other):
         other = _coerce(other)
-        num = polyadd(polymul(self.num, other.den), polymul(other.num, self.den))
+        num = npp.polyadd(npp.polymul(self.num, other.den), npp.polymul(other.num, self.den))
         if self.den.size == 1 or other.den.size == 1:  # n/d + p: gcd(n + p d, d) = gcd(n, d)
             return (other if self.den.size == 1 else self)._over_den(num)
-        return RationalScalar(num, polymul(self.den, other.den))
+        return RationalScalar(num, npp.polymul(self.den, other.den))
 
     def __radd__(self, other):
         return self.__add__(other)
@@ -379,10 +357,10 @@ class RationalScalar:
 
     def __mul__(self, other):
         other = _coerce(other)
-        num = polymul(self.num, other.num)
+        num = npp.polymul(self.num, other.num)
         if self.den.size == self.num.size == 1 or other.den.size == other.num.size == 1:  # gcd(c n, d) = gcd(n, d)
             return (other if self.den.size == self.num.size == 1 else self)._over_den(num)
-        return RationalScalar(num, polymul(self.den, other.den))
+        return RationalScalar(num, npp.polymul(self.den, other.den))
 
     def __rmul__(self, other):
         return self.__mul__(other)
@@ -393,7 +371,7 @@ class RationalScalar:
             if other.num[0] == 0.0:
                 raise ZeroDivisionError("denominator is identically zero")
             return self._over_den(self.num / other.num[0])
-        return RationalScalar(polymul(self.num, other.den), polymul(self.den, other.num))
+        return RationalScalar(npp.polymul(self.num, other.den), npp.polymul(self.den, other.num))
 
     def __rtruediv__(self, other):
         return _coerce(other).__truediv__(self)
@@ -417,19 +395,19 @@ class RationalScalar:
             return self
         if pole is not None:
             q, rem = _synth_div(num, pole)
-            if abs(rem) > cfg.coeff_rel * polyval(np.abs(num), abs(pole)):
+            if abs(rem) > cfg.coeff_rel * npp.polyval(abs(pole), np.abs(num)):
                 raise CancellationFailure(f"no numerator root at {pole} cancels the new pole there")
             num = np.real(q)
         if zero is not None:
             if close(zero, self.den_roots, cfg.root_cluster).any():
                 den, den_roots = np.real(_synth_div(den, zero)[0]), None
             else:
-                num = polymul(num, [-zero, 1.0])
+                num = npp.polymul(num, [-zero, 1.0])
         return RationalScalar(num, den, reduce=False, den_roots=den_roots)
 
     def derivative(self) -> "RationalScalar":
-        num = polysub(polymul(polyder(self.num), self.den), polymul(self.num, polyder(self.den)))
-        return RationalScalar(num, polymul(self.den, self.den))
+        num = npp.polysub(npp.polymul(npp.polyder(self.num), self.den), npp.polymul(self.num, npp.polyder(self.den)))
+        return RationalScalar(num, npp.polymul(self.den, self.den))
 
     def equals(self, other, rel=1e-7) -> bool:
         """self - other == 0 within tolerance; the same num and den bytes are, as n d - n d == 0, unsubtracted."""
@@ -451,14 +429,14 @@ class RationalScalar:
         pw_up = [np.array([1.0])]
         pw_dn = [np.array([1.0])]
         for _ in range(big):
-            pw_up.append(polymul(pw_up[-1], up))
-            pw_dn.append(polymul(pw_dn[-1], dn))
+            pw_up.append(npp.polymul(pw_up[-1], up))
+            pw_dn.append(npp.polymul(pw_dn[-1], dn))
         new_num = np.zeros(1)
         for k in range(n_deg + 1):
-            new_num = polyadd(new_num, self.num[k] * polymul(pw_up[k], pw_dn[big - k]))
+            new_num = npp.polyadd(new_num, self.num[k] * npp.polymul(pw_up[k], pw_dn[big - k]))
         new_den = np.zeros(1)
         for k in range(d_deg + 1):
-            new_den = polyadd(new_den, self.den[k] * polymul(pw_up[k], pw_dn[big - k]))
+            new_den = npp.polyadd(new_den, self.den[k] * npp.polymul(pw_up[k], pw_dn[big - k]))
         return RationalScalar(new_num, new_den)
 
     def taylor(self, p, nterms) -> np.ndarray:
@@ -558,6 +536,6 @@ def _reduce(num, den, cfg: Config, num_roots=None, den_roots=None):
             cancelled += 1
     if cancelled == 0:
         return num, den, den_roots
-    new_num = poly_from_roots_real(keep_n, lead=num[-1])
-    new_den = poly_from_roots_real(rd, lead=den[-1])
+    new_num = poly_from_roots_real(keep_n, cfg.root_cluster, lead=num[-1])
+    new_den = poly_from_roots_real(rd, cfg.root_cluster, lead=den[-1])
     return new_num, new_den, None

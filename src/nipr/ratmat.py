@@ -1,8 +1,8 @@
 """Square rational transfer-function matrices and their pole/residue data.
 
 One place decides which entries have each matrix pole: the pole table of ``_pole_clusters``, made once per
-matrix as the clusters merge into poles.  ``rm_residues_at`` and ``rm_split_boundary`` read it.  A cluster
-joins a pole, and a query finds one, by ``poly.close``, the one test of point identity."""
+matrix as the clusters merge into poles.  ``rm_residues_at`` and ``rm_split_boundary`` read it.  The clusters
+group into poles by ``poly.join``, and a query finds one by ``poly.close``, the one test of point identity."""
 
 from __future__ import annotations
 
@@ -14,19 +14,7 @@ import numpy.polynomial.polynomial as npp
 
 from .config import DEFAULT, Config
 from .errors import MultiplicityTooHigh, PoleProximity
-from .poly import (
-    RationalScalar,
-    close,
-    cluster_roots,
-    deflate,
-    degree,
-    nearest,
-    polyadd,
-    polydivmod,
-    polymul,
-    polysub,
-    polyval,
-)
+from .poly import RationalScalar, cluster_roots, deflate, degree, join, nearest, polydivmod
 
 CT = "ct"
 DT = "dt"
@@ -218,29 +206,26 @@ def rm_eval_many(R: RationalMatrix, points):
     return vals, ~near_pole.any(axis=(1, 2))
 
 
+def _pole_order(p):
+    return abs(p), p.real, p.imag
+
+
 def _merge_poles(cluster_sets, cfg: Config):
-    """(``rm_poles``, joins): each cluster of the sets joins the first pole it is ``close`` to or makes a new
-    one, and joins[n] maps the position of each set with clusters in pole n to their multiplicities.  A set
-    merged again finds the poles it found or made before, as every entry's would."""
-    found = []  # list of [location, mult, {set position: [multiplicities]}]
-    for s, clusters in enumerate(cluster_sets):
-        for loc, mult in clusters:
-            hit = next((item for item in found if close(loc, item[0], cfg.root_cluster)), None)
-            if hit is None:
-                hit = [loc, mult, {}]
-                found.append(hit)
-            hit[1] = max(hit[1], mult)
-            hit[2].setdefault(s, []).append(mult)
-    # exact conjugate pairing
-    for item in found:
-        loc = item[0]
-        if loc.imag > 0:
-            for other in found:
-                if other is not item and close(other[0], loc.conjugate(), cfg.root_cluster):
-                    mid = 0.5 * (loc + np.conj(other[0]))
-                    item[0] = mid
-                    other[0] = np.conj(mid)
-    found = sorted(((complex(l), int(m), j) for l, m, j in found), key=lambda t: (abs(t[0]), t[0].real, t[0].imag))
+    """(``rm_poles``, joins): the clusters of all sets ``join`` into poles in ``rm_poles`` order, so which
+    clusters are one pole does not depend on the order of the sets.  A pole is at the cluster of the first
+    set in it, the first of that set's to join, and joins[n] maps the position of each set with clusters in
+    pole n to their multiplicities.  The order and the join commute with conjugation, so exact conjugate
+    pairs of clusters in each set give exact conjugate pairs of poles."""
+    clusters = [(loc, mult, s) for s, cl in enumerate(cluster_sets) for loc, mult in cl]
+    order = sorted(range(len(clusters)), key=lambda k: _pole_order(clusters[k][0]))
+    found = []
+    for group in join([loc for loc, _, _ in clusters], order, cfg.root_cluster):
+        group.sort(key=lambda k: clusters[k][2])  # stable: in each set, in the order they joined
+        joins = {}
+        for k in group:
+            joins.setdefault(clusters[k][2], []).append(clusters[k][1])
+        found.append((clusters[group[0]][0], max(clusters[k][1] for k in group), joins))
+    found.sort(key=lambda t: _pole_order(t[0]))
     return [(l, m) for l, m, _ in found], [j for _, _, j in found]
 
 
@@ -267,8 +252,9 @@ def _pole_clusters(R: RationalMatrix, cfg: Config):
 
 
 def rm_poles(R: RationalMatrix, cfg: Config = DEFAULT):
-    """Union of entry poles with matrix multiplicity = max entry multiplicity.  An imaginary part is exactly
-    0.0 or above root_cluster (1 + |p|) in size, and complex poles come in exact conjugate pairs."""
+    """Union of entry poles with matrix multiplicity = max entry multiplicity, by |p|, Re p and Im p.  Which
+    entry poles are one does not depend on the order of the entries.  An imaginary part is exactly 0.0 or
+    above root_cluster (1 + |p|) in size, and complex poles come in exact conjugate pairs."""
     return list(_pole_clusters(R, cfg)[0])
 
 
@@ -324,12 +310,12 @@ def rm_residues_at(R: RationalMatrix, p, cfg: Config = DEFAULT) -> PoleDatum:
             q = np.asarray(den, dtype=complex)
             for _ in range(k):
                 q = deflate(q, p)
-            qv = polyval(q, p)
+            qv = npp.polyval(p, q)
             if k == 1:
                 A1[idx] = nv[idx] / qv  # numpy divides an array by a scalar as it divides two scalars
             else:
                 A2[idx] = nv[idx] / qv
-                qdv = polyval(npp.polyder(q), p)
+                qdv = npp.polyval(p, npp.polyder(q))
                 if ndv is None:  # the numerators' derivatives, npp.polyder's j * c_j
                     dnum = num[1:] * np.arange(1, len(num))[:, None, None] if len(num) > 1 else np.zeros_like(num)
                     ndv = _values_at(dnum, p).ravel()
@@ -406,7 +392,7 @@ def rm_split_boundary(R: RationalMatrix, points, infinity=(), cfg: Config = DEFA
         for i in range(m):
             for j in range(m):
                 q, r = polydivmod(num[i][j], den[i][j])
-                num[i][j] = polyadd(r, q[0] * den[i][j])
+                num[i][j] = npp.polyadd(r, q[0] * den[i][j])
     for b, at in points:
         mult = _entry_multiplicities(R, at, cfg)
         k = max(max(row) for row in mult)
@@ -423,11 +409,11 @@ def rm_split_boundary(R: RationalMatrix, points, infinity=(), cfg: Config = DEFA
                 A[e - 1::-1, i, j] = t
                 c = [t[0].real]
                 for ell in range(1, e):
-                    c = polyadd(c, t[ell].real * npp.polypow([-b.real, 1.0], ell))
+                    c = npp.polyadd(c, t[ell].real * npp.polypow([-b.real, 1.0], ell))
             else:  # c real and linear with c(b) = t0; f'(b) = 2i Im b
                 A[0, i, j] = t[0] / (2j * b.imag)
                 c = [t[0].real - t[0].imag * b.real / b.imag, t[0].imag / b.imag]
-            num[i][j] = npp.polydiv(polysub(num[i][j], polymul(c, q)), fe)[0]
+            num[i][j] = npp.polydiv(npp.polysub(num[i][j], npp.polymul(c, q)), fe)[0]
             den[i][j] = q
         parts += [(b, list(A))] + ([(np.conj(b), list(A.conj()))] if b.imag != 0 else [])
     rest = [[RationalScalar(num[i][j], den[i][j], reduce=False) for j in range(m)] for i in range(m)]

@@ -5,10 +5,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+import numpy.polynomial.polynomial as npp
 
 from .config import DEFAULT, Config
 from .errors import CancellationFailure, EigenvalueAtMinusOne, EigenvalueAtPlusOne, ImproperInput
-from .poly import RationalScalar, poly_from_roots_real, polyadd, polydivmod, polymul, polysub
+from .poly import RationalScalar, poly_from_roots_real, polydivmod
 from .ratmat import CT, DT, RationalMatrix, rm_poles, rm_residues_at
 
 
@@ -73,7 +74,7 @@ def tf_of(ss: StateSpace) -> RationalMatrix:
         row = []
         for j in range(m):
             num = np.array([Nk[i, j] for Nk in markov][::-1])
-            num = polyadd(num, ss.D[i, j] * den)
+            num = npp.polyadd(num, ss.D[i, j] * den)
             row.append(RationalScalar(num, den))
         entries.append(row)
     return RationalMatrix(entries, ss.domain)
@@ -207,7 +208,7 @@ def _block_companion(R: RationalMatrix, pole_list, D, cfg: Config):
     rts = []
     for p, mult in pole_list:
         rts.extend([p] * mult)
-    den = poly_from_roots_real(rts)  # monic, ascending, degree n
+    den = poly_from_roots_real(rts, cfg.root_cluster)  # monic, ascending, degree n
     n = den.size - 1
     # entry numerators against the common denominator; polynomial division,
     # because root matching cannot pair the scattered roots of a triple pole
@@ -218,7 +219,7 @@ def _block_companion(R: RationalMatrix, pole_list, D, cfg: Config):
             q, r = polydivmod(den, e.den)
             if np.max(np.abs(r)) > cfg.root_cluster * np.max(np.abs(den)):
                 raise CancellationFailure(f"the common denominator does not clear entry ({i},{j})")
-            c = polysub(polymul(e.num, q), D[i, j] * den)  # num_ij q_ij - D_ij den: R - D over den
+            c = npp.polysub(npp.polymul(e.num, q), D[i, j] * den)  # num_ij q_ij - D_ij den: R - D over den
             for k in range(min(c.size, n)):
                 Ncoef[k][i, j] = c[k]
     A = np.zeros((n * m, n * m))

@@ -23,7 +23,15 @@ lookup of ``reference_residues_at``, ``reference_pole_split`` and
 bit for bit; only a query between two poles (the nearer now answers) and a
 discrete-time pole within 2 root_cluster of the circle (no longer stable)
 differ.
+
+The matrix poles do not depend on the order of the entries: the clusters of
+all denominators ``poly.join`` in ``rm_poles`` order, and a pole is at the
+cluster of the first denominator in it.  On the corpora that is the
+reference's merge in entry order, bit for bit.  Three diagonal matrices of
+poles a few root_cluster apart are checked in every order of their entries.
 """
+
+import itertools
 
 import numpy as np
 import numpy.polynomial.polynomial as npp
@@ -35,7 +43,7 @@ from nipr.analysis import analysis_of
 from nipr.config import DEFAULT
 from nipr.docio import document_of, jsonable, parse_document
 from nipr.errors import MultiplicityTooHigh, PoleProximity
-from nipr.poly import RationalScalar, close, deflate, polyval, reduced_scalars
+from nipr.poly import RationalScalar, close, deflate, reduced_scalars
 from nipr.ratmat import (CT, PoleDatum, RationalMatrix, _entry_multiplicities, _horner, _pole_clusters, rm_eval_many,
                          rm_poles, rm_residues_at)
 from test_sign_source import CASES, lossy
@@ -222,15 +230,15 @@ def reference_residues_at(R, p, cfg=DEFAULT):
             q = np.asarray(e.den, dtype=complex)
             for _ in range(k):
                 q = deflate(q, p)
-            nv = polyval(np.asarray(e.num, dtype=complex), p)
-            qv = polyval(q, p)
+            nv = npp.polyval(p, np.asarray(e.num, dtype=complex))
+            qv = npp.polyval(p, q)
             with np.errstate(all="ignore"):  # a zero or tiny qv is reported below
                 if k == 1:
                     A1[i, j] = nv / qv
                 else:
                     A2[i, j] = nv / qv
-                    ndv = polyval(np.polynomial.polynomial.polyder(np.asarray(e.num, dtype=complex)), p)
-                    qdv = polyval(np.polynomial.polynomial.polyder(q), p)
+                    ndv = npp.polyval(p, np.polynomial.polynomial.polyder(np.asarray(e.num, dtype=complex)))
+                    qdv = npp.polyval(p, np.polynomial.polynomial.polyder(q))
                     A1[i, j] = (ndv * qv - nv * qdv) / (qv * qv)
             if not (np.isfinite(A1[i, j]) and np.isfinite(A2[i, j])):
                 raise PoleProximity(f"entry ({i}, {j}): no finite residue at the pole {p}: "
@@ -598,12 +606,63 @@ def test_a_query_that_two_poles_admit_reads_the_nearer():
         assert datum.location == (10.0, z)[k] and datum.residue_A1[k, k] == 1.0
 
 
-@pytest.mark.xfail(strict=True, reason="_merge_poles joins each cluster to the first pole it is close to, and close "
-                                       "is anchored at one of its two points, so the matrix poles depend on the "
-                                       "order of the entries (ROADMAP item 1, the point-identity rule)")
 def test_the_matrix_poles_do_not_depend_on_the_order_of_the_entries():
     # c lies within root_cluster (1 + 10) of 10 but 10 not within root_cluster (1 + |c|) of c
     c = 10.0 - 1.1e-6 + 5e-14
     forward, backward = rm_poles(diagonal(10.0, c)), rm_poles(diagonal(c, 10.0))
     assert len(forward) == len(backward)
     assert [p for p, _ in forward] == pytest.approx([p for p, _ in backward], abs=DEFAULT.root_cluster * 11.0)
+
+
+def conjugate_pair(p):
+    return poly_of(p, np.conj(p))
+
+
+# each case's diagonal scalars: poles of different denominators within a few root_cluster of each other
+TOL = DEFAULT.root_cluster
+PAIR = -0.2 + 2.0j
+ORDER_CASES = {
+    # c is within root_cluster (1 + 10) of 10 but 10 not within root_cluster (1 + |c|) of c
+    "found pair": [RationalScalar([1.0], [-10.0, 1.0]), RationalScalar([1.0], [-(10.0 - 1.1e-6 + 5e-14), 1.0])],
+    # 8 root_cluster apart, with a root_cluster (1 + 10) of 11: the first two are one pole, the third another
+    "three close": [RationalScalar([1.0], [-(10.0 + k * 8e-7), 1.0]) for k in range(3)],
+    # conjugate pairs about PAIR, one of them double, over different denominators, and real poles at -3
+    "conjugate pairs": [RationalScalar([1.0], conjugate_pair(PAIR)),
+                        RationalScalar([1.0, 0.5], npp.polymul(conjugate_pair(PAIR + 1e-7), [3.0, 1.0])),
+                        RationalScalar([2.0], npp.polymul(conjugate_pair(PAIR + 1e-7j), conjugate_pair(PAIR + 1e-7j))),
+                        RationalScalar([1.0], [3.0 + 2e-7, 1.0])],
+}
+
+
+def diagonal_of(scalars):
+    m = len(scalars)
+    return RationalMatrix([[scalars[i] if i == j else RationalScalar.zero() for j in range(m)] for i in range(m)], "ct")
+
+
+@pytest.mark.parametrize("name", sorted(ORDER_CASES))
+def test_the_matrix_poles_do_not_depend_on_the_order_of_the_entries(name):
+    scalars = ORDER_CASES[name]
+    m = len(scalars)
+    first = None
+    for perm in itertools.permutations(range(m)):
+        R = diagonal_of([scalars[k] for k in perm])
+        poles = rm_poles(R)
+        assert_exactly_paired(R)
+        # the pole table's multiplicities, by the scalar on the diagonal
+        table = table_multiplicities(R)[:, [perm.index(k) * (m + 1) for k in range(m)]]
+        if first is None:
+            first = poles, table
+            continue
+        assert len(poles) == len(first[0]) and [k for _, k in poles] == [k for _, k in first[0]]
+        assert np.array_equal(table, first[1])
+        assert all(close(p, q, TOL) for (p, _), (q, _) in zip(poles, first[0]))
+
+
+def test_the_order_cases_cover_what_they_claim():
+    poles = {name: rm_poles(diagonal_of(scalars)) for name, scalars in ORDER_CASES.items()}
+    assert len(poles["found pair"]) == 2
+    assert [k for _, k in poles["three close"]] == [1, 1]
+    # a conjugate pair of multiplicity 2 that all three pair denominators have, and a real pole two have
+    assert [k for _, k in poles["conjugate pairs"]] == [2, 2, 1]
+    table = table_multiplicities(diagonal_of(ORDER_CASES["conjugate pairs"]))
+    assert table[:, [0, 5, 10, 15]].tolist() == [[1, 1, 2, 0], [1, 1, 2, 0], [0, 1, 0, 1]]

@@ -3,16 +3,16 @@ import numpy.polynomial.polynomial as npp
 import pytest
 
 from nipr import poly
+from nipr.config import DEFAULT
 from nipr.errors import RootFindingFailure
 from nipr.poly import (
     RationalScalar,
     cluster_roots,
     degree,
     deflate,
-    polyadd,
+    join,
+    poly_from_roots_real,
     polydivmod,
-    polymul,
-    polyval,
     roots,
     shift_poly,
     trim,
@@ -33,14 +33,14 @@ def test_polydivmod_identity():
         if degree(d) < 0:
             continue
         q, r = polydivmod(n, d)
-        back = polyadd(polymul(q, d), r)
+        back = npp.polyadd(npp.polymul(q, d), r)
         assert np.allclose(trim(back, 1e-12), trim(n, 1e-12), atol=1e-9)
         assert degree(r) < degree(d) or degree(r) < 0
 
 
 def test_roots_and_cluster():
     # (x - 1)^2 (x + 2), ascending coefficients
-    c = polymul(polymul([-1.0, 1.0], [-1.0, 1.0]), [2.0, 1.0])
+    c = npp.polymul(npp.polymul([-1.0, 1.0], [-1.0, 1.0]), [2.0, 1.0])
     rts = roots(c)
     cl = cluster_roots(rts, tol=1e-6)
     got = sorted((complex(p).real, m) for p, m in cl)
@@ -50,7 +50,7 @@ def test_roots_and_cluster():
 
 
 def test_deflate():
-    c = polymul([-3.0, 1.0], [5.0, 2.0])  # (x - 3)(2x + 5)
+    c = npp.polymul([-3.0, 1.0], [5.0, 2.0])  # (x - 3)(2x + 5)
     q = deflate(c, 3.0)
     assert np.allclose(trim(q), [5.0, 2.0])
 
@@ -74,8 +74,8 @@ def test_rational_arithmetic():
 
 def test_rational_reduction_cancels_common_roots():
     # (x - 1)(x + 2) / (x - 1)(x + 3) reduces to (x + 2)/(x + 3)
-    num = polymul([-1.0, 1.0], [2.0, 1.0])
-    den = polymul([-1.0, 1.0], [3.0, 1.0])
+    num = npp.polymul([-1.0, 1.0], [2.0, 1.0])
+    den = npp.polymul([-1.0, 1.0], [3.0, 1.0])
     r = RationalScalar(num, den)
     assert r.den_degree == 1
     assert r(0.5) == pytest.approx(2.5 / 3.5)
@@ -113,7 +113,7 @@ def test_laurent_rejects_improper():
     r = RationalScalar([0.0, 0.0, 1.0], [1.0, 1.0])  # x^2/(1 + x)
     with pytest.raises(ValueError):
         r.laurent_at_inf(3)
-    assert polyval(r.num, 2.0) == 4.0
+    assert npp.polyval(2.0, r.num) == 4.0
 
 
 # ---------------------------------------------------------------------------
@@ -349,6 +349,36 @@ def test_cluster_roots_matches_the_loop():
     for rts in cluster_cases():
         for tol in (1e-7, 1e-6, 1e-3):
             assert same_clusters(cluster_roots(rts, tol=tol), reference_cluster_roots(rts, tol=tol))
+
+
+def test_join_groups_each_point_with_the_first_anchor_it_is_close_to():
+    # 0.34 is close to both anchors, 0.0 and the nearer 0.6, and joins the first group
+    assert join([0.0, 0.6, 0.34, 3.0], range(4), 0.35) == [[0, 2], [1], [3]]
+    # 0.6 is close to 0.3 but not to the anchor 0.0, so groups do not chain; the groups and anchors follow the order
+    assert join([0.0, 0.3, 0.6], range(3), 0.35) == [[0, 1], [2]]
+    assert join([0.0, 0.3, 0.6], [2, 1, 0], 0.35) == [[2, 1], [0]]
+    # complex points, and anchored at the point decided first: 1 is close to 1.5 but 1.5 not to 1
+    assert join([1j, -1j, 1.5, 1.0], range(4), 0.22) == [[0], [1], [2, 3]]
+    assert join([1j, -1j, 1.5, 1.0], [3, 2, 1, 0], 0.22) == [[3], [2], [1], [0]]
+    assert join([], [], 0.35) == []
+
+
+def test_poly_from_roots_real_decides_real_and_partner_by_close():
+    tol = DEFAULT.root_cluster
+    # a near-real pair within root_cluster of its real part, which cluster_roots snaps to the axis, is (x - 1)^2
+    assert cluster_roots([1.0 + 5e-8j, 1.0 - 5e-8j], tol=tol) == [(1.0 + 0j, 2)]
+    assert poly_from_roots_real([1.0 + 5e-8j, 1.0 - 5e-8j], tol).tolist() == [1.0, -2.0, 1.0]
+    # a conjugate pair gives its quadratic, the partner being the nearest root close to conj(r); the root left
+    # over gives the factor of its real part; the factors multiply in the order of the roots, after the lead
+    r = -0.2 + 2.0j
+    got = poly_from_roots_real([r, 3.0, r.conjugate() + 1e-7, r.conjugate()], tol, lead=2.0)
+    want = [2.0]
+    for factor in ([abs(r) ** 2, -2.0 * r.real, 1.0], [-3.0, 1.0], [-(r.real + 1e-7), 1.0]):
+        want = npp.polymul(want, factor)
+    assert got.tolist() == want.tolist()
+    # a complex root with no partner gives the factor of its real part
+    got = poly_from_roots_real([r, r.conjugate() + 1e-3], tol)
+    assert got.tolist() == npp.polymul([-r.real, 1.0], [-(r.real + 1e-3), 1.0]).tolist()
 
 
 @pytest.mark.parametrize("num, den", [
