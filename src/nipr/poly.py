@@ -7,13 +7,13 @@ arrays (deflation at complex poles).  Every root and pole match in nipr is
 ``join`` is the one loop that groups points by it (root clusters, matrix
 poles, boundary points).
 Reduction of a rational scalar cancels the numerator roots ``close`` to a
-denominator root and leaves the denominator monic.  A rational scalar keeps
-its denominator roots (``den_roots``): the ones reduction found when it
-cancelled nothing, otherwise found on first use; so num and den must not
-change after construction.  Roots are found by ``roots_many``, one stacked companion
-eigensolve per degree and one companion matrix per distinct polynomial,
-bitwise ``np.roots``; ``reduced_scalars`` builds a whole document's scalars
-from one such call.  ``RationalScalar.equals`` finds scalars with the same
+denominator root and leaves the denominator monic; its pairing loop runs only
+when one array ``close`` test finds such a pair.  A rational scalar keeps its
+denominator roots (``den_roots``): the ones reduction found when it cancelled
+nothing, otherwise found on first use; so num and den must not change after
+construction.  Roots are found by ``roots_many``, bitwise ``np.roots``;
+``reduced_scalars`` builds a whole document's scalars from one such call, one
+array test per denominator.  ``RationalScalar.equals`` finds scalars with the same
 coefficient bytes equal, as twins shared by ``docio.parse_document``, unsubtracted.
 A constant operand cancels nothing: a sum with a polynomial, or a product with or
 a quotient by a constant, is built unreduced over the other operand's
@@ -88,8 +88,8 @@ def roots_many(polys):
     low-order coefficients become roots at 0, appended last, and the rest
     goes through the companion matrix np.roots builds.  Polynomials whose rest
     has the same degree, dtype and coefficient bytes share one companion
-    matrix (a document's cells over one denominator share its monic copy), and
-    each gets its own array of roots.  numpy's eigvals runs the same LAPACK
+    matrix, and each gets its own array of roots; a trimmed 1-d array is read
+    as it is, without a copy.  numpy's eigvals runs the same LAPACK
     geev on every matrix of a stack, so the roots are bitwise np.roots', as
     complex arrays.  (eigvals returns a real array when all the stack's
     eigenvalues are real, np.roots when all of one matrix's are; geev gives a
@@ -99,8 +99,10 @@ def roots_many(polys):
     out = [None] * len(polys)
     groups = {}  # (degree, dtype) -> {coefficient bytes: (descending coefficients, [(index, roots at 0)])}
     for k, c in enumerate(polys):
-        c = trim(c)
-        z = int(np.flatnonzero(c)[0]) if c.size > 1 else 0
+        c = np.asarray(c)
+        if c.ndim != 1 or c.size == 0 or c[-1] == 0:  # a trimmed array is used as it is
+            c = trim(c)
+        z = 0 if c[0] != 0 or c.size == 1 else int(np.flatnonzero(c)[0])
         p = c[z:][::-1]
         if p.size == 1:  # a constant, the zero polynomial or a monomial
             out[k] = np.zeros(z, dtype=complex)
@@ -120,15 +122,17 @@ def roots_many(polys):
             raise RootFindingFailure(str(exc)) from exc
         for row, (_, members) in enumerate(distinct.values()):
             for k, z in members:
-                out[k] = np.concatenate((w[row], np.zeros(z, dtype=complex)))
+                out[k] = np.concatenate((w[row], np.zeros(z, dtype=complex))) if z else w[row].astype(complex)
     return out
 
 
 def close(a, b, tol):
-    """|a - b| <= tol (1 + |b|), b the point already decided: a is the point b.  Elementwise over arrays, with
-    np.hypot, which is bitwise the scalar abs(complex) (np.abs of a complex array is not)."""
+    """|a - b| <= tol (1 + |b|), b the point already decided: a is the point b.  Over arrays, the scalar rule
+    elementwise: np.hypot takes both sizes, as it is bitwise abs(complex) (np.abs of complex arrays is not)."""
     d = a - b
-    return (np.hypot(d.real, d.imag) if isinstance(d, np.ndarray) else abs(d)) <= tol * (1.0 + abs(b))
+    if isinstance(d, np.ndarray):
+        return np.hypot(d.real, d.imag) <= tol * (1.0 + np.hypot(b.real, b.imag))
+    return abs(d) <= tol * (1.0 + abs(b))
 
 
 def nearest(p, points, tol):
@@ -278,10 +282,14 @@ class RationalScalar:
             raise ZeroDivisionError("denominator is identically zero")
         if reduce:
             num, den, den_roots = _reduce(num, den, DEFAULT, num_roots, den_roots)
+        self._over(num, den, den_roots)
+
+    def _over(self, num, den, den_roots):
+        """Set num/den divided by den's lead; num and den trimmed float arrays, den_roots ``roots`` of den or None."""
         lead = den[-1]
-        self.num = num / lead
-        self.den = den / lead
+        self.num, self.den = num / lead, den / lead
         self._den_roots = _NO_ROOTS if den.size == 1 else den_roots
+        return self
 
     # construction helpers -------------------------------------------------
     @staticmethod
@@ -496,11 +504,26 @@ def _read_only(a):
 def reduced_scalars(pairs):
     """[RationalScalar(num, den) for num, den in pairs], with one ``roots_many`` call for all their roots.
 
+    Each distinct den is rooted once, its cells share its read-only roots, and one array ``close`` test of
+    all their numerator roots against its roots finds the cells with a close pair: ``_reduce`` cancels
+    exactly when some pair is close before any is cancelled.  Only those cells, and zero cells, go
+    through ``_reduce``; the others are built from their trimmed arrays as they are.
     No den may be identically zero.  Pass a repeated pair once and share its scalar (``docio.parse_document``).
     """
-    pairs = [(n, trim(np.asarray(d, dtype=float))) for n, d in pairs]
-    rts = roots_many([p for n, d in pairs for p in _to_root(n, d)])
-    return [RationalScalar(n, d, num_roots=rts[2 * k], den_roots=rts[2 * k + 1]) for k, (n, d) in enumerate(pairs)]
+    pairs = [(trim(np.asarray(n, dtype=float)), trim(np.asarray(d, dtype=float))) for n, d in pairs]
+    over = {}  # den bytes -> (den, the indexes of the pairs over it)
+    for k, (_, d) in enumerate(pairs):
+        over.setdefault(d.tobytes(), (d, []))[1].append(k)
+    rts = roots_many([_to_root(n, d)[0] for n, d in pairs] + [_to_root(d, d)[1] for d, _ in over.values()])
+    out = [None] * len(pairs)
+    for den_roots, (_, cells) in zip(map(_read_only, rts[len(pairs):]), over.values()):
+        hit = close(np.concatenate([rts[k] for k in cells])[:, None], den_roots, DEFAULT.root_cluster).any(axis=1)
+        cancels = np.bincount(np.repeat(np.arange(len(cells)), [rts[k].size for k in cells]), hit, len(cells)) > 0
+        for k, c in zip(cells, cancels):
+            n, d = pairs[k]
+            out[k] = (RationalScalar(n, d, num_roots=rts[k], den_roots=den_roots) if c or not n.any()
+                      else RationalScalar.__new__(RationalScalar)._over(n, d, den_roots))
+    return out
 
 
 def _to_root(num, den):
@@ -516,26 +539,25 @@ def _to_root(num, den):
 def _reduce(num, den, cfg: Config, num_roots=None, den_roots=None):
     """(num, den, den_roots): matched numerator/denominator roots cancelled (float-safe GCD).
 
-    num_roots and den_roots, if given, are ``roots_many(_to_root(num, den))``.
-    The den_roots returned are those when nothing was cancelled; None otherwise.
+    num_roots and den_roots, if given, are ``roots_many(_to_root(num, den))``.  The pairing loop runs only when
+    a pair of them is ``close``, exactly when it cancels; den_roots are returned if it cancels nothing, else None.
     """
     if degree(num) < 0:
         return np.zeros(1), np.ones(1), None
     if num_roots is None:
         num_roots, den_roots = roots_many(_to_root(num, den))
-    rn = num_roots.tolist()  # Python complex: plain scalar arithmetic in the loop, bitwise numpy's
     den_roots = _read_only(den_roots)
+    if not (num_roots.size and den_roots.size and close(num_roots[:, None], den_roots, cfg.root_cluster).any()):
+        return num, den, den_roots
+    rn = num_roots.tolist()  # Python complex: plain scalar arithmetic in the loop, bitwise numpy's
     rd = den_roots.tolist()
-    keep_n, cancelled = [], 0
+    keep_n = []
     for r in rn:
         hit = next((k for k, q in enumerate(rd) if close(r, q, cfg.root_cluster)), None)
         if hit is None:
             keep_n.append(r)
         else:
             rd.pop(hit)
-            cancelled += 1
-    if cancelled == 0:
-        return num, den, den_roots
     new_num = poly_from_roots_real(keep_n, cfg.root_cluster, lead=num[-1])
     new_den = poly_from_roots_real(rd, cfg.root_cluster, lead=den[-1])
     return new_num, new_den, None

@@ -258,79 +258,77 @@ def rm_poles(R: RationalMatrix, cfg: Config = DEFAULT):
     return list(_pole_clusters(R, cfg)[0])
 
 
-def _values_at(C, p):
-    """The (m, m) values at the complex point p of the real (deg + 1, m, m) stack C, each bitwise
+def _values_at(C, points):
+    """The (npts, m, m) values at the complex points of the real (deg + 1, m, m) stack C, each bitwise
     ``npp.polyval(p, c)`` on the entry's coefficients cast to complex, whatever the zero padding.
 
     polyval takes a scalar p through numpy's scalar complex multiply, which rounds each of its four
-    products; numpy's complex array multiply may fuse a product into the sum and round differently,
-    so the steps are written out in real arithmetic.  Adding 0.0 to an imaginary part is the add of a
-    real coefficient's +0.0 imaginary part: it makes -0.0 +0.0, as polyval's complex add does."""
-    xr, xi = p.real, p.imag
-    z = p * 0  # polyval's first step, c[-1] + p * 0
-    re, im = C[-1] + z.real, 0.0 + z.imag
+    products; numpy's complex array multiply may fuse a product into the sum and round differently, so
+    the steps are written out in real arithmetic, elementwise over the points: the first is c[-1] + p * 0,
+    p * 0 being Python's p * (0 + 0i), and adding a real coefficient's +0.0 imaginary part makes -0.0 +0.0."""
+    xr, xi = (X := np.asarray(points, dtype=complex).reshape(-1, 1, 1)).real, X.imag
+    re, im = C[-1] + (xr * 0.0 - xi * 0.0), 0.0
     for c in C[-2::-1]:
         re, im = c + (re * xr - im * xi), (re * xi + im * xr) + 0.0
-    out = np.empty(C.shape[1:], dtype=complex)
+    out = np.empty(re.shape, dtype=complex)
     out.real, out.imag = re, im
     return out
 
 
-def rm_residues_at(R: RationalMatrix, p, cfg: Config = DEFAULT) -> PoleDatum:
-    """Matrix residue data at the pole of ``rm_poles`` nearest p that p is ``close`` to, of multiplicity <= 2,
-    by deflation of the denominators that have it.
+def rm_residues_at(R: RationalMatrix, p, cfg: Config = DEFAULT):
+    """Matrix residue data at the pole of ``rm_poles`` nearest p that p is ``close`` to (p, if p is a pole), of
+    multiplicity <= 2, by deflation of the denominators that have it.  Given a sequence of points, the list of their data, as
+    one call per point gives them, with the numerators evaluated at all the poles in one pass; a point that
+    is no pole, or a pole of multiplicity above 2, raises before any residue is found.
 
     The pole table of ``_pole_clusters`` lists those denominators and their multiplicities, decided once
-    per matrix.  Each listed den is deflated and evaluated once, and all numerators (and, at a double
-    pole, their derivatives) are evaluated at p as one stack; each residue entry is bitwise what
+    per matrix.  Each listed den is deflated and evaluated once per pole, and all numerators (and, at a
+    double pole, their derivatives) are evaluated at it as one stack; each residue entry is bitwise what
     deflating and evaluating that entry alone gives.  A den with two clusters at p keeps a root there
     after any deflation, so its entries have no finite residue.
     """
-    p = complex(p)
-    m = R.size
+    several, m = np.ndim(p) > 0, R.size
     poles, table = _pole_clusters(R, cfg)
     locs = [loc for loc, _ in poles]
-    loc = nearest(p, locs, cfg.root_cluster)
-    if loc is None:
-        raise ValueError(f"{p} is not a pole of the matrix")
-    pole, p = locs.index(loc), loc
-    mult = poles[pole][1]
-    if mult > 2:
-        raise MultiplicityTooHigh(f"pole at {p} has multiplicity {mult}")
-    num = R._coefficient_stacks[0]
-    nv = _values_at(num, p).ravel()
-    A1, A2 = A = np.zeros((2, m * m), dtype=complex)  # row-major, as the table's entry indexes
-    ndv = None
+    at = []  # the index in poles of each point's pole
+    for x in map(complex, p if several else [p]):
+        loc = x if x in locs else nearest(x, locs, cfg.root_cluster)  # a pole is the pole nearest itself
+        if loc is None:
+            raise ValueError(f"{x} is not a pole of the matrix")
+        at.append(locs.index(loc))
+        if poles[at[-1]][1] > 2:
+            raise MultiplicityTooHigh(f"pole at {locs[at[-1]]} has multiplicity {poles[at[-1]][1]}")
+    num, out = R._coefficient_stacks[0], []
     with np.errstate(all="ignore"):  # a zero or tiny q(p) is reported below
-        for den, idx, ks in table[pole]:
-            if len(ks) > 1:
-                A[:, idx] = np.nan
-                continue
-            k = ks[0]
-            q = np.asarray(den, dtype=complex)
-            for _ in range(k):
-                q = deflate(q, p)
-            qv = npp.polyval(p, q)
-            if k == 1:
-                A1[idx] = nv[idx] / qv  # numpy divides an array by a scalar as it divides two scalars
-            else:
-                A2[idx] = nv[idx] / qv
-                qdv = npp.polyval(p, npp.polyder(q))
-                if ndv is None:  # the numerators' derivatives, npp.polyder's j * c_j
-                    dnum = num[1:] * np.arange(1, len(num))[:, None, None] if len(num) > 1 else np.zeros_like(num)
-                    ndv = _values_at(dnum, p).ravel()
-                for n in idx:  # one by one: numpy's complex array multiply may round apart from its scalar one
-                    A1[n] = (ndv[n] * qv - nv[n] * qdv) / (qv * qv)
-    if not np.isfinite(A).all():
-        i, j = divmod(int(np.flatnonzero(~np.isfinite(A).all(axis=0))[0]), m)
-        raise PoleProximity(f"entry ({i}, {j}): no finite residue at the pole {p}: "
-                            "another of the entry's poles is too close to it")
-    A1, A2 = A.reshape(2, m, m)
-    if R.domain == CT:
-        K0 = 1j * A1
-    else:
-        K0 = (1j / p) * A1 if p != 0 else 1j * A1
-    return PoleDatum(p, mult, A1, A2, K0)
+        for pole, nv in zip(at, _values_at(num, [locs[n] for n in at]).reshape(len(at), m * m)):
+            (p, mult), ndv = poles[pole], None
+            A1, A2 = A = np.zeros((2, m * m), dtype=complex)  # row-major, as the table's entry indexes
+            for den, idx, ks in table[pole]:
+                if len(ks) > 1:
+                    A[:, idx] = np.nan
+                    continue
+                k = ks[0]
+                q = np.asarray(den, dtype=complex)
+                for _ in range(k):
+                    q = deflate(q, p)
+                qv = npp.polyval(p, q)
+                if k == 1:
+                    A1[idx] = nv[idx] / qv  # numpy divides an array by a scalar as it divides two scalars
+                else:
+                    A2[idx] = nv[idx] / qv
+                    qdv = npp.polyval(p, npp.polyder(q))
+                    if ndv is None:  # the numerators' derivatives, npp.polyder's j * c_j
+                        dnum = num[1:] * np.arange(1, len(num))[:, None, None] if len(num) > 1 else np.zeros_like(num)
+                        ndv = _values_at(dnum, [p]).ravel()
+                    for n in idx:  # one by one: numpy's complex array multiply may round apart from its scalar one
+                        A1[n] = (ndv[n] * qv - nv[n] * qdv) / (qv * qv)
+            if not np.isfinite(A).all():
+                i, j = divmod(int(np.flatnonzero(~np.isfinite(A).all(axis=0))[0]), m)
+                raise PoleProximity(f"entry ({i}, {j}): no finite residue at the pole {p}: "
+                                    "another of the entry's poles is too close to it")
+            A1, A2 = A.reshape(2, m, m)
+            out.append(PoleDatum(p, mult, A1, A2, (1j / p if R.domain == DT and p != 0 else 1j) * A1))
+    return out if several else out[0]
 
 
 def rm_infinity_expansion(R: RationalMatrix) -> InfinityExpansion:

@@ -147,22 +147,25 @@ def block_diag(*Ms):
 def _gilbert_blocks(R: RationalMatrix, pole_list, cfg: Config):
     """Gilbert's realization (A, B, C) of R - D from R's own residues at its simple poles.
 
-    Each residue is split as C_p B_p by one SVD, its rank decided at rank_rel;
-    a complex pair then takes the real form.  With distinct simple poles the
-    result is minimal by construction (Gilbert, SIAM J. Control 1(2), 1963).
+    The residues at the poles on or above the real axis come from one ``rm_residues_at`` call (``rm_poles``
+    pairs a conjugate exactly).  Each is split as C_p B_p by an SVD, one stacked SVD for the real poles'
+    real residues and one for the complex poles', its rank decided at rank_rel; a complex pair then takes
+    the real form.  With distinct simple poles the result is minimal by construction (Gilbert, SIAM J.
+    Control 1(2), 1963).
     """
-    m = R.size
+    m, upper = R.size, [p for p, _ in pole_list if p.imag >= 0.0]
+    residues = [d.residue_A1 for d in rm_residues_at(R, upper, cfg)]
+    factors, real = {}, [p.imag == 0.0 for p in upper]  # factors: the index in upper -> its residue's SVD
+    for kind in set(real):
+        ks = [k for k, r in enumerate(real) if r == kind]
+        factors.update(zip(ks, zip(*np.linalg.svd(np.array([np.real(residues[k]) if kind else residues[k] for k in ks])))))
     Ab, Bb, Cb = [], [np.zeros((0, m))], [np.zeros((m, 0))]
-    for p, _ in pole_list:
-        if p.imag < 0.0:
-            continue  # conjugate handled with its partner, which ``rm_poles`` pairs exactly
-        res = rm_residues_at(R, p, cfg).residue_A1
-        real = p.imag == 0.0
-        U, s, Vh = np.linalg.svd(np.real(res) if real else res)
+    for k, p in enumerate(upper):
+        U, s, Vh = factors[k]
         r = int(np.sum(s > cfg.rank_rel * max(s[0], 1e-300)))
         sq = np.sqrt(s[:r])
         B1, C1 = sq[:, None] * Vh[:r, :], U[:, :r] * sq[None, :]
-        if real:
+        if real[k]:
             Ab.append(p.real * np.eye(r))
             Bb.append(B1)
             Cb.append(C1)

@@ -50,8 +50,24 @@ def matrix_taylor(R: RationalMatrix, p, nterms):
 
 
 def matrix_laurent_inf(R: RationalMatrix, nterms):
-    """Coefficients c_k of R(w) = sum_k c_k w**-k for large |w| (proper R), as an (nterms, m, m) array."""
-    return np.moveaxis(np.array([[e.laurent_at_inf(nterms) for e in row] for row in R.entries]), -1, 0).copy()
+    """Coefficients c_k of R(w) = sum_k c_k w**-k for large |w| (proper R), as an (nterms, m, m) array, each entry
+    bitwise its ``RationalScalar.laurent_at_inf``, for all entries at once: the series division of num(1/t) t**n
+    by den(1/t) t**n, n the entry's den degree.  Division by the monic den's 1 + 0i keeps every imaginary part
+    +0.0, so it is written out in real arithmetic: each term is a real product, and the division adds 0.0."""
+    if not R.is_proper():
+        raise ValueError("laurent_at_inf requires a proper rational")
+    num, den = R._coefficient_stacks
+    n = np.array([e.den.size for row in R.entries for e in row]) - 1
+    C = np.zeros((len(den) + 1, 2, n.size))  # (coefficient, (num, den), entry), its last row the zero padding
+    C[:len(num), 0], C[:-1, 1] = num.reshape(len(num), -1), den.reshape(len(den), -1)
+    k = n - np.arange(max(len(den), nterms))[:, None]  # the ascending index of each reversed coefficient
+    N, D = np.moveaxis(C[np.where(k >= 0, k, -1), :, np.arange(n.size)], -1, 0)
+    out, upto = [], [j <= n for j in range(n.max() + 1)]
+    for i, acc in enumerate(N[:nterms].copy()):
+        for j in range(1, min(i, n.max()) + 1):  # minus d_j c_(i-j), for j up to the entry's den degree
+            np.subtract(acc, D[j] * out[i - j], out=acc, where=upto[j])
+        out.append(acc + 0.0)
+    return np.array(out).reshape(nterms, *num.shape[1:])
 
 
 def _inv_series(A, nterms):

@@ -7,10 +7,15 @@ with PSD weights); the "mixed" generators use indefinite weights and carry no
 label, which is what the oracle-equivalence tests want.
 """
 
+import functools
+
 import numpy as np
 
+from nipr.docio import document_of, jsonable
 from nipr.poly import RationalScalar
 from nipr.ratmat import RationalMatrix
+
+GENERATORS = ("ct_ni", "ct_pr", "ct_mixed", "dt_ni", "dt_pr", "dt_mixed")
 
 
 def psd(rng, m, scale=1.0):
@@ -132,3 +137,15 @@ def dt_lemma_corpus(seed, count):
             G = dt_mixed(rng, m=m, nterms=nterms)
         out.append(G)
     return out
+
+
+@functools.cache
+def generated(gen, seed, m):
+    """(G, doc): the generator ``gen``'s m x m matrix with three modes from np.random.default_rng([seed, m]),
+    and its document, each made once per process, so once per test session.
+
+    Both are shared: read them, never change them.  G keeps the pole data it finds, so a test that counts
+    work parses doc (``docio.parse_document``) for objects of its own.
+    """
+    G = globals()[gen](np.random.default_rng([seed, m]), m=m, nterms=3)
+    return G, jsonable(document_of(G))

@@ -27,7 +27,7 @@ from nipr.ratmat import RationalMatrix, rm_eval, rm_poles, rm_residues_at, rm_sp
 from nipr.realization import minimal_realization
 from nipr.transforms import cssni_to_csspr, ct_ni_to_pr, dt_ni_to_pr
 
-GENERATORS = ("ct_ni", "ct_pr", "ct_mixed", "dt_ni", "dt_pr", "dt_mixed")
+GENERATORS = corpus.GENERATORS
 
 
 def reference(gen, m):
@@ -162,7 +162,7 @@ def test_a_constant_operand_gives_the_reducing_construction_or_keeps_a_pole(gen)
     """
     for seed in range(6):
         for m in (1, 2, 3):
-            for e in entries(getattr(corpus, gen)(np.random.default_rng([seed, m]), m=m, nterms=3)):
+            for e in entries(corpus.generated(gen, seed, m)[0]):
                 at = e(SWEEP_POINTS)
                 for c in (0.0, -0.0, 2.5, -1e-3, 3.0, e.value_at_inf(), 1e6):
                     # the coefficients of e c and c e are the same products, and those of e + c and c + e

@@ -27,7 +27,7 @@ from test_nilemma import lemma_cases
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 CHECKS = (dni_lemma_check, dual_dni_lemma_check, dpr_lemma_check)
-GENERATORS = ("ct_ni", "ct_pr", "ct_mixed", "dt_ni", "dt_pr", "dt_mixed")
+GENERATORS = corpus.GENERATORS
 
 
 def krylov_runs(monkeypatch):
@@ -74,7 +74,7 @@ def realized_systems():
     for gen in GENERATORS:
         for m in range(1, 7):
             for seed in range(6):
-                yield getattr(corpus, gen)(np.random.default_rng([seed, m]), m=m, nterms=3)
+                yield corpus.generated(gen, seed, m)[0]
 
 
 def test_every_minimal_realization_passes_the_krylov_test():

@@ -48,7 +48,7 @@ from nipr.ratmat import (CT, PoleDatum, RationalMatrix, _entry_multiplicities, _
                          rm_poles, rm_residues_at)
 from test_sign_source import CASES, lossy
 
-GENERATORS = ("ct_ni", "ct_pr", "ct_mixed", "dt_ni", "dt_pr", "dt_mixed")
+GENERATORS = corpus.GENERATORS
 
 
 # ---------------------------------------------------------------------------
@@ -307,9 +307,9 @@ def parsed(G):
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_corpus_pole_data_is_byte_equal_to_the_per_entry_reference(gen, seed):
     for m in range(1, 7):
-        G = getattr(corpus, gen)(np.random.default_rng([seed, m]), m=m, nterms=3)
+        G, doc = corpus.generated(gen, seed, m)
         assert_matches_the_reference(G)
-        assert_matches_the_reference(parsed(G))
+        assert_matches_the_reference(parse_document(doc))
 
 
 def test_lemma_corpus_pole_data_is_byte_equal_to_the_per_entry_reference():
@@ -332,8 +332,8 @@ def assert_exactly_paired(G):
 def test_the_corpus_poles_are_real_or_exactly_paired(gen):
     for seed in (0, 1, 2):
         for m in range(1, 7):
-            G = getattr(corpus, gen)(np.random.default_rng([seed, m]), m=m, nterms=3)
-            assert assert_exactly_paired(G) == assert_exactly_paired(parsed(G)) > 0
+            G, doc = corpus.generated(gen, seed, m)
+            assert assert_exactly_paired(G) == assert_exactly_paired(parse_document(doc)) > 0
 
 
 def test_the_lemma_corpus_and_resonant_poles_are_real_or_exactly_paired():
@@ -525,9 +525,9 @@ def assert_the_table_gives_the_old_multiplicities(R, cfg=DEFAULT):
 def test_the_pole_table_keeps_the_old_multiplicities_on_the_corpus(gen):
     for seed in range(6):
         for m in range(1, 7):
-            G = getattr(corpus, gen)(np.random.default_rng([seed, m]), m=m, nterms=3)
+            G, doc = corpus.generated(gen, seed, m)
             assert_the_table_gives_the_old_multiplicities(G)
-            assert_the_table_gives_the_old_multiplicities(parsed(G))
+            assert_the_table_gives_the_old_multiplicities(parse_document(doc))
 
 
 def test_the_pole_table_keeps_the_old_multiplicities_on_the_lemma_corpus():

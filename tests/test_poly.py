@@ -233,6 +233,10 @@ def root_cases():
         np.array([0.0, 1.0 - 1.0j, 2.0 + 0.0j, 1.0j]),
         np.array([2.0, -3.0, 1.0], dtype=complex),       # real roots of a complex polynomial stay complex
         np.array([-1.0, 0.0, 1.0], dtype=complex),
+        np.array([0.0, -0.0, 2.0, 1.0]),                  # trimmed arrays, rooted as they are: zero low-order
+        np.array([2, 3, 1]), np.array([0, 2, 1]),         # coefficients, integer ones, a 0-d array
+        np.array([1.0 + 1.0j, 2.0, 1.0]), np.array(4.0),
+        np.array([1.0, 2.0, 0.0]), np.array([3.0, 1.0, -0.0, 0.0]),  # and untrimmed arrays
     ]
     drawn = [rng.standard_normal(rng.integers(1, 9)) for _ in range(40)]
     return fixed + drawn
@@ -240,9 +244,13 @@ def root_cases():
 
 def test_roots_many_is_bitwise_np_roots_in_one_batch_and_one_by_one():
     cases = root_cases()
+    given = [np.array(c) for c in cases]
     want = [reference_roots(c) for c in cases]
     for got, ref in zip(poly.roots_many(cases), want):
         assert bitwise(got, ref)
+    assert all(bitwise(c, g) for c, g in zip(cases, given))  # the inputs are not changed
+    twice = poly.roots_many(cases + cases)  # each repeat is rooted as the first, into an array of its own
+    assert all(bitwise(a, b) and not np.shares_memory(a, b) for a, b in zip(twice, twice[len(cases):]))
     for c, ref in zip(cases, want):
         assert bitwise(poly.roots_many([c])[0], ref)
         assert bitwise(roots(c), ref)

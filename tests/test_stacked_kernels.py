@@ -11,7 +11,6 @@ are the per-matrix code these kernels replace.
 
 import functools
 import io
-import json
 
 import numpy as np
 import pytest
@@ -29,7 +28,7 @@ from nipr.realization import StateSpace, cayley_image, cayley_ss, minimal_realiz
 from nipr.series import decay_condition, matrix_laurent_inf, matrix_taylor
 from test_sign_source import CASES, lossy
 
-GENERATORS = ("ct_ni", "ct_pr", "ct_mixed", "dt_ni", "dt_pr", "dt_mixed")
+GENERATORS = corpus.GENERATORS
 S = RationalScalar
 # entries of different degrees, constants among them, and zeros of either sign (0 / -1 is -0)
 HAND_BUILT = [
@@ -50,8 +49,8 @@ def systems():
     for gen in GENERATORS:
         for m in range(1, 7):
             for seed in range(6):
-                G = getattr(corpus, gen)(np.random.default_rng([seed, m]), m=m, nterms=3)
-                out += [G, parse_document(json.loads(json.dumps(document_of(G))))]
+                G, doc = corpus.generated(gen, seed, m)
+                out += [G, parse_document(doc)]
     return tuple(out + corpus.dt_lemma_corpus(7, 100) + HAND_BUILT)
 
 
@@ -219,8 +218,13 @@ def test_the_stacked_taylor_expansion_is_each_entrys(p):
     assert checked >= 3 * 400
 
 
+# proper entries of several den degrees, -0 coefficients among them, and a constant entry over a den of -1
+SIGNED = RationalMatrix([[S([-0.0, -1.0, -0.0], [2.0, 0.5, -0.0, 1.0]), S([-3.0], [-1.0])],
+                         [S([1.0, -0.0], [0.5, 1.0]), S([-0.0], [1.0, 1.0], reduce=False)]], "dt")
+
+
 def test_the_stacked_laurent_expansion_is_each_entrys():
-    for G in systems():
+    for G in systems() + (SIGNED,):
         if G.is_proper():
             want = np.array([[e.laurent_at_inf(8) for e in row] for row in G.entries])
             assert same(matrix_laurent_inf(G, 8), np.ascontiguousarray(np.moveaxis(want, -1, 0)))
