@@ -39,17 +39,17 @@ share is zero within the Hermitian tolerance of the residue checks is
 dropped, so a residue those checks accept adds exactly nothing.  No sign
 form is built as a rational matrix.
 
-The sign samples and ``nipr sweep`` sum that table at the frequencies of
-their parameters.  The sign comes from the crossings: the rest is realized
-once, the same table joins that realization (moved to continuous time in
-discrete time), and ``boundary.boundary_det_zeros`` finds where the form is
-singular on the boundary, and whether it is singular everywhere
-(``Analysis.singular``).  The limits at infinity and at the endpoints read
-expansions of all entries at once (``series``), and the norm tests take their
-2-norms from one SVD per stack of matrices of one dtype (``boundary.norm2``).
-The crossings and the boundary poles cut the upper half of the boundary
-into intervals, and ``boundary.crossing_scan`` reads the form at one sample
-in each (``Analysis.sign_scan``).
+``Analysis.form_at`` reads the form for the sign samples and ``nipr sweep``,
+summing that table at their frequencies.  The sign comes from the crossings:
+the rest is realized once, the same table joins that realization (moved to
+continuous time in discrete time), and ``boundary.boundary_det_zeros`` finds
+where the form is singular on the boundary, and whether it is singular
+everywhere (``Analysis.singular``).  The limits at infinity and at the
+endpoints read expansions of all entries at once (``series``), and the norm
+tests take their 2-norms from one SVD per stack of matrices of one dtype
+(``boundary.norm2``).  The crossings and the boundary poles cut the upper half
+of the boundary into intervals, and ``Analysis.sign_scan`` reads the form at
+one sample in each (``boundary.interval_samples``).
 """
 
 from __future__ import annotations
@@ -296,20 +296,24 @@ class Analysis:
         return self._once(("det", form), lambda: boundary.boundary_det_zeros(
             self.realization(), form, self.cfg, self.shares(form)))
 
-    def sign_scan(self, form):
-        """crossing_scan of the form: (worst margin, its parameter, samples, crossing parameters).
+    def form_at(self, form, params):
+        """(values, ok): ``boundary.form_values`` of ``sign_terms`` at the boundary parameters params, a
+        stack whose Hermitian parts are the form; ok is False at a pole of the rest or a share not finite."""
+        R, extra = self.sign_terms(form)
+        return boundary.form_values(R, params, self.domain.point, 2.0 * PREMUL[form], extra)
 
-        The boundary poles cut the boundary too: the form may change sign
-        across a pole without becoming singular.
-        """
+    def sign_scan(self, form):
+        """(worst margin, its parameter, samples, crossing parameters) of the form at the ends of its boundary
+        and at one ``boundary.interval_samples`` sample per interval between the cuts: the crossings, and the
+        boundary poles, across which the form may change sign without becoming singular."""
         def compute():
             points, _ = self.det_zeros(form)
             d = self.domain
             crossings = [w for w in (d.freq(p) for p in points) if 0.0 < w < np.inf]
             poles = [d.freq(d.project(p)) for p, _ in self.pole_split()[1]]
-            R, extra = self.sign_terms(form)
-            worst, tworst, n = boundary.crossing_scan(R, crossings + poles, d.ends[form], d.from_freq, d.point,
-                                                      2.0 * PREMUL[form], self.cfg, extra)
+            params = np.concatenate([np.asarray(d.ends[form], dtype=float),
+                                     d.from_freq(boundary.interval_samples(crossings + poles))])
+            worst, tworst, n = boundary.worst_margin(*self.form_at(form, params), params, self.cfg)
             return worst, tworst, n, sorted({float(t) for t in d.from_freq(np.array(crossings))})
         return self._once(("scan", form), compute)
 

@@ -15,9 +15,9 @@ continuous Hermitian family can only change sign where the form is singular,
 or across a pole, so ``boundary_det_zeros`` finds the boundary frequencies
 where the form is singular, as finite zeros of a state-space realization of
 the form (no rational arithmetic), and whether it is singular everywhere;
-``crossing_scan`` reads the form at one sample inside each interval between
-them.  The dense grid (``grid_psd_scan``, ``ct_grid``, ``dt_grid_half``,
-``dt_grid_full``) decides no verdict; it serves ``nipr sweep`` and the tests.
+``analysis.Analysis.sign_scan`` reads the form at one ``interval_samples``
+sample between them.  The dense grids (``ct_grid``, ``dt_grid_half``,
+``dt_grid_full``) decide no verdict; ``nipr sweep`` and the tests read them.
 
 Both evaluate through one batched kernel: ``rm_eval_many`` evaluates every
 point at once and ``psd_margin`` takes the margins of the (npts, m, m) stack
@@ -134,10 +134,9 @@ def form_values(R: RationalMatrix, params, to_points, premul, extra=None):
     return vals, ok
 
 
-def _worst_margin(R, params, to_points, premul, cfg, extra):
-    """(worst_margin, worst_param, params.size): the minimum relative PSD margin of the form of
-    ``form_values`` over the parameter array; a point at a pole, or of a margin not finite, reads inf."""
-    vals, ok = form_values(R, params, to_points, premul, extra)
+def worst_margin(vals, ok, params, cfg: Config):
+    """(worst_margin, worst_param, params.size): the minimum relative PSD margin of the Hermitian parts of
+    the stack vals of ``form_values`` at the parameters params; a value not ok, or of a margin not finite, reads inf."""
     marg = psd_margin(vals, cfg.psd_rel)
     marg = np.where(ok & np.isfinite(marg), marg, np.inf)
     k = int(np.argmin(marg))
@@ -147,7 +146,8 @@ def _worst_margin(R, params, to_points, premul, cfg, extra):
 def grid_psd_scan(R: RationalMatrix, params, to_points, premul, cfg: Config, extra=None):
     """(worst_margin (>= 0 passes), worst_param, evaluated) of premul * R(point) (+ extra) over the grid
     parameters params (w or theta); to_points, premul and extra as for ``form_values``."""
-    return _worst_margin(R, np.asarray(params, dtype=float), to_points, premul, cfg, extra)
+    params = np.asarray(params, dtype=float)
+    return worst_margin(*form_values(R, params, to_points, premul, extra), params, cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -343,13 +343,15 @@ def boundary_det_zeros(ss, form, cfg: Config = DEFAULT, pieces=()):
     return points, singular
 
 
-def _interval_samples(cuts):
-    """One frequency inside each interval that the sorted positive finite frequencies cuts make of (0, inf).
+def interval_samples(cuts):
+    """One frequency inside each interval that the positive finite frequencies of cuts make of (0, inf).
 
-    The geometric mean of two finite ends; an interval with an end at 0 or
-    inf gets 1 when it holds 1, else half its upper or twice its lower end.
+    No eigenvalue of the form changes sign between two consecutive cuts, so the sample decides the sign
+    there.  It is the geometric mean of two finite ends; an interval with an end at 0 or inf gets 1 when it
+    holds 1, else half its upper or twice its lower end.  A close pair of cuts, a narrow dip or a near
+    touch, stays two cuts: the rounding of the zeros moves their midpoint far less than either cut.
     """
-    edges = [0.0, *cuts, np.inf]
+    edges = [0.0, *sorted({w for w in cuts if 0.0 < w < np.inf}), np.inf]
     out = []
     for lo, hi in zip(edges[:-1], edges[1:]):
         if lo == 0.0 or hi == np.inf:
@@ -357,30 +359,3 @@ def _interval_samples(cuts):
         else:
             out.append(np.sqrt(lo * hi))
     return np.array(out)
-
-
-def crossing_scan(R: RationalMatrix, cuts, ends, from_freq, to_points, premul, cfg: Config, extra=None):
-    """Minimum relative PSD margin of the form premul * R(point) (+ extra) over one sample per sign interval.
-
-    Parameters
-    ----------
-    cuts : the boundary frequencies w (continuous-time frequencies; tan(t/2)
-        in discrete time) where the form may change sign; a repeated w is one cut
-    ends : boundary parameters sampled as well (the ends of a closed arc)
-    from_freq : frequencies -> boundary parameters
-    to_points, premul, extra : as for ``form_values``
-
-    Between consecutive cuts no eigenvalue of the form changes sign, so the
-    sample inside an interval decides the sign there.
-
-    A close pair of cuts brackets a narrow dip or a near touch; the sample
-    between them sits at their midpoint, which the rounding of the zeros
-    moves far less than it moves either cut, so the pair is kept as two cuts.
-
-    Returns
-    -------
-    worst_margin : float (>= 0 passes), worst_param : float, samples : int
-    """
-    params = np.concatenate([np.asarray(ends, dtype=float),
-                             from_freq(_interval_samples(sorted({w for w in cuts if 0.0 < w < np.inf})))])
-    return _worst_margin(R, params, to_points, premul, cfg, extra)

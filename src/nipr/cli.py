@@ -14,8 +14,8 @@ import sys
 import numpy as np
 
 from . import analysis_ct, analysis_dt
-from .analysis import CLASSES, DOMAINS, PREMUL, analysis_of
-from .boundary import form_values, herm
+from .analysis import CLASSES, analysis_of
+from .boundary import herm
 from .config import DEFAULT
 from .docio import document_of, json_text, jsonable, load_document, parse_document, save_document
 from .errors import NiprError
@@ -38,16 +38,23 @@ CLASSIFIERS = {c: (d, getattr(mod, f"classify_{c}")) for d, mod in (("ct", analy
 
 
 def _config_from_args(args):
-    cfg = DEFAULT
+    """DEFAULT with the overrides of the flags the subcommand takes (``_add_verdict_flags``, sweep's --grid)."""
     overrides = {}
     if getattr(args, "tol", None) is not None:
         overrides["psd_rel"] = args.tol
     if getattr(args, "grid", None) is not None:
-        overrides["grid_points_ct"] = args.grid
-        overrides["grid_points_dt"] = args.grid
+        overrides["grid_points_ct"] = overrides["grid_points_dt"] = args.grid
     if getattr(args, "allow_asymmetric", False):
         overrides["require_symmetry"] = False
-    return cfg.with_overrides(**overrides) if overrides else cfg
+    return DEFAULT.with_overrides(**overrides) if overrides else DEFAULT
+
+
+def _classifier(name, domain):
+    """The classify_* function of the class name, which must be a class of the domain."""
+    need, fn = CLASSIFIERS[name]
+    if need != domain:
+        raise NiprError(f"classifier {name} needs a {need} system, document is {domain}")
+    return fn
 
 
 def _rational(obj):
@@ -92,15 +99,9 @@ def _print_report(rep, out):
 def cmd_classify(args):
     cfg = _config_from_args(args)
     R = _load_rational(args.file)
-    names = list(CLASSIFIERS) if args.class_name == "all" else [args.class_name]
-    reports = []
-    for name in names:
-        domain, fn = CLASSIFIERS[name]
-        if domain != R.domain:
-            if args.class_name != "all":
-                raise NiprError(f"classifier {name} needs a {domain} system, document is {R.domain}")
-            continue
-        reports.append(fn(R, cfg))
+    names = ([c for c, (d, _) in CLASSIFIERS.items() if d == R.domain] if args.class_name == "all"
+             else [args.class_name])
+    reports = [_classifier(name, R.domain)(R, cfg) for name in names]
     out = open(args.out, "w") if args.out else sys.stdout
     try:
         if args.json:
@@ -118,10 +119,10 @@ def cmd_sweep(args):
     cfg = _config_from_args(args)
     R = _load_rational(args.file)
     mode = args.mode
-    dom = DOMAINS[R.domain]
+    a = analysis_of(R, cfg)
+    dom = a.domain
     params = dom.grid[mode](cfg)  # the sweep grid, w = 0 included in CT PR mode
-    rest, extra = analysis_of(R, cfg).sign_terms(mode)  # the values the sign samples read
-    vals, ok = form_values(rest, params, dom.point, 2.0 * PREMUL[mode], extra)
+    vals, ok = a.form_at(mode, params)  # as the sign samples read the form
     params = params[ok]
     lam = np.linalg.eigvalsh(herm(vals[ok]))
     cols = [params, lam[:, 0], lam[:, -1]]
@@ -217,14 +218,10 @@ def cmd_star(args):
     cfg = _config_from_args(args)
     S1 = _state_space(parse_document(load_document(args.file1)), cfg)
     S2 = _state_space(parse_document(load_document(args.file2)), cfg)
+    classify = _classifier(args.class_name, S1.domain) if args.class_name else None
     res = redheffer_star(PartitionedSystem(S1, args.a, args.b), PartitionedSystem(S2, args.a, args.b), cfg)
     star_doc = document_of(res.system, name="star", meta={"a": args.a, "b": args.b})
-    verdicts = {}
-    if args.class_name:
-        domain, fn = CLASSIFIERS[args.class_name]
-        R = tf_of(res.system)
-        if domain == R.domain:
-            verdicts[args.class_name] = fn(R, cfg).verdict
+    verdicts = {args.class_name: classify(tf_of(res.system), cfg).verdict} if classify else {}
     if args.out:
         save_document(star_doc, args.out)
     _emit({
@@ -235,9 +232,9 @@ def cmd_star(args):
     return 0
 
 
-def _add_common(p):
+def _add_verdict_flags(p):
+    """The flags of the subcommands that classify: the Config fields psd_rel and require_symmetry."""
     p.add_argument("--tol", type=float, default=None, help="semidefinite tolerance override")
-    p.add_argument("--grid", type=int, default=None, help="sweep grid point count override (no verdict reads it)")
     p.add_argument("--allow-asymmetric", action="store_true", help="skip the symmetry requirement")
 
 
@@ -252,34 +249,33 @@ def build_parser():
                    choices=sorted(CLASSIFIERS) + ["all"])
     p.add_argument("--json", action="store_true")
     p.add_argument("--out", default=None)
-    _add_common(p)
+    _add_verdict_flags(p)
     p.set_defaults(fn=cmd_classify)
 
     p = sub.add_parser("sweep", help="export boundary eigenvalue data as CSV")
     p.add_argument("file")
     p.add_argument("--mode", choices=["pr", "ni"], default="ni")
     p.add_argument("--out", default=None)
-    _add_common(p)
+    p.add_argument("--grid", type=int, default=None, help="grid point count override")
     p.set_defaults(fn=cmd_sweep)
 
     p = sub.add_parser("transform", help="apply a structural map")
     p.add_argument("file")
     p.add_argument("--map", dest="map_name", required=True)
     p.add_argument("--out", default=None)
-    _add_common(p)
+    _add_verdict_flags(p)
     p.set_defaults(fn=cmd_transform)
 
     p = sub.add_parser("lemma", help="state-space feasibility certificates")
     p.add_argument("file")
     p.add_argument("--form", choices=["primal", "dual", "pr"], default="primal")
-    _add_common(p)
     p.set_defaults(fn=cmd_lemma)
 
     p = sub.add_parser("interconnect", help="positive feedback analysis")
     p.add_argument("fileP")
     p.add_argument("fileQ")
     p.add_argument("--mode", choices=["feedback", "ni-test"], default="feedback")
-    _add_common(p)
+    _add_verdict_flags(p)
     p.set_defaults(fn=cmd_interconnect)
 
     p = sub.add_parser("star", help="Redheffer star product")
@@ -289,7 +285,7 @@ def build_parser():
     p.add_argument("--b", type=int, required=True)
     p.add_argument("--class", dest="class_name", default=None, choices=sorted(CLASSIFIERS))
     p.add_argument("--out", default=None)
-    _add_common(p)
+    _add_verdict_flags(p)
     p.set_defaults(fn=cmd_star)
     return ap
 

@@ -8,7 +8,7 @@ from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
-from .poly import reduced_scalars, trim
+from .poly import reduced_scalars
 from .ratmat import RationalMatrix
 from .realization import StateSpace
 
@@ -105,11 +105,12 @@ def _cell(cell, i, j):
             raise ValueError("'num' and 'den' must be lists of numbers")
         if not (np.isfinite(num).all() and np.isfinite(den).all()):
             raise ValueError("coefficients must be finite")
-        lead = abs(float(trim(den)[-1]))
+        coeffs = den.tolist()
+        lead = next((abs(c) for c in reversed(coeffs) if c), 0.0)  # the leading coefficient, found without trimming
         if lead == 0:
             raise ValueError("denominator is identically zero")
         # the largest |coefficient| / lead overflows if any quotient does, and a float / float gives inf, not a warning
-        if math.isinf(max(map(abs, num.tolist() + den.tolist())) / lead):
+        if math.isinf(max(map(abs, num.tolist() + coeffs)) / lead):
             raise ValueError("coefficients over the leading denominator coefficient must be finite")
         return num, den
     except KeyError as exc:

@@ -32,7 +32,8 @@ from functools import cache
 import numpy as np
 
 from .config import DEFAULT, Config
-from .errors import AsymmetricD, NonMinimalRealization
+from .errors import AsymmetricD, NonMinimalRealization, PreconditionViolated
+from .ratmat import DT
 from .realization import StateSpace, is_minimal, require_no_eigenvalue_at
 
 FEASIBLE = "Feasible"
@@ -216,6 +217,12 @@ def _certified_search(X0, Ns, cone_maps, lyap_fn, eq_residual_fn, extras):
     return _certify(X, lyap_fn, eq_residual_fn, iters, farkas or not len(Ns), extras)
 
 
+def _require_dt(ss: StateSpace, lemma: str):
+    """Both lemmas are of discrete time: a continuous-time realization is refused, not read as one."""
+    if ss.domain != DT:
+        raise PreconditionViolated(f"the {lemma} lemma needs a discrete-time realization, not {ss.domain}")
+
+
 # ---------------------------------------------------------------------------
 # the discrete PR lemma
 
@@ -227,6 +234,7 @@ def dpr_lemma_check(ss: StateSpace, cfg: Config = DEFAULT) -> FeasibilityCertifi
     [[X - A'XA, C' - A'XB], [C - B'XA, D' + D - B'XB]] >= 0 and recovers the
     factor matrices L, W of the classical formulation on success.
     """
+    _require_dt(ss, "PR")
     if not is_minimal(ss, cfg):
         raise NonMinimalRealization("the PR lemma requires a minimal realization")
     A, B, C, D = ss.A, ss.B, ss.C, ss.D
@@ -261,6 +269,7 @@ def dpr_lemma_check(ss: StateSpace, cfg: Config = DEFAULT) -> FeasibilityCertifi
 
 
 def _check_the2_preconditions(ss: StateSpace, cfg: Config):
+    _require_dt(ss, "NI")
     D = ss.D
     sv = np.linalg.svd(np.stack([D - D.T, D]), compute_uv=False)  # ||D - D'||_2 and ||D||_2
     if sv[0, 0] > 1e-9 * (1.0 + sv[1, 0]):

@@ -266,23 +266,20 @@ def shift_poly(c, p):
 class RationalScalar:
     """A reduced real-coefficient rational function num/den with monic den.
 
-    A ``den_roots`` given must be ``roots`` of the monic den.  With reduce=True
-    a ``num_roots`` given with it must be the first of ``roots_many(_to_root(num,
-    den))``; the reduction then finds no roots itself (``reduced_scalars``).
-    ``+`` with a polynomial, and ``*`` and ``/`` with a constant, cancel nothing and do not reduce.
+    The constructor is the one public way to build a scalar; the library builds its unreduced results
+    (``+`` with a polynomial, ``*`` and ``/`` with a constant, ``times_factors``, a document's cells that
+    cancel nothing) from trimmed arrays by ``_scalar``.
     Reduction clusters roots at ``DEFAULT.root_cluster``, whatever Config an analysis is given.
     """
 
     __slots__ = ("num", "den", "_den_roots", "_num_degree")
 
-    def __init__(self, num, den=(1.0,), reduce=True, den_roots=None, num_roots=None):
+    def __init__(self, num, den=(1.0,), reduce=True):
         num = trim(np.asarray(num, dtype=float))
         den = trim(np.asarray(den, dtype=float))
         if degree(den) < 0:
             raise ZeroDivisionError("denominator is identically zero")
-        if reduce:
-            num, den, den_roots = _reduce(num, den, DEFAULT, num_roots, den_roots)
-        self._over(num, den, den_roots)
+        self._over(*(_reduce(num, den, DEFAULT) if reduce else (num, den, None)))
 
     def _over(self, num, den, den_roots):
         """Set num/den divided by den's lead; num and den trimmed float arrays, den_roots ``roots`` of den or None."""
@@ -355,7 +352,7 @@ class RationalScalar:
         return self.__add__(other)
 
     def __neg__(self):
-        return RationalScalar(-self.num, self.den, reduce=False, den_roots=self._den_roots)
+        return _scalar(trim(-self.num), self.den, self._den_roots)  # trim makes -0 the zero polynomial
 
     def __sub__(self, other):
         return self.__add__(-_coerce(other))
@@ -386,7 +383,7 @@ class RationalScalar:
 
     def _over_den(self, num) -> "RationalScalar":
         """num/self.den unreduced, with self's den_roots (a constant operand cancels nothing); a zero num is 0/1."""
-        return RationalScalar(num, self.den, reduce=False, den_roots=self._den_roots) if num.any() else self.zero()
+        return _scalar(trim(num), self.den, self._den_roots) if num.any() else self.zero()
 
     def times_factors(self, zero=None, pole=None, cfg: Config = DEFAULT) -> "RationalScalar":
         """self (x - zero) / (x - pole) for real zero and pole (None: no such factor), reduced without root finding.
@@ -411,7 +408,7 @@ class RationalScalar:
                 den, den_roots = np.real(_synth_div(den, zero)[0]), None
             else:
                 num = npp.polymul(num, [-zero, 1.0])
-        return RationalScalar(num, den, reduce=False, den_roots=den_roots)
+        return _scalar(num, den, den_roots)  # the factors keep both leads: num and den stay trimmed
 
     def derivative(self) -> "RationalScalar":
         num = npp.polysub(npp.polymul(npp.polyder(self.num), self.den), npp.polymul(self.num, npp.polyder(self.den)))
@@ -469,6 +466,11 @@ class RationalScalar:
         return f"RationalScalar(num={list(self.num)}, den={list(self.den)})"
 
 
+def _scalar(num, den, den_roots) -> RationalScalar:
+    """num/den unreduced, by ``RationalScalar._over``: the one builder besides the constructor."""
+    return RationalScalar.__new__(RationalScalar)._over(num, den, den_roots)
+
+
 def _coerce(x) -> RationalScalar:
     if isinstance(x, RationalScalar):
         return x
@@ -507,7 +509,7 @@ def reduced_scalars(pairs):
     Each distinct den is rooted once, its cells share its read-only roots, and one array ``close`` test of
     all their numerator roots against its roots finds the cells with a close pair: ``_reduce`` cancels
     exactly when some pair is close before any is cancelled.  Only those cells, and zero cells, go
-    through ``_reduce``; the others are built from their trimmed arrays as they are.
+    through ``_reduce``; every cell is built from its trimmed arrays by ``_scalar``.
     No den may be identically zero.  Pass a repeated pair once and share its scalar (``docio.parse_document``).
     """
     pairs = [(trim(np.asarray(n, dtype=float)), trim(np.asarray(d, dtype=float))) for n, d in pairs]
@@ -521,8 +523,8 @@ def reduced_scalars(pairs):
         cancels = np.bincount(np.repeat(np.arange(len(cells)), [rts[k].size for k in cells]), hit, len(cells)) > 0
         for k, c in zip(cells, cancels):
             n, d = pairs[k]
-            out[k] = (RationalScalar(n, d, num_roots=rts[k], den_roots=den_roots) if c or not n.any()
-                      else RationalScalar.__new__(RationalScalar)._over(n, d, den_roots))
+            parts = _reduce(n, d, DEFAULT, rts[k], den_roots) if c or not n.any() else (n, d, den_roots)
+            out[k] = _scalar(*parts)
     return out
 
 

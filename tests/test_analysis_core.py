@@ -25,8 +25,7 @@ from nipr.poly import RationalScalar
 
 CT_CLASSES = ("cpr", "csspr", "cwspr", "cni", "cssni", "cwsni")
 DT_CLASSES = ("dpr", "dsspr", "dni", "dssni", "dwsni")
-# the rng-0 reference documents (three modes each) for every labelled generator, m = 1..3;
-# their CLI runs override the sweep grid, which only the embedded config shows
+# the rng-0 reference documents (three modes each) for every labelled generator, m = 1..3
 DOCS = [(gen, m) for gen in ("ct_ni", "dt_ni", "ct_pr", "dt_pr") for m in (1, 2, 3)]
 OTHER = DEFAULT.with_overrides(require_symmetry=False, grid_points_ct=500, grid_points_dt=500)
 
@@ -42,7 +41,7 @@ def write(tmp_path, gen, m):
 
 
 def classify_json(capsys, path, cls):
-    code = main(["classify", path, "--class", cls, "--json", "--grid", "400"])
+    code = main(["classify", path, "--class", cls, "--json"])
     return code, json.loads(capsys.readouterr().out)
 
 

@@ -3,7 +3,7 @@
 The crossings of the form (the zeros of its realization on the boundary) and
 the boundary poles cut the boundary into intervals on which no eigenvalue of
 the form changes sign, so one sample per interval decides the sign
-(``boundary.crossing_scan``).  The tests hold the verdicts of the plain
+(``Analysis.sign_scan``).  The tests hold the verdicts of the plain
 classes against a dense evaluation of G on a family of narrow dips and near
 touches, pin the cases that shaped the method (the m-fold zero of the "ni"
 form at w = 0, forms that are singular everywhere), and check the witness.
